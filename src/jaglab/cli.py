@@ -104,7 +104,7 @@ def cmd_run(args) -> int:
         return _connect(args, g, prog)
     if args.compiled:
         jag = compile_program(prog, g.degree)
-        cg = build_config_graph(jag, g, _limits(args), workers=args.workers)
+        cg = build_config_graph(jag, g, _limits(args))
         if cg.limit_hit:
             print("verdict: resource-limit")
             return EXIT_LIMIT
@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args)
     prog = _resolve_program(args, g)
     jag = compile_program(prog, g.degree)
-    report = machine_verify(jag, g, _limits(args), workers=args.workers)
+    report = machine_verify(jag, g, _limits(args))
     sys.stdout.write(report.to_text())
     if report.verdict is Verdict.RESOURCE_LIMIT:
         return EXIT_LIMIT
@@ -236,7 +236,6 @@ def _add_common(p, graph_arg=True):
     p.add_argument("--limits-configs", type=int, default=10_000_000,
                    help="configuration budget")
     p.add_argument("--max-run-len", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--degree-reduce", action="store_true",
                    help="apply the degree-3 reduction to the input graph")
     p.add_argument("--target", type=int, default=None,

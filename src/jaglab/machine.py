@@ -15,13 +15,13 @@ every node reachable from the startnode"), orderability ("all accepting runs
 share the same first-visit sequence of curr") and co-st-connectivity are all
 decided by exact reachability over the finite configuration graph, subject
 to an explicit configuration budget.  A run is an accepting computation as
-soon as it reaches the accept state; traces are cut there.
+soon as it reaches the accept state; traces are cut there, and the deciders
+never follow a transition out of an accept configuration.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -170,7 +170,11 @@ def step(jag: NdJag, g: LabelledGraph, config: Configuration) -> list[Configurat
 
 @dataclass
 class ConfigGraph:
-    """Explicit configuration graph: adjacency, parents, and bookkeeping."""
+    """Explicit configuration graph: adjacency, parents, and bookkeeping.
+
+    ``limit_hit`` names the budget that stopped the build (``"max_configs"``
+    or ``"max_run_len"``); it is None when the graph is complete.
+    """
 
     jag: NdJag
     graph: LabelledGraph
@@ -178,7 +182,7 @@ class ConfigGraph:
     adj: dict = field(default_factory=dict)
     parent: dict = field(default_factory=dict)
     accepting: list = field(default_factory=list)
-    limit_hit: bool = False
+    limit_hit: str | None = None
 
     @property
     def configs_explored(self) -> int:
@@ -186,50 +190,37 @@ class ConfigGraph:
 
 
 def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-                       workers: int = 1,
                        placements: Mapping[int, int] | None = None) -> ConfigGraph:
     """Breadth-first exhaustive expansion of the configuration space.
 
-    Expansion is level-synchronised; with workers > 1 the frontier is
-    expanded in deterministic chunks so results are worker-count-invariant.
-    The adjacency map behaves as a single atomic visited-set.
+    Expansion runs level by level, so the depth of the frontier is the run
+    length that ``limits.max_run_len`` bounds.  Accept-state configurations
+    are expanded too; the deciders ignore their successors.
     """
     init = initial_config(jag, g, placements)
     cg = ConfigGraph(jag, g, init)
     cg.parent[init] = None
     frontier = [init]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def expand(config):
-        return config, step(jag, g, config)
-
     depth = 0
-    try:
-        while frontier:
-            if len(cg.parent) > limits.max_configs:
-                cg.limit_hit = True
-                break
-            if limits.max_run_len is not None and depth > limits.max_run_len:
-                cg.limit_hit = True
-                break
-            if pool is None:
-                expanded = map(expand, frontier)
-            else:
-                expanded = pool.map(expand, frontier, chunksize=64)
-            nxt = []
-            for config, succs in expanded:
-                cg.adj[config] = succs
-                if config.state == jag.accept_state:
-                    cg.accepting.append(config)
-                for s in succs:
-                    if s not in cg.parent:
-                        cg.parent[s] = config
-                        nxt.append(s)
-            frontier = nxt
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier:
+        if len(cg.parent) > limits.max_configs:
+            cg.limit_hit = "max_configs"
+            break
+        if limits.max_run_len is not None and depth > limits.max_run_len:
+            cg.limit_hit = "max_run_len"
+            break
+        nxt = []
+        for config in frontier:
+            succs = step(jag, g, config)
+            cg.adj[config] = succs
+            if config.state == jag.accept_state:
+                cg.accepting.append(config)
+            for s in succs:
+                if s not in cg.parent:
+                    cg.parent[s] = config
+                    nxt.append(s)
+        frontier = nxt
+        depth += 1
     return cg
 
 
@@ -237,26 +228,10 @@ def accepts(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
             config_graph: ConfigGraph | None = None,
             placements: Mapping[int, int] | None = None) -> Verdict:
     """Accept iff some configuration with the accept state is reachable."""
-    seen: set = set()
-    init = initial_config(jag, g, placements) if config_graph is None \
-        else config_graph.initial
-    if config_graph is not None:
-        if any(c.state == jag.accept_state for c in config_graph.accepting):
-            return Verdict.ACCEPT
-        return Verdict.RESOURCE_LIMIT if config_graph.limit_hit else Verdict.REJECT
-    frontier = deque([init])
-    seen.add(init)
-    while frontier:
-        config = frontier.popleft()
-        if config.state == jag.accept_state:
-            return Verdict.ACCEPT
-        if len(seen) > limits.max_configs:
-            return Verdict.RESOURCE_LIMIT
-        for s in step(jag, g, config):
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return Verdict.REJECT
+    cg = config_graph or build_config_graph(jag, g, limits, placements=placements)
+    if cg.accepting:
+        return Verdict.ACCEPT
+    return Verdict.RESOURCE_LIMIT if cg.limit_hit else Verdict.REJECT
 
 
 def accepting_configurations(jag: NdJag, g: LabelledGraph,
@@ -264,8 +239,7 @@ def accepting_configurations(jag: NdJag, g: LabelledGraph,
                              placements: Mapping[int, int] | None = None) -> list:
     """All reachable accept-state configurations (for contract checks)."""
     cg = build_config_graph(jag, g, limits, placements=placements)
-    if cg.limit_hit:
-        raise ResourceLimitExceeded("configuration budget exhausted")
+    _require_complete(cg)
     return cg.accepting
 
 
@@ -340,23 +314,56 @@ def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
 
 def _require_complete(cg: ConfigGraph):
     if cg.limit_hit:
-        raise ResourceLimitExceeded("configuration budget exhausted")
+        raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
+
+
+def _accept_reachable(cg: ConfigGraph, tag, advance: Callable, goal: Callable,
+                      limits: Limits) -> bool:
+    """Reachability in the product of a complete configuration graph with a
+    run monitor whose state is ``tag``.
+
+    ``advance(tag, config)`` is the monitor's tag once a run enters
+    ``config``, or None to drop that run.  Runs end at their first accept
+    configuration, so none is expanded.  True iff some run reaches an accept
+    configuration with ``goal(tag)``.  The (configuration, tag) pairs count
+    against ``limits.max_configs``.
+    """
+    accept_state = cg.jag.accept_state
+    start = (cg.initial, tag)
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        config, tag = frontier.popleft()
+        if config.state == accept_state:
+            if goal(tag):
+                return True
+            continue
+        for s in cg.adj[config]:
+            ntag = advance(tag, s)
+            if ntag is None:
+                continue
+            key = (s, ntag)
+            if key not in seen:
+                if len(seen) > limits.max_configs:
+                    raise ResourceLimitExceeded("max_configs budget exhausted "
+                                                "in the product search")
+                seen.add(key)
+                frontier.append(key)
+    return False
 
 
 def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-                      workers: int = 1,
                       config_graph: ConfigGraph | None = None):
     """Decide traversability; returns (flag, first-visit witness or None).
 
     True iff the automaton accepts and, for every node v reachable from the
-    startnode, no accepting computation avoids placing curr on v.  The
-    avoidance checks delete every configuration with curr on v and re-run
-    reachability; they are independent per node and run in parallel when
-    workers > 1.
+    startnode, no accepting computation avoids placing curr on v.  Each
+    avoidance check deletes every configuration with curr on v and re-runs
+    reachability of an accept configuration, one node after another.
     """
     if jag.curr is None:
         raise InputError("traversability needs a designated curr pebble")
-    cg = config_graph or build_config_graph(jag, g, limits, workers=workers)
+    cg = config_graph or build_config_graph(jag, g, limits)
     _require_complete(cg)
     if not cg.accepting:
         return False, None
@@ -381,13 +388,7 @@ def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
                     frontier.append(s)
         return False
 
-    targets = sorted(reachable_set(g, g.startnode))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(avoidable, targets))
-    else:
-        results = [avoidable(v) for v in targets]
-    if any(results):
+    if any(avoidable(v) for v in sorted(reachable_set(g, g.startnode))):
         return False, witness
     return True, witness
 
@@ -396,11 +397,11 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
                     config_graph: ConfigGraph | None = None):
     """Decide orderability; returns (flag, canonical first-visit order).
 
-    The canonical order O comes from one accepting run.  A product search
+    The canonical order O comes from one accepting run.  The product search
     tracks each run's progress through O by a prefix index; any placement of
     curr on a node outside the visited prefix other than O[index] marks the
-    run as deviating, after which only reachability of the accept state
-    matters.  Accepting while the prefix is incomplete also deviates.
+    run as deviating for good.  Orderable iff no run accepts deviating or
+    with the prefix incomplete.
     """
     if jag.curr is None:
         raise InputError("orderability needs a designated curr pebble")
@@ -411,52 +412,17 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     order = accepting_run_visits(cg)
     pos = {v: i for i, v in enumerate(order)}
     curr = jag.curr
-    accept_state = jag.accept_state
-    full = len(order)
+    deviated = -1
 
-    init = cg.initial
-    # initial curr placement is O[0] by construction
-    start = (init, 1)
-    seen = {start}
-    deviated: set = set()
-    dev_frontier = deque()
-    frontier = deque([start])
-    budget = limits.max_configs
+    def advance(idx, config):
+        p = pos.get(config.nodes[curr - 1])
+        if idx == deviated or p is None or p > idx:
+            return deviated
+        return idx + 1 if p == idx else idx
 
-    def deviate(config):
-        if config not in deviated:
-            deviated.add(config)
-            dev_frontier.append(config)
-
-    while frontier:
-        config, idx = frontier.popleft()
-        if config.state == accept_state:
-            if idx != full:
-                return False, order
-            continue  # runs end at acceptance
-        for s in cg.adj.get(config, ()):
-            p = pos.get(s.nodes[curr - 1])
-            if p is None or p > idx:
-                deviate(s)
-                continue
-            nidx = idx + 1 if p == idx else idx
-            key = (s, nidx)
-            if key not in seen:
-                if len(seen) + len(deviated) > budget:
-                    raise ResourceLimitExceeded("orderability budget exhausted")
-                seen.add(key)
-                frontier.append(key)
-    while dev_frontier:
-        config = dev_frontier.popleft()
-        if config.state == accept_state:
-            return False, order
-        for s in cg.adj.get(config, ()):
-            if s not in deviated:
-                if len(seen) + len(deviated) > budget:
-                    raise ResourceLimitExceeded("orderability budget exhausted")
-                deviated.add(s)
-                dev_frontier.append(s)
-    return True, order
+    # the initial curr placement is O[0] by construction
+    bad = _accept_reachable(cg, 1, advance, lambda idx: idx != len(order), limits)
+    return not bad, order
 
 
 def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
@@ -476,19 +442,13 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
         raise DiagnosticError("supplied automaton rejects: traversability violated")
     curr = jag.curr
     tgt = g.targetnode
-    init = cg.initial
-    start = (init, init.nodes[curr - 1] == tgt)
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        config, touched = frontier.popleft()
-        if touched and config.state == jag.accept_state:
-            return "connected"
-        for s in cg.adj.get(config, ()):
-            key = (s, touched or s.nodes[curr - 1] == tgt)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
+
+    def advance(touched, config):
+        return touched or config.nodes[curr - 1] == tgt
+
+    touched = cg.initial.nodes[curr - 1] == tgt
+    if _accept_reachable(cg, touched, advance, bool, limits):
+        return "connected"
     return "disconnected"
 
 
@@ -521,15 +481,13 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def verify(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-           workers: int = 1) -> VerificationReport:
+def verify(jag: NdJag, g: LabelledGraph,
+           limits: Limits = Limits()) -> VerificationReport:
     """Full report: acceptance, traversability, orderability, visit order."""
-    try:
-        cg = build_config_graph(jag, g, limits, workers=workers)
-        _require_complete(cg)
-    except ResourceLimitExceeded:
+    cg = build_config_graph(jag, g, limits)
+    if cg.limit_hit:
         return VerificationReport(Verdict.RESOURCE_LIMIT, None, None, None,
-                                  limits.max_configs, ("max_configs",))
+                                  cg.configs_explored, (cg.limit_hit,))
     verdict = Verdict.ACCEPT if cg.accepting else Verdict.REJECT
     traversable = orderable = None
     visit_order = None
@@ -537,13 +495,14 @@ def verify(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     if jag.curr is not None:
         try:
             traversable, visit_order = check_traversable(
-                jag, g, limits, workers=workers, config_graph=cg)
+                jag, g, limits, config_graph=cg)
             if traversable:
                 orderable, visit_order = check_orderable(
                     jag, g, limits, config_graph=cg)
             else:
                 orderable = False
         except ResourceLimitExceeded:
+            # only the product search can overrun on a complete graph
             verdict = Verdict.RESOURCE_LIMIT
             limits_hit = ("max_configs",)
     return VerificationReport(verdict, traversable, orderable, visit_order,

@@ -34,7 +34,7 @@ def random_jag(rng: random.Random, degree: int, max_states: int = 4,
     accept = states[-1]
     rules = {}
     partitions = list(all_partitions(p))
-    for state in states[:-1]:
+    for state in states:  # the accept state too: runs continue past it
         for pi in partitions:
             outs = []
             for _ in range(rng.randint(0, 2)):

@@ -189,11 +189,3 @@ def test_run_grid_program_rejects_non_cayley(tmp_path):
     path.write_text("4 2 0 3\n2 1\n1 2\n1 0\n2 1\n")
     code, out, _ = run_cli(["run", "grid-traverse", str(path)])
     assert code == 1 and "verdict: reject" in out
-
-
-def test_worker_flag_output_invariant(grid22_file):
-    _, out1, _ = run_cli(["verify", "grid-traverse", str(grid22_file),
-                          "--workers", "1"])
-    _, out3, _ = run_cli(["verify", "grid-traverse", str(grid22_file),
-                          "--workers", "3"])
-    assert out1 == out3

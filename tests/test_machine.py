@@ -4,7 +4,7 @@ import pytest
 
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.graph import LabelledGraph, disjoint_union, reachable_set
-from jaglab.groups import abelian_group, cayley_graph
+from jaglab.groups import abelian_group, cayley_graph, symmetric_group
 from jaglab.lang import compile_program
 from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             all_partitions, apply_moves, build_config_graph,
@@ -12,12 +12,19 @@ from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             decide_co_st_connectivity, enumerate_runs,
                             initial_config, parse_jag, partition_of,
                             replay_curr_visits, serialize_jag, step, verify)
-from jaglab.algorithms import grid_traversal_program, two_tour_guesser_program
+from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
+                               tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import random_graph, random_jag
 
 
 def _selfs(p):
     return tuple(-(i + 1) for i in range(p))
+
+
+def sym4_tower():
+    """The sym:n=4 tower program, compiled, on its Cayley graph."""
+    g = cayley_graph(*symmetric_group(4)).graph
+    return compile_program(tower_program(symmetric_tower(4)), g.degree), g
 
 
 def walker_jag():
@@ -131,6 +138,13 @@ def test_accepts_resource_limit(grid_cayleys):
     assert accepts(jag, g, Limits(max_configs=1)) is Verdict.RESOURCE_LIMIT
 
 
+def test_accepts_honours_max_run_len():
+    jag, g = sym4_tower()
+    limits = Limits(max_run_len=5)
+    assert build_config_graph(jag, g, limits).limit_hit == "max_run_len"
+    assert accepts(jag, g, limits) is Verdict.RESOURCE_LIMIT
+
+
 def test_enumerate_trivial_and_dead(grid_cayleys):
     g = grid_cayleys[(2, 2)].graph
     assert enumerate_runs(NdJag("qa", "qa", 2, delta={}), g, 5) == {()}
@@ -210,6 +224,62 @@ def test_co_st_connectivity_two_components(grid_cayleys):
     assert decide_co_st_connectivity(jag, two) == "disconnected"
 
 
+def test_co_st_ignores_moves_after_acceptance():
+    # the only accepting run ends before curr jumps to t; the moves out of
+    # the accept configuration belong to no run
+    g = LabelledGraph(2, 1, ((0,), (1,)), 0, 1)
+    rules = {("q0", (1, 2, 1)): (("acc", (-1, -2, -3)),),
+             ("acc", (1, 2, 1)): (("q1", (-1, -2, -2)),),
+             ("q1", (1, 2, 2)): (("acc", (-1, -2, -3)),)}
+    jag = NdJag("q0", "acc", 3, s=1, t=2, curr=3, delta=rules)
+    assert decide_co_st_connectivity(jag, g) == "disconnected"
+
+
+def test_checkers_agree_with_run_enumeration():
+    """Traversability, orderability and co-st against brute force, on random
+    automata whose accept state has rules, so runs go on past it.
+
+    Runs of length at most n * configs_explored show every first-visit
+    sequence of curr: between two first visits a run can drop any loop, and
+    configs_explored is at least the number of configurations reachable
+    before acceptance.  Instances whose run tree cannot be exhausted are
+    skipped and counted.
+    """
+    rng = random.Random(3)
+    kept = skipped = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        if jag.curr is None:
+            continue
+        cg = build_config_graph(jag, g, Limits(max_configs=2000))
+        if cg.limit_hit:
+            skipped += 1
+            continue
+        try:
+            runs = enumerate_runs(jag, g, max_len=g.num_nodes * cg.configs_explored,
+                                  max_tree_nodes=20_000)
+        except ResourceLimitExceeded:
+            skipped += 1
+            continue
+        kept += 1
+        orders = {replay_curr_visits(jag, g, trace) for trace in runs}
+        reach = reachable_set(g, g.startnode)
+        trav, _ = check_traversable(jag, g, config_graph=cg)
+        assert trav == (bool(orders) and all(reach <= set(o) for o in orders))
+        ordb, order = check_orderable(jag, g, config_graph=cg)
+        assert ordb == (len(orders) == 1)
+        assert order is None if not orders else order in orders
+        if orders:
+            touched = any(g.targetnode in o for o in orders)
+            assert decide_co_st_connectivity(jag, g, config_graph=cg) == \
+                ("connected" if touched else "disconnected")
+        else:
+            with pytest.raises(DiagnosticError):
+                decide_co_st_connectivity(jag, g, config_graph=cg)
+    assert kept >= 100 and skipped <= 10
+
+
 def test_co_st_diagnostic_on_rejecting_automaton(grid_cayleys):
     g = grid_cayleys[(2, 2)].graph
     dead = NdJag("q0", "qa", 3, curr=3, delta={})
@@ -230,20 +300,21 @@ def test_verify_report_fields(grid_cayleys):
         assert key in text
 
 
+def test_verify_names_the_limit_hit():
+    jag, g = sym4_tower()
+    report = verify(jag, g, Limits(max_run_len=5))
+    assert report.verdict is Verdict.RESOURCE_LIMIT
+    assert report.limits_hit == ("max_run_len",)
+    assert 0 < report.configs_explored < 1000
+    assert "limits_hit: max_run_len" in report.to_text()
+
+
 def test_verify_visit_order_unique():
     # two accepting traces with different curr sequences: order None-safe
     g = LabelledGraph(2, 1, ((0,), (1,)), 0, 1)
     jag = compile_program(two_tour_guesser_program(), 1)
     report = verify(jag, g)
     assert report.traversable and not report.orderable
-
-
-def test_worker_invariance(grid_cayleys):
-    g = grid_cayleys[(2, 3)].graph
-    jag = compile_program(grid_traversal_program(), 2)
-    res1 = verify(jag, g, workers=1)
-    res3 = verify(jag, g, workers=3)
-    assert res1 == res3
 
 
 def test_interchange_roundtrip():
