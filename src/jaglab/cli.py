@@ -36,18 +36,22 @@ def _limits(args) -> Limits:
     return Limits(max_configs=args.limits_configs, max_run_len=args.max_run_len)
 
 
-def _load_graph(args):
-    path = Path(args.graph)
-    if not path.exists():
-        raise InputError(f"no such graph file: {path}")
-    g = parse_graph(path.read_text())
+def _apply_graph_flags(g, args):
+    """Apply ``--target`` and ``--degree-reduce`` to a graph."""
     if args.target is not None:
         if not 0 <= args.target < g.num_nodes:
             raise InputError(f"--target {args.target} out of range")
         g = type(g)(g.num_nodes, g.degree, g.rho, g.startnode, args.target)
-    if getattr(args, "degree_reduce", False):
+    if args.degree_reduce:
         g = reduce_degree(g)
     return g
+
+
+def _load_graph(args):
+    path = Path(args.graph)
+    if not path.exists():
+        raise InputError(f"no such graph file: {path}")
+    return _apply_graph_flags(parse_graph(path.read_text()), args)
 
 
 def _family(args) -> Family:
@@ -81,14 +85,7 @@ def _resolve_program(args, g):
 
 
 def cmd_gen(args) -> int:
-    family = parse_family(args.family_spec)
-    g = family.graph
-    if args.target is not None:
-        if not 0 <= args.target < g.num_nodes:
-            raise InputError(f"--target {args.target} out of range")
-        g = type(g)(g.num_nodes, g.degree, g.rho, g.startnode, args.target)
-    if args.degree_reduce:
-        g = reduce_degree(g)
+    g = _apply_graph_flags(parse_family(args.family_spec).graph, args)
     text = serialize_graph(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -240,8 +237,6 @@ def _add_common(p, graph_arg=True):
                    help="apply the degree-3 reduction to the input graph")
     p.add_argument("--target", type=int, default=None,
                    help="override the targetnode id")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized spot-checks")
 
 
 def build_parser() -> argparse.ArgumentParser:

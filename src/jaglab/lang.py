@@ -94,7 +94,7 @@ def parse_program(text: str) -> PebbleProgram:
     bools: list = []
     declared: set = set()
 
-    def declare(name, lineno, kind):
+    def declare(name, lineno):
         if name in _RESERVED:
             raise ProgramError(f"{name!r} is reserved", line=lineno)
         if name in declared:
@@ -112,7 +112,7 @@ def parse_program(text: str) -> PebbleProgram:
                 at_target = toks[3] == "target"
             else:
                 raise ProgramError("malformed pebble declaration", line=lineno)
-            declare(toks[1], lineno, "pebble")
+            declare(toks[1], lineno)
             pebbles.append((toks[1], at_target))
             idx += 1
         elif toks[0] == "dir":
@@ -122,7 +122,7 @@ def parse_program(text: str) -> PebbleProgram:
                 elif toks[3] == "{" and toks[-1] == "}":
                     vals = [t for t in toks[4:-1] if t != ","]
                     body_vals = []
-                    # allow {a..b} contiguous shorthand alongside листand comma lists
+                    # allow {a..b} contiguous shorthand alongside comma lists
                     if ".." in vals:
                         if len(vals) == 3 and vals[1] == "..":
                             body_vals = list(range(int(vals[0]), int(vals[2]) + 1))
@@ -137,7 +137,7 @@ def parse_program(text: str) -> PebbleProgram:
                     raise ProgramError("malformed dir declaration", line=lineno)
             else:
                 raise ProgramError("malformed dir declaration", line=lineno)
-            declare(toks[1], lineno, "dir")
+            declare(toks[1], lineno)
             dirs.append((toks[1], spec))
             idx += 1
         else:
@@ -213,9 +213,7 @@ def parse_program(text: str) -> PebbleProgram:
             if head == "guess":
                 if len(toks) == 2:
                     name = toks[1]
-                    if name in dir_names:
-                        stmts.append(("guess", name, lineno))
-                    elif name in bool_names:
+                    if name in dir_names or name in bool_names:
                         stmts.append(("guess", name, lineno))
                     else:
                         raise ProgramError(f"undeclared variable {name!r}",
@@ -421,9 +419,6 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
                 else:
                     else_pt = len(instrs)
                 instrs[at] = _branch(cond, at + 1, else_pt, vidx, pidx)
-                if else_b:
-                    # then-branch falls through the goto emitted above
-                    pass
             elif kind == "while":
                 _, cond, block, _ = st
                 head = emit(None)

@@ -22,6 +22,7 @@ never follow a transition out of an accept configuration.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -317,39 +318,39 @@ def _require_complete(cg: ConfigGraph):
         raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
 
 
-def _accept_reachable(cg: ConfigGraph, tag, advance: Callable, goal: Callable,
-                      limits: Limits) -> bool:
-    """Reachability in the product of a complete configuration graph with a
-    run monitor whose state is ``tag``.
+def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
+    """Yield the values that runs of a complete configuration graph carry
+    into accept configurations.
 
-    ``advance(tag, config)`` is the monitor's tag once a run enters
-    ``config``, or None to drop that run.  Runs end at their first accept
-    configuration, so none is expanded.  True iff some run reaches an accept
-    configuration with ``goal(tag)``.  The (configuration, tag) pairs count
-    against ``limits.max_configs``.
+    ``value`` belongs to the initial configuration; ``extend(value, config)``
+    is the value of a run once it enters ``config``.  Each configuration
+    keeps one value, the ``join`` of the values of every run entering it,
+    and is re-expanded only when that value changes.  Runs end at their
+    first accept configuration, so none is expanded.  Exact when ``extend``
+    distributes over ``join``.  An accept configuration's value is yielded
+    again whenever it changes, and the last one is final; since a join only
+    moves a value one way, a caller may stop at the first value that
+    settles its answer.
     """
     accept_state = cg.jag.accept_state
-    start = (cg.initial, tag)
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        config, tag = frontier.popleft()
+    adj = cg.adj
+    values = {cg.initial: value}
+    work = deque([cg.initial])
+    while work:
+        config = work.popleft()
+        value = values[config]
         if config.state == accept_state:
-            if goal(tag):
-                return True
+            yield value
             continue
-        for s in cg.adj[config]:
-            ntag = advance(tag, s)
-            if ntag is None:
-                continue
-            key = (s, ntag)
-            if key not in seen:
-                if len(seen) > limits.max_configs:
-                    raise ResourceLimitExceeded("max_configs budget exhausted "
-                                                "in the product search")
-                seen.add(key)
-                frontier.append(key)
-    return False
+        for s in adj[config]:
+            old = values.get(s)
+            new = extend(value, s)
+            if old is not None:
+                new = join(old, new)
+                if new == old:
+                    continue
+            values[s] = new
+            work.append(s)
 
 
 def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
@@ -357,9 +358,11 @@ def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     """Decide traversability; returns (flag, first-visit witness or None).
 
     True iff the automaton accepts and, for every node v reachable from the
-    startnode, no accepting computation avoids placing curr on v.  Each
-    avoidance check deletes every configuration with curr on v and re-runs
-    reachability of an accept configuration, one node after another.
+    startnode, no accepting computation avoids placing curr on v.  One pass
+    gives each configuration the bitset of nodes that curr occupies on every
+    run to it (a must-visit dataflow, as in Cooper, Harvey and Kennedy's
+    dominance algorithm); every accept configuration's set must cover the
+    reachable nodes.
     """
     if jag.curr is None:
         raise InputError("traversability needs a designated curr pebble")
@@ -368,28 +371,15 @@ def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     if not cg.accepting:
         return False, None
     witness = accepting_run_visits(cg)
-    curr = jag.curr
-    accept_state = jag.accept_state
-
-    def avoidable(v) -> bool:
-        # is there an accepting run never placing curr on v?
-        init = cg.initial
-        if init.nodes[curr - 1] == v:
-            return False
-        seen = {init}
-        frontier = deque([init])
-        while frontier:
-            config = frontier.popleft()
-            if config.state == accept_state:
-                return True
-            for s in cg.adj.get(config, ()):
-                if s not in seen and s.nodes[curr - 1] != v:
-                    seen.add(s)
-                    frontier.append(s)
-        return False
-
-    if any(avoidable(v) for v in sorted(reachable_set(g, g.startnode))):
-        return False, witness
+    curr = jag.curr - 1
+    need = 0
+    for v in reachable_set(g, g.startnode):
+        need |= 1 << v
+    for bits in _accept_values(cg, 1 << cg.initial.nodes[curr],
+                               lambda bits, c: bits | 1 << c.nodes[curr],
+                               operator.and_):
+        if bits & need != need:
+            return False, witness
     return True, witness
 
 
@@ -397,11 +387,10 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
                     config_graph: ConfigGraph | None = None):
     """Decide orderability; returns (flag, canonical first-visit order).
 
-    The canonical order O comes from one accepting run.  The product search
-    tracks each run's progress through O by a prefix index; any placement of
-    curr on a node outside the visited prefix other than O[index] marks the
-    run as deviating for good.  Orderable iff no run accepts deviating or
-    with the prefix incomplete.
+    The canonical order O comes from one accepting run.  Each run's progress
+    through O is a prefix index; any placement of curr on a node outside the
+    visited prefix other than O[index] marks the run as deviating for good.
+    Orderable iff no run accepts deviating or with the prefix incomplete.
     """
     if jag.curr is None:
         raise InputError("orderability needs a designated curr pebble")
@@ -411,18 +400,21 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
         return False, None
     order = accepting_run_visits(cg)
     pos = {v: i for i, v in enumerate(order)}
-    curr = jag.curr
+    curr = jag.curr - 1
     deviated = -1
 
     def advance(idx, config):
-        p = pos.get(config.nodes[curr - 1])
+        p = pos.get(config.nodes[curr])
         if idx == deviated or p is None or p > idx:
             return deviated
         return idx + 1 if p == idx else idx
 
-    # the initial curr placement is O[0] by construction
-    bad = _accept_reachable(cg, 1, advance, lambda idx: idx != len(order), limits)
-    return not bad, order
+    # advance is monotone in idx (deviated lowest), so a run with a smaller
+    # index goes wrong on every continuation where one with a larger index
+    # does: keeping the least index per configuration is exact.  The
+    # initial curr placement is O[0] by construction.
+    reached = _accept_values(cg, 1, advance, min)
+    return all(idx == len(order) for idx in reached), order
 
 
 def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
@@ -440,16 +432,12 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
     _require_complete(cg)
     if not cg.accepting:
         raise DiagnosticError("supplied automaton rejects: traversability violated")
-    curr = jag.curr
+    curr = jag.curr - 1
     tgt = g.targetnode
-
-    def advance(touched, config):
-        return touched or config.nodes[curr - 1] == tgt
-
-    touched = cg.initial.nodes[curr - 1] == tgt
-    if _accept_reachable(cg, touched, advance, bool, limits):
-        return "connected"
-    return "disconnected"
+    touched = _accept_values(cg, cg.initial.nodes[curr] == tgt,
+                             lambda t, c: t or c.nodes[curr] == tgt,
+                             operator.or_)
+    return "connected" if any(touched) else "disconnected"
 
 
 @dataclass(frozen=True)
@@ -491,22 +479,14 @@ def verify(jag: NdJag, g: LabelledGraph,
     verdict = Verdict.ACCEPT if cg.accepting else Verdict.REJECT
     traversable = orderable = None
     visit_order = None
-    limits_hit: tuple = ()
     if jag.curr is not None:
-        try:
-            traversable, visit_order = check_traversable(
-                jag, g, limits, config_graph=cg)
-            if traversable:
-                orderable, visit_order = check_orderable(
-                    jag, g, limits, config_graph=cg)
-            else:
-                orderable = False
-        except ResourceLimitExceeded:
-            # only the product search can overrun on a complete graph
-            verdict = Verdict.RESOURCE_LIMIT
-            limits_hit = ("max_configs",)
+        traversable, visit_order = check_traversable(jag, g, config_graph=cg)
+        if traversable:
+            orderable, visit_order = check_orderable(jag, g, config_graph=cg)
+        else:
+            orderable = False
     return VerificationReport(verdict, traversable, orderable, visit_order,
-                              cg.configs_explored, limits_hit)
+                              cg.configs_explored)
 
 
 # ---------------------------------------------------------------------------

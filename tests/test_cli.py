@@ -42,6 +42,17 @@ def test_gen_bad_spec_exit3():
     assert code == 3 and "input error" in err
 
 
+def test_gen_target_out_of_range_exit3():
+    code, _, err = run_cli(["gen", "grid:d=2,l=2", "--target", "4"])
+    assert code == 3 and "--target 4 out of range" in err
+
+
+def test_seed_only_on_spotcheck(grid22_file):
+    for cmd in ("run", "verify", "connect"):
+        with pytest.raises(SystemExit):
+            run_cli([cmd, "grid-traverse", str(grid22_file), "--seed", "1"])
+
+
 def test_gen_cap_exit2(monkeypatch):
     monkeypatch.setenv("JAGLAB_CAP", "10")
     code, _, err = run_cli(["gen", "sym:n=4"])

@@ -235,9 +235,39 @@ def test_co_st_ignores_moves_after_acceptance():
     assert decide_co_st_connectivity(jag, g) == "disconnected"
 
 
+def avoidance_traversable(cg) -> bool:
+    """Reference traversability: for each node v reachable from the
+    startnode, search for an accepting run that never places curr on v,
+    with the configurations that hold curr on v deleted."""
+    jag, g = cg.jag, cg.graph
+    curr = jag.curr - 1
+    if not cg.accepting:
+        return False
+
+    def avoidable(v) -> bool:
+        init = cg.initial
+        if init.nodes[curr] == v:
+            return False
+        seen = {init}
+        frontier = [init]
+        while frontier:
+            config = frontier.pop()
+            if config.state == jag.accept_state:
+                return True
+            for s in cg.adj[config]:
+                if s not in seen and s.nodes[curr] != v:
+                    seen.add(s)
+                    frontier.append(s)
+        return False
+
+    return not any(avoidable(v) for v in reachable_set(g, g.startnode))
+
+
 def test_checkers_agree_with_run_enumeration():
     """Traversability, orderability and co-st against brute force, on random
     automata whose accept state has rules, so runs go on past it.
+    Traversability is also compared with the per-node avoidance search on
+    every instance with a complete configuration graph.
 
     Runs of length at most n * configs_explored show every first-visit
     sequence of curr: between two first visits a run can drop any loop, and
@@ -256,6 +286,8 @@ def test_checkers_agree_with_run_enumeration():
         if cg.limit_hit:
             skipped += 1
             continue
+        trav, _ = check_traversable(jag, g, config_graph=cg)
+        assert trav == avoidance_traversable(cg)
         try:
             runs = enumerate_runs(jag, g, max_len=g.num_nodes * cg.configs_explored,
                                   max_tree_nodes=20_000)
@@ -265,7 +297,6 @@ def test_checkers_agree_with_run_enumeration():
         kept += 1
         orders = {replay_curr_visits(jag, g, trace) for trace in runs}
         reach = reachable_set(g, g.startnode)
-        trav, _ = check_traversable(jag, g, config_graph=cg)
         assert trav == (bool(orders) and all(reach <= set(o) for o in orders))
         ordb, order = check_orderable(jag, g, config_graph=cg)
         assert ordb == (len(orders) == 1)
@@ -278,6 +309,55 @@ def test_checkers_agree_with_run_enumeration():
             with pytest.raises(DiagnosticError):
                 decide_co_st_connectivity(jag, g, config_graph=cg)
     assert kept >= 100 and skipped <= 10
+
+
+def test_orderable_when_a_configuration_merges_prefix_tags():
+    # one pebble (s = t = curr) on a 3-cycle; label 1 steps forward, label 2
+    # back.  Runs 0,1,0 and 0,0 both enter (q1, 0), with prefixes (0, 1) and
+    # (0,) of the canonical order 0, 1, 2; both then go on to 1 and 2.
+    g = LabelledGraph(3, 2, ((1, 2), (2, 0), (0, 1)), 0, 0)
+    rules = {("q0", (1,)): (("qa", (1,)), ("q1", (-1,))),
+             ("qa", (1,)): (("q1", (2,)),),
+             ("q1", (1,)): (("q2", (1,)),),
+             ("q2", (1,)): (("acc", (1,)),)}
+    jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta=rules)
+    assert check_orderable(jag, g) == (True, (0, 1, 2))
+    # a third run 0,2,0 enters (q1, 0) off the canonical order, and its
+    # first-visit sequence becomes 0, 2, 1
+    rules[("q0", (1,))] += (("qb", (2,)),)
+    rules[("qb", (1,))] = (("q1", (1,)),)
+    jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta=rules)
+    orders = {replay_curr_visits(jag, g, trace)
+              for trace in enumerate_runs(jag, g, max_len=10)}
+    assert orders == {(0, 1, 2), (0, 2, 1)}
+    assert check_traversable(jag, g)[0]
+    assert check_orderable(jag, g) == (False, (0, 1, 2))
+
+
+def test_complete_graph_needs_no_further_budget():
+    """On a complete configuration graph no decider runs out of budget: a
+    configuration budget equal to the graph's size gives the same report as
+    no budget."""
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(1000):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        if jag.curr is None:
+            continue
+        cg = build_config_graph(jag, g, Limits(max_configs=2000))
+        if cg.limit_hit:
+            continue
+        tight = Limits(max_configs=cg.configs_explored)
+        assert verify(jag, g, tight) == verify(jag, g)
+        cg = build_config_graph(jag, g, tight)
+        assert not cg.limit_hit
+        check_traversable(jag, g, tight, config_graph=cg)
+        check_orderable(jag, g, tight, config_graph=cg)
+        if cg.accepting:
+            decide_co_st_connectivity(jag, g, tight, config_graph=cg)
+        checked += 1
+    assert checked >= 300
 
 
 def test_co_st_diagnostic_on_rejecting_automaton(grid_cayleys):
