@@ -3,7 +3,7 @@ mechanical checking of traversability, orderability, and co-st-connectivity."""
 
 from .errors import (CapExceeded, DiagnosticError, GraphFormatError,
                      InputError, ProgramError, ResourceLimitExceeded)
-from .graph import (LabelledGraph, disjoint_union, is_undirected, make_graph,
+from .graph import (LabelledGraph, disjoint_union, is_undirected,
                     parse_graph, reachable_set, reduce_degree,
                     serialize_graph, target, weak_components)
 from .groups import (CayleyGraph, FiniteGroup, WreathStructure, abelian_group,
@@ -16,8 +16,8 @@ from .machine import (Configuration, Limits, NdJag, Verdict,
                       VerificationReport, accepts, build_config_graph,
                       check_orderable, check_traversable,
                       decide_co_st_connectivity, enumerate_runs,
-                      initial_config, jump_to, move_along, parse_jag,
-                      partition_of, serialize_jag, step, verify)
+                      initial_config, parse_jag, partition_of,
+                      serialize_jag, step, verify)
 from .algorithms import (CanonicalTower, RegisterMachine, TowerPosition,
                          abelian_canonical_exponents, abelian_canonical_path,
                          abelian_e_values, abelian_ordering_run,

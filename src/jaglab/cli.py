@@ -19,7 +19,7 @@ from .families import Family, max_generator_order, parse_family
 from .graph import (is_undirected, parse_graph, reachable_set, reduce_degree,
                     serialize_graph)
 from .lang import compile_program, interpret, parse_program
-from .machine import Limits, Verdict, verify as machine_verify, \
+from .machine import Limits, Verdict, verify as machine_verify, accepts, \
     accepting_run_visits, build_config_graph, decide_co_st_connectivity
 from .spotcheck import run_spotcheck
 
@@ -102,24 +102,17 @@ def cmd_run(args) -> int:
     if args.compiled:
         jag = compile_program(prog, g.degree)
         cg = build_config_graph(jag, g, _limits(args))
-        if cg.limit_hit:
-            print("verdict: resource-limit")
-            return EXIT_LIMIT
-        if not cg.accepting:
-            print("verdict: reject")
-            return EXIT_REJECT
-        print("verdict: accept")
+        verdict = accepts(jag, g, config_graph=cg)
         order = accepting_run_visits(cg) if jag.curr is not None else None
-        for v in order or ():
-            print(v)
-        return EXIT_ACCEPT
-    result = interpret(prog, g, _limits(args))
-    print(f"verdict: {result.verdict.value}")
-    if result.verdict is Verdict.RESOURCE_LIMIT:
+    else:
+        result = interpret(prog, g, _limits(args))
+        verdict, order = result.verdict, result.visit_order
+    print(f"verdict: {verdict.value}")
+    if verdict is Verdict.RESOURCE_LIMIT:
         return EXIT_LIMIT
-    if result.verdict is Verdict.REJECT:
+    if verdict is Verdict.REJECT:
         return EXIT_REJECT
-    for v in result.visit_order or ():
+    for v in order or ():
         print(v)
     return EXIT_ACCEPT
 
@@ -226,9 +219,8 @@ def cmd_spotcheck(args) -> int:
     return EXIT_ACCEPT if result.ok else EXIT_REJECT
 
 
-def _add_common(p, graph_arg=True):
-    if graph_arg:
-        p.add_argument("graph", help="graph file")
+def _add_common(p):
+    p.add_argument("graph", help="graph file")
     p.add_argument("--family", help="family spec for builtin program names")
     p.add_argument("--limits-configs", type=int, default=10_000_000,
                    help="configuration budget")

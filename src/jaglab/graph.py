@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import GraphFormatError, InputError
 
@@ -56,12 +56,6 @@ class LabelledGraph:
         if not 1 <= label <= self.degree:
             raise InputError(f"edge label {label} out of range 1..{self.degree}")
         return self.rho[v][label - 1]
-
-
-def make_graph(rows: Iterable[Sequence[int]], startnode: int = 0,
-               targetnode: int = 0) -> LabelledGraph:
-    rho = tuple(tuple(r) for r in rows)
-    return LabelledGraph(len(rho), len(rho[0]) if rho else 0, rho, startnode, targetnode)
 
 
 def target(g: LabelledGraph, v: int, w: Path) -> int:
@@ -132,26 +126,14 @@ def is_undirected(g: LabelledGraph, max_reverse_len: int) -> bool:
     if max_reverse_len < 1:
         raise InputError("max_reverse_len must be at least 1")
     for v in range(g.num_nodes):
-        for u in set(g.rho[v]):
-            # bounded BFS from u looking for v
-            if u == v:
-                continue
+        for u in set(g.rho[v]) - {v}:
+            # the nodes at the end of each walk from u of 1, 2, ... steps
             frontier = {u}
-            found = False
             for _ in range(max_reverse_len):
-                nxt = set()
-                for x in frontier:
-                    for y in g.rho[x]:
-                        if y == v:
-                            found = True
-                            break
-                        nxt.add(y)
-                    if found:
-                        break
-                if found:
+                frontier = {y for x in frontier for y in g.rho[x]}
+                if v in frontier:
                     break
-                frontier = nxt
-            if not found:
+            else:
                 return False
     return True
 

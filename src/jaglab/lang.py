@@ -41,7 +41,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
@@ -503,23 +502,19 @@ class RunResult:
     configs_explored: int
 
 
-def interpret(prog: PebbleProgram, g: LabelledGraph, limits: Limits = Limits(),
-              placements: Mapping[str, int] | None = None) -> RunResult:
+def interpret(prog: PebbleProgram, g: LabelledGraph,
+              limits: Limits = Limits()) -> RunResult:
     """Angelic execution: accept iff some resolution of guesses reaches accept.
 
     Explores the product (program point, valuation, placement) breadth-first
     with memoization.  On accept, reports the first-visit order of the curr
     pebble along the accepting run found (None without a curr pebble).
-    ``placements`` maps pebble names to start nodes, a harness hook.
     """
     bp = prog.bind(g.degree)
     rho = g.rho
-    init_nodes = [g.targetnode if i + 1 == bp.t_idx else g.startnode
-                  for i in range(bp.num_pebbles)]
-    if placements:
-        for name, node in placements.items():
-            init_nodes[bp.pebble_names.index(name)] = node
-    start = (0, bp.init_vals, tuple(init_nodes))
+    init_nodes = tuple(g.targetnode if i + 1 == bp.t_idx else g.startnode
+                       for i in range(bp.num_pebbles))
+    start = (0, bp.init_vals, init_nodes)
     parent: dict = {start: None}
     frontier = deque([start])
     instrs = bp.instrs

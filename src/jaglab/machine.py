@@ -31,18 +31,6 @@ from .errors import DiagnosticError, InputError, ResourceLimitExceeded
 from .graph import LabelledGraph, reachable_set
 
 
-def move_along(label: int) -> int:
-    if label < 1:
-        raise InputError("edge labels start at 1")
-    return label
-
-
-def jump_to(pebble: int) -> int:
-    if pebble < 1:
-        raise InputError("pebble indices start at 1")
-    return -pebble
-
-
 class Verdict(enum.Enum):
     ACCEPT = "accept"
     REJECT = "reject"
@@ -132,19 +120,11 @@ class NdJag:
         return self._fn(state, pi)
 
 
-def initial_config(jag: NdJag, g: LabelledGraph,
-                   placements: Mapping[int, int] | None = None) -> Configuration:
-    """Pebble t starts on the targetnode, all others on the startnode.
-
-    ``placements`` (pebble index -> node) overrides individual pebbles; it is
-    a harness hook for exercising operation contracts, not part of the model.
-    """
-    nodes = [g.targetnode if i == jag.t else g.startnode
-             for i in range(1, jag.num_pebbles + 1)]
-    if placements:
-        for peb, node in placements.items():
-            nodes[peb - 1] = node
-    return Configuration(jag.start_state, tuple(nodes))
+def initial_config(jag: NdJag, g: LabelledGraph) -> Configuration:
+    """Pebble t starts on the targetnode, all others on the startnode."""
+    nodes = tuple(g.targetnode if i == jag.t else g.startnode
+                  for i in range(1, jag.num_pebbles + 1))
+    return Configuration(jag.start_state, nodes)
 
 
 def apply_moves(g: LabelledGraph, nodes: tuple, moves: tuple) -> tuple:
@@ -197,8 +177,17 @@ def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     Expansion runs level by level, so the depth of the frontier is the run
     length that ``limits.max_run_len`` bounds.  Accept-state configurations
     are expanded too; the deciders ignore their successors.
+
+    ``placements`` (pebble index -> node) overrides individual start
+    pebbles; it is a test hook for exercising operation contracts, not part
+    of the model.
     """
-    init = initial_config(jag, g, placements)
+    init = initial_config(jag, g)
+    if placements:
+        nodes = list(init.nodes)
+        for peb, node in placements.items():
+            nodes[peb - 1] = node
+        init = init._replace(nodes=tuple(nodes))
     cg = ConfigGraph(jag, g, init)
     cg.parent[init] = None
     frontier = [init]
@@ -226,27 +215,16 @@ def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
 
 
 def accepts(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-            config_graph: ConfigGraph | None = None,
-            placements: Mapping[int, int] | None = None) -> Verdict:
+            config_graph: ConfigGraph | None = None) -> Verdict:
     """Accept iff some configuration with the accept state is reachable."""
-    cg = config_graph or build_config_graph(jag, g, limits, placements=placements)
+    cg = config_graph or build_config_graph(jag, g, limits)
     if cg.accepting:
         return Verdict.ACCEPT
     return Verdict.RESOURCE_LIMIT if cg.limit_hit else Verdict.REJECT
 
 
-def accepting_configurations(jag: NdJag, g: LabelledGraph,
-                             limits: Limits = Limits(),
-                             placements: Mapping[int, int] | None = None) -> list:
-    """All reachable accept-state configurations (for contract checks)."""
-    cg = build_config_graph(jag, g, limits, placements=placements)
-    _require_complete(cg)
-    return cg.accepting
-
-
 def enumerate_runs(jag: NdJag, g: LabelledGraph, max_len: int,
-                   max_tree_nodes: int = 1_000_000,
-                   placements: Mapping[int, int] | None = None) -> frozenset:
+                   max_tree_nodes: int = 1_000_000) -> frozenset:
     """All accepting computations of length <= max_len.
 
     Each trace is the tuple of chosen transitions, i.e. (state, move-vector)
@@ -255,7 +233,7 @@ def enumerate_runs(jag: NdJag, g: LabelledGraph, max_len: int,
     nothing with the reachability route.  Runs end at their first
     accept-state configuration.
     """
-    init = initial_config(jag, g, placements)
+    init = initial_config(jag, g)
     traces = set()
     expanded = 0
     stack = [(init, ())]
@@ -275,12 +253,12 @@ def enumerate_runs(jag: NdJag, g: LabelledGraph, max_len: int,
     return frozenset(traces)
 
 
-def replay_curr_visits(jag: NdJag, g: LabelledGraph, trace: Iterable[tuple],
-                       placements: Mapping[int, int] | None = None) -> tuple:
+def replay_curr_visits(jag: NdJag, g: LabelledGraph,
+                       trace: Iterable[tuple]) -> tuple:
     """First-visit sequence of the curr pebble along an enumerated trace."""
     if jag.curr is None:
         raise InputError("automaton designates no curr pebble")
-    config = initial_config(jag, g, placements)
+    config = initial_config(jag, g)
     order = [config.nodes[jag.curr - 1]]
     seen = set(order)
     for state, moves in trace:
@@ -313,9 +291,18 @@ def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
     return tuple(order)
 
 
-def _require_complete(cg: ConfigGraph):
+def _complete_graph(jag: NdJag, g: LabelledGraph, limits: Limits,
+                    config_graph: ConfigGraph | None, what: str) -> ConfigGraph:
+    """The complete configuration graph a curr decider reads: the one passed
+    in, which must belong to ``jag`` and ``g``, or a new one."""
+    if jag.curr is None:
+        raise InputError(f"{what} needs a designated curr pebble")
+    cg = config_graph or build_config_graph(jag, g, limits)
+    if cg.jag is not jag or cg.graph != g:
+        raise InputError("config_graph was built for another automaton or graph")
     if cg.limit_hit:
         raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
+    return cg
 
 
 def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
@@ -353,54 +340,38 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
             work.append(s)
 
 
-def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-                      config_graph: ConfigGraph | None = None):
-    """Decide traversability; returns (flag, first-visit witness or None).
+def _traversable(cg: ConfigGraph) -> bool:
+    """Traversability on a complete configuration graph.
 
-    True iff the automaton accepts and, for every node v reachable from the
-    startnode, no accepting computation avoids placing curr on v.  One pass
-    gives each configuration the bitset of nodes that curr occupies on every
-    run to it (a must-visit dataflow, as in Cooper, Harvey and Kennedy's
-    dominance algorithm); every accept configuration's set must cover the
-    reachable nodes.
+    One pass gives each configuration the bitset of nodes that curr occupies
+    on every run to it (a must-visit dataflow, as in Cooper, Harvey and
+    Kennedy's dominance algorithm); every accept configuration's set must
+    cover the reachable nodes.
     """
-    if jag.curr is None:
-        raise InputError("traversability needs a designated curr pebble")
-    cg = config_graph or build_config_graph(jag, g, limits)
-    _require_complete(cg)
     if not cg.accepting:
-        return False, None
-    witness = accepting_run_visits(cg)
-    curr = jag.curr - 1
+        return False
+    g = cg.graph
+    curr = cg.jag.curr - 1
     need = 0
     for v in reachable_set(g, g.startnode):
         need |= 1 << v
-    for bits in _accept_values(cg, 1 << cg.initial.nodes[curr],
-                               lambda bits, c: bits | 1 << c.nodes[curr],
-                               operator.and_):
-        if bits & need != need:
-            return False, witness
-    return True, witness
+    visited = _accept_values(cg, 1 << cg.initial.nodes[curr],
+                             lambda bits, c: bits | 1 << c.nodes[curr],
+                             operator.and_)
+    return all(bits & need == need for bits in visited)
 
 
-def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-                    config_graph: ConfigGraph | None = None):
-    """Decide orderability; returns (flag, canonical first-visit order).
+def _orderable(cg: ConfigGraph, order: tuple) -> bool:
+    """True iff every accepting run has the first-visit sequence ``order``,
+    the one of some accepting run.
 
-    The canonical order O comes from one accepting run.  Each run's progress
-    through O is a prefix index; any placement of curr on a node outside the
-    visited prefix other than O[index] marks the run as deviating for good.
-    Orderable iff no run accepts deviating or with the prefix incomplete.
+    Each run's progress through ``order`` is a prefix index; any placement
+    of curr on a node outside the visited prefix other than order[index]
+    marks the run as deviating for good.  Orderable iff no run accepts
+    deviating or with the prefix incomplete.
     """
-    if jag.curr is None:
-        raise InputError("orderability needs a designated curr pebble")
-    cg = config_graph or build_config_graph(jag, g, limits)
-    _require_complete(cg)
-    if not cg.accepting:
-        return False, None
-    order = accepting_run_visits(cg)
     pos = {v: i for i, v in enumerate(order)}
-    curr = jag.curr - 1
+    curr = cg.jag.curr - 1
     deviated = -1
 
     def advance(idx, config):
@@ -412,9 +383,32 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     # advance is monotone in idx (deviated lowest), so a run with a smaller
     # index goes wrong on every continuation where one with a larger index
     # does: keeping the least index per configuration is exact.  The
-    # initial curr placement is O[0] by construction.
+    # initial curr placement is order[0] by construction.
     reached = _accept_values(cg, 1, advance, min)
-    return all(idx == len(order) for idx in reached), order
+    return all(idx == len(order) for idx in reached)
+
+
+def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
+                      config_graph: ConfigGraph | None = None):
+    """Decide traversability; returns (flag, first-visit witness or None).
+
+    True iff the automaton accepts and every accepting run places curr on
+    every node reachable from the startnode.
+    """
+    cg = _complete_graph(jag, g, limits, config_graph, "traversability")
+    return _traversable(cg), accepting_run_visits(cg)
+
+
+def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
+                    config_graph: ConfigGraph | None = None):
+    """Decide orderability; returns (flag, canonical first-visit order).
+
+    The canonical order is that of the BFS-shortest accepting run (None if
+    none accepts); orderable iff every accepting run shares it.
+    """
+    cg = _complete_graph(jag, g, limits, config_graph, "orderability")
+    order = accepting_run_visits(cg)
+    return order is not None and _orderable(cg, order), order
 
 
 def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
@@ -426,10 +420,7 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
     does not even accept, that assumption is broken and a DiagnosticError is
     raised rather than guessing.
     """
-    if jag.curr is None:
-        raise InputError("co-st-connectivity needs a designated curr pebble")
-    cg = config_graph or build_config_graph(jag, g, limits)
-    _require_complete(cg)
+    cg = _complete_graph(jag, g, limits, config_graph, "co-st-connectivity")
     if not cg.accepting:
         raise DiagnosticError("supplied automaton rejects: traversability violated")
     curr = jag.curr - 1
@@ -480,11 +471,9 @@ def verify(jag: NdJag, g: LabelledGraph,
     traversable = orderable = None
     visit_order = None
     if jag.curr is not None:
-        traversable, visit_order = check_traversable(jag, g, config_graph=cg)
-        if traversable:
-            orderable, visit_order = check_orderable(jag, g, config_graph=cg)
-        else:
-            orderable = False
+        visit_order = accepting_run_visits(cg)
+        traversable = _traversable(cg)
+        orderable = traversable and _orderable(cg, visit_order)
     return VerificationReport(verdict, traversable, orderable, visit_order,
                               cg.configs_explored)
 

@@ -8,9 +8,8 @@ from jaglab.groups import (abelian_group, cayley_graph, element_order,
                            grid_group, power, symmetric_group,
                            wreath_structure)
 from jaglab.lang import compile_program, interpret
-from jaglab.machine import (Limits, Verdict, accepting_configurations,
-                            build_config_graph, check_orderable,
-                            check_traversable)
+from jaglab.machine import (Limits, Verdict, build_config_graph,
+                            check_orderable, check_traversable)
 from jaglab.algorithms import (CanonicalTower, TowerPosition,
                                abelian_canonical_exponents,
                                abelian_canonical_path, abelian_e_values,
@@ -63,11 +62,13 @@ def test_mult_program_z4_examples():
     jag = compile_program(prog, 1)
     idx = _pebble_index(prog, 1)
     for p, q in [((3,), (2,)), ((0,), (2,)), ((1,), (3,))]:
-        accs = accepting_configurations(
+        cg = build_config_graph(
             jag, cay.graph,
             placements={idx["p"]: cay.node_of[p], idx["q"]: cay.node_of[q]})
+        assert not cg.limit_hit
         want = cay.node_of[group.multiply(p, q)]
-        assert accs and {c.nodes[idx["r"] - 1] for c in accs} == {want}
+        assert cg.accepting
+        assert {c.nodes[idx["r"] - 1] for c in cg.accepting} == {want}
 
 
 def test_mult_program_symmetric():
@@ -78,11 +79,12 @@ def test_mult_program_symmetric():
     idx = _pebble_index(prog, 2)
     for p in group.elements[:3]:
         for q in group.elements[:3]:
-            accs = accepting_configurations(
+            cg = build_config_graph(
                 jag, cay.graph,
                 placements={idx["p"]: cay.node_of[p], idx["q"]: cay.node_of[q]})
+            assert not cg.limit_hit
             want = cay.node_of[group.multiply(p, q)]
-            assert {c.nodes[idx["r"] - 1] for c in accs} == {want}
+            assert {c.nodes[idx["r"] - 1] for c in cg.accepting} == {want}
 
 
 def test_inverse_program_z4():
@@ -91,10 +93,11 @@ def test_inverse_program_z4():
     jag = compile_program(prog, 1)
     idx = _pebble_index(prog, 1)
     for p in group.elements:
-        accs = accepting_configurations(
+        cg = build_config_graph(
             jag, cay.graph, placements={idx["p"]: cay.node_of[p]})
+        assert not cg.limit_hit
         want = cay.node_of[group.inverse(p)]
-        assert {c.nodes[idx["q"] - 1] for c in accs} == {want}
+        assert {c.nodes[idx["q"] - 1] for c in cg.accepting} == {want}
 
 
 # -- grid ordering ------------------------------------------------------------

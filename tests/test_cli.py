@@ -3,7 +3,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from jaglab.algorithms import grid_traversal_program
 from jaglab.cli import main
+from jaglab.graph import parse_graph
+from jaglab.lang import compile_program
+from jaglab.machine import Limits, build_config_graph
 
 
 def run_cli(argv):
@@ -71,6 +75,23 @@ def test_run_compiled_matches_interpreted(grid22_file):
     code1, out1, _ = run_cli(["run", "grid-traverse", str(grid22_file)])
     code2, out2, _ = run_cli(["run", "grid-traverse", str(grid22_file),
                               "--compiled"])
+    assert (code1, out1) == (code2, out2)
+    # a budget of the configurations no deeper than the first accept one
+    # runs out one level after the build reaches it: still an accept
+    g = parse_graph(grid22_file.read_text())
+    jag = compile_program(grid_traversal_program(g.degree), g.degree)
+    cg = build_config_graph(jag, g)
+    depth = {}
+    for config, parent in cg.parent.items():  # parents come first
+        depth[config] = 0 if parent is None else depth[parent] + 1
+    budget = sum(d <= depth[cg.accepting[0]] for d in depth.values())
+    short = build_config_graph(jag, g, Limits(max_configs=budget))
+    assert short.limit_hit and short.accepting
+    flags = ["--limits-configs", str(budget)]
+    code1, out1, _ = run_cli(["run", "grid-traverse", str(grid22_file)] + flags)
+    code2, out2, _ = run_cli(["run", "grid-traverse", str(grid22_file),
+                              "--compiled"] + flags)
+    assert code1 == 0 and out1.startswith("verdict: accept\n")
     assert (code1, out1) == (code2, out2)
 
 

@@ -266,8 +266,9 @@ def avoidance_traversable(cg) -> bool:
 def test_checkers_agree_with_run_enumeration():
     """Traversability, orderability and co-st against brute force, on random
     automata whose accept state has rules, so runs go on past it.
-    Traversability is also compared with the per-node avoidance search on
-    every instance with a complete configuration graph.
+    Traversability is also compared with the per-node avoidance search, and
+    ``verify`` with the checkers, on every instance with a complete
+    configuration graph.
 
     Runs of length at most n * configs_explored show every first-visit
     sequence of curr: between two first visits a run can drop any loop, and
@@ -288,6 +289,11 @@ def test_checkers_agree_with_run_enumeration():
             continue
         trav, _ = check_traversable(jag, g, config_graph=cg)
         assert trav == avoidance_traversable(cg)
+        ordb, order = check_orderable(jag, g, config_graph=cg)
+        report = verify(jag, g)
+        assert report.traversable == trav
+        assert report.orderable == (trav and ordb)
+        assert report.visit_order == order
         try:
             runs = enumerate_runs(jag, g, max_len=g.num_nodes * cg.configs_explored,
                                   max_tree_nodes=20_000)
@@ -298,7 +304,6 @@ def test_checkers_agree_with_run_enumeration():
         orders = {replay_curr_visits(jag, g, trace) for trace in runs}
         reach = reachable_set(g, g.startnode)
         assert trav == (bool(orders) and all(reach <= set(o) for o in orders))
-        ordb, order = check_orderable(jag, g, config_graph=cg)
         assert ordb == (len(orders) == 1)
         assert order is None if not orders else order in orders
         if orders:
@@ -358,6 +363,18 @@ def test_complete_graph_needs_no_further_budget():
             decide_co_st_connectivity(jag, g, tight, config_graph=cg)
         checked += 1
     assert checked >= 300
+
+
+def test_deciders_reject_a_config_graph_of_another_input(grid_cayleys):
+    g = grid_cayleys[(2, 2)].graph
+    jag = compile_program(grid_traversal_program(), 2)
+    other = compile_program(grid_traversal_program(), 2)
+    for cg in (build_config_graph(jag, disjoint_union(g, g)),
+               build_config_graph(other, g)):
+        for decide in (check_traversable, check_orderable,
+                       decide_co_st_connectivity):
+            with pytest.raises(InputError, match="another automaton or graph"):
+                decide(jag, g, config_graph=cg)
 
 
 def test_co_st_diagnostic_on_rejecting_automaton(grid_cayleys):
