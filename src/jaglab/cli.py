@@ -28,8 +28,11 @@ EXIT_REJECT = 1
 EXIT_LIMIT = 2
 EXIT_INPUT = 3
 
-_BUILTIN_PROGRAMS = ("grid-traverse", "abelian-order", "sym-order",
-                     "product-order", "canon-order", "co-st-conn")
+# builtin tower programs -> the family kinds each expects; None: any family
+# with a tower.  grid-traverse, the other builtin, needs no family.
+_TOWER_PROGRAMS = {"abelian-order": ("abelian", "grid"), "sym-order": ("sym",),
+                   "product-order": ("direct",), "canon-order": None,
+                   "co-st-conn": None}
 
 
 def _limits(args) -> Limits:
@@ -65,22 +68,19 @@ def _resolve_program(args, g):
     name = args.program
     if name == "grid-traverse":
         return alg.grid_traversal_program(g.degree)
-    if name in ("abelian-order", "sym-order", "product-order", "canon-order",
-                "co-st-conn"):
+    if name in _TOWER_PROGRAMS:
         family = _family(args)
         if family.tower is None:
             raise InputError(f"family {family.name} has no canonical ordering")
-        expected = {"abelian-order": ("abelian", "grid"),
-                    "sym-order": ("sym",),
-                    "product-order": ("direct",)}
-        if name in expected and family.kind not in expected[name]:
-            raise InputError(f"{name} expects a {'/'.join(expected[name])} family")
+        kinds = _TOWER_PROGRAMS[name]
+        if kinds is not None and family.kind not in kinds:
+            raise InputError(f"{name} expects a {'/'.join(kinds)} family")
         alg.check_tower(family.graph, family.tower)
         return alg.tower_program(family.tower)
     path = Path(name)
     if not path.exists():
-        raise InputError(f"no such program: {name!r} "
-                         f"(builtins: {', '.join(_BUILTIN_PROGRAMS)})")
+        raise InputError(f"no such program: {name!r} (builtins: grid-traverse, "
+                         f"{', '.join(_TOWER_PROGRAMS)})")
     return parse_program(path.read_text())
 
 

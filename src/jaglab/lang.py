@@ -29,7 +29,9 @@ point, variable valuation, and pebble placement breadth-first with
 memoization, so cyclic nondeterminism terminates.  The compiler produces an
 automaton over states (program point, valuation) whose runs step through the
 same product, one instruction per machine step; every pebble not being acted
-on jumps to itself.
+on jumps to itself.  Both run the one search of ``machine.expand``, so they
+count budgets alike, and in both ``accept`` is one step, into an accept
+configuration.
 
 Pebbles named ``s`` and ``t`` are the designated ones and are added
 implicitly when not declared; the designated ``t`` always starts on the
@@ -39,12 +41,11 @@ targetnode.  A pebble named ``curr`` is the visit-order pebble.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
-from .machine import Limits, NdJag, Verdict
+from .machine import Limits, NdJag, Verdict, expand, first_visits
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -354,18 +355,8 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
 
     var_names = [name for name, _ in prog.dirs] + list(prog.bools)
     vidx = {name: i for i, name in enumerate(var_names)}
-    label_vars = _move_label_vars(prog.body)
-    domains = []
-    for name, spec in prog.dirs:
-        if spec[0] == "1..d":
-            domains.append(tuple(range(1, degree + 1)))
-        else:
-            vals = spec[1]
-            # only variables used as move labels must be degree-closed
-            if name in label_vars and any(not 1 <= v <= degree for v in vals):
-                raise ProgramError(
-                    f"domain of {name!r} not within 1..{degree}")
-            domains.append(vals)
+    domains = [tuple(range(1, degree + 1)) if spec[0] == "1..d" else spec[1]
+               for _, spec in prog.dirs]
     domains += [(False, True)] * len(prog.bools)
     init_vals = tuple(dom[0] for dom in domains)
 
@@ -377,7 +368,12 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
             return ("lit", e[1])
         if e[0] == "degree":
             return ("lit", degree)
-        return ("var", vidx[e[1]])
+        vi = vidx[e[1]]
+        # only variables used as move labels must be degree-closed
+        if any(not 1 <= v <= degree for v in domains[vi]):
+            raise ProgramError(f"domain of {e[1]!r} not within 1..{degree}",
+                               line=lineno)
+        return ("var", vi)
 
     def bound_expr(e, lineno):
         if e[0] == "lit":
@@ -463,22 +459,6 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
                         tuple(instrs))
 
 
-def _move_label_vars(stmts) -> set:
-    out: set = set()
-    for st in stmts:
-        kind = st[0]
-        if kind == "move" and st[2][0] == "var":
-            out.add(st[2][1])
-        elif kind == "if":
-            out |= _move_label_vars(st[2])
-            out |= _move_label_vars(st[3])
-        elif kind == "while":
-            out |= _move_label_vars(st[2])
-        elif kind == "for":
-            out |= _move_label_vars(st[4])
-    return out
-
-
 def _branch(cond, then_pt, else_pt, vidx, pidx):
     if cond[0] == "var":
         return ("ifvar", vidx[cond[1]], then_pt, else_pt)
@@ -506,104 +486,88 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
               limits: Limits = Limits()) -> RunResult:
     """Angelic execution: accept iff some resolution of guesses reaches accept.
 
-    Explores the product (program point, valuation, placement) breadth-first
-    with memoization.  On accept, reports the first-visit order of the curr
-    pebble along the accepting run found (None without a curr pebble).
+    Searches the product (program point, valuation, placement) with
+    ``machine.expand``, the search and the budgets of the compiled
+    machine, and stops at the first accept configuration.  As in the
+    compiled automaton, ``accept`` is one step, into the accept point
+    ``len(instrs)`` with no valuation.  On accept, reports the first-visit
+    order of the curr pebble along the accepting run found (None without a
+    curr pebble).
     """
     bp = prog.bind(g.degree)
     rho = g.rho
-    init_nodes = tuple(g.targetnode if i + 1 == bp.t_idx else g.startnode
-                       for i in range(bp.num_pebbles))
-    start = (0, bp.init_vals, init_nodes)
-    parent: dict = {start: None}
-    frontier = deque([start])
     instrs = bp.instrs
     domains = bp.var_domains
-    accept_state = None
-    depth = 0
-    level_left = 1
-    next_level = 0
-    while frontier:
-        if level_left == 0:
-            depth += 1
-            level_left, next_level = next_level, 0
-            if limits.max_run_len is not None and depth > limits.max_run_len:
-                return RunResult(Verdict.RESOURCE_LIMIT, None, len(parent))
-        state = frontier.popleft()
-        level_left -= 1
+    end = len(instrs)
+    init_nodes = tuple(g.targetnode if i + 1 == bp.t_idx else g.startnode
+                       for i in range(bp.num_pebbles))
+
+    def successors(state):
         pt, vals, nodes = state
+        if pt == end:
+            return ()
         op = instrs[pt]
         kind = op[0]
-        if kind == "accept":
-            accept_state = state
-            break
-        if len(parent) > limits.max_configs:
-            return RunResult(Verdict.RESOURCE_LIMIT, None, len(parent))
-        succs = []
         if kind == "jump":
             nn = list(nodes)
             nn[op[1] - 1] = nodes[op[2] - 1]
-            succs.append((pt + 1, vals, tuple(nn)))
-        elif kind == "move":
+            return ((pt + 1, vals, tuple(nn)),)
+        if kind == "move":
             label = _eval_bound(op[2], vals)
             nn = list(nodes)
             nn[op[1] - 1] = rho[nodes[op[1] - 1]][label - 1]
-            succs.append((pt + 1, vals, tuple(nn)))
-        elif kind == "guess":
+            return ((pt + 1, vals, tuple(nn)),)
+        if kind == "guess":
             vi = op[1]
+            out = []
             for val in domains[vi]:
                 nv = list(vals)
                 nv[vi] = val
-                succs.append((pt + 1, tuple(nv), nodes))
-        elif kind == "ifeq":
+                out.append((pt + 1, tuple(nv), nodes))
+            return out
+        if kind == "ifeq":
             tgt = op[3] if nodes[op[1] - 1] == nodes[op[2] - 1] else op[4]
-            succs.append((tgt, vals, nodes))
-        elif kind == "ifvar":
-            succs.append((op[2] if vals[op[1]] else op[3], vals, nodes))
-        elif kind == "goto":
-            succs.append((op[1], vals, nodes))
-        elif kind == "forstart":
+            return ((tgt, vals, nodes),)
+        if kind == "ifvar":
+            return ((op[2] if vals[op[1]] else op[3], vals, nodes),)
+        if kind == "goto":
+            return ((op[1], vals, nodes),)
+        if kind == "forstart":
             a, b = _eval_bound(op[2], vals), _eval_bound(op[3], vals)
             if a > b:
-                succs.append((op[5], vals, nodes))
-            else:
-                nv = list(vals)
-                nv[op[1]] = a
-                succs.append((op[4], tuple(nv), nodes))
-        elif kind == "fornext":
+                return ((op[5], vals, nodes),)
+            nv = list(vals)
+            nv[op[1]] = a
+            return ((op[4], tuple(nv), nodes),)
+        if kind == "fornext":
             b = _eval_bound(op[2], vals)
             if vals[op[1]] >= b:
-                succs.append((op[4], vals, nodes))
-            else:
-                nv = list(vals)
-                nv[op[1]] += 1
-                succs.append((op[3], tuple(nv), nodes))
-        elif kind == "fail":
-            succs = []
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-        for s in succs:
-            if s not in parent:
-                parent[s] = state
-                frontier.append(s)
-                next_level += 1
-    if accept_state is None:
-        return RunResult(Verdict.REJECT, None, len(parent))
+                return ((op[4], vals, nodes),)
+            nv = list(vals)
+            nv[op[1]] += 1
+            return ((op[3], tuple(nv), nodes),)
+        if kind == "accept":
+            return ((end, (), nodes),)
+        if kind == "fail":
+            return ()
+        raise AssertionError(kind)  # pragma: no cover
+
+    accepted = []
+
+    def visit(state, succs):
+        if state[0] == end:
+            accepted.append(state)
+            return True
+        return False
+
+    parent, limit_hit = expand((0, bp.init_vals, init_nodes), successors,
+                               limits, visit)
+    if not accepted:
+        verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
+        return RunResult(verdict, None, len(parent))
     visit_order = None
     if bp.curr_idx is not None:
-        path = []
-        state = accept_state
-        while state is not None:
-            path.append(state)
-            state = parent[state]
-        path.reverse()
-        order, seen = [], set()
-        for _, _, nodes in path:
-            v = nodes[bp.curr_idx - 1]
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-        visit_order = tuple(order)
+        visit_order = first_visits(parent, accepted[0], bp.curr_idx)
     return RunResult(Verdict.ACCEPT, visit_order, len(parent))
 
 

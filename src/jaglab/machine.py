@@ -25,6 +25,7 @@ import enum
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DiagnosticError, InputError, ResourceLimitExceeded
@@ -46,8 +47,12 @@ class Configuration(NamedTuple):
 class Limits:
     """Search budgets: total configurations and (optionally) run length.
 
-    ``max_run_len`` bounds the depth of the configuration search; hitting
-    either budget yields a resource-limit verdict, never a silent answer.
+    ``expand`` checks both before each BFS level, for the interpreter and
+    the compiled machine alike: ``max_configs`` bounds the configurations
+    discovered, ``max_run_len`` the depth of the level, i.e. the steps of
+    the runs explored.  ``accept`` is one step, into an accept
+    configuration.  A search that runs out before it reaches an accept
+    configuration yields a resource-limit verdict, never a silent answer.
     """
 
     max_configs: int = 10_000_000
@@ -170,11 +175,64 @@ class ConfigGraph:
         return len(self.adj)
 
 
+def expand(initial, successors: Callable, limits: Limits,
+           visit: Callable) -> tuple[dict, str | None]:
+    """Breadth-first search of a configuration space, one level at a time.
+
+    The compiled machine's configuration graph and the interpreter are
+    both searched by it, so a budget means the same thing to every caller.
+    Before each level the search stops with a limit hit if more than
+    ``limits.max_configs`` configurations have been discovered
+    (``"max_configs"``) or if the level lies deeper than
+    ``limits.max_run_len`` steps (``"max_run_len"``).  ``visit(config,
+    succs)`` sees each expanded configuration in BFS order together with
+    its successors; a true result ends the search with no limit hit.
+
+    Returns ``(parent, limit_hit)``: ``parent`` maps every configuration
+    discovered to the one it was first reached from (the initial one to
+    None), and ``limit_hit`` names the budget that ran out, or is None.
+    """
+    parent = {initial: None}
+    frontier = [initial]
+    depth = 0
+    while frontier:
+        if len(parent) > limits.max_configs:
+            return parent, "max_configs"
+        if limits.max_run_len is not None and depth > limits.max_run_len:
+            return parent, "max_run_len"
+        nxt = []
+        for config in frontier:
+            succs = successors(config)
+            if visit(config, succs):
+                return parent, None
+            for s in succs:
+                if s not in parent:
+                    parent[s] = config
+                    nxt.append(s)
+        frontier = nxt
+        depth += 1
+    return parent, None
+
+
+def first_visits(parent: dict, config, curr: int) -> tuple:
+    """First-visit order of pebble ``curr`` (1-based) along the search-tree
+    path from the initial configuration to ``config``.
+
+    ``parent`` is the map ``expand`` returns; a configuration keeps its
+    pebble placement as its last field.
+    """
+    path = []
+    while config is not None:
+        path.append(config[-1][curr - 1])
+        config = parent[config]
+    return tuple(dict.fromkeys(reversed(path)))
+
+
 def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
                        placements: Mapping[int, int] | None = None) -> ConfigGraph:
     """Breadth-first exhaustive expansion of the configuration space.
 
-    Expansion runs level by level, so the depth of the frontier is the run
+    The search is ``expand``'s, so the depth of a configuration is the run
     length that ``limits.max_run_len`` bounds.  Accept-state configurations
     are expanded too; the deciders ignore their successors.
 
@@ -189,28 +247,9 @@ def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
             nodes[peb - 1] = node
         init = init._replace(nodes=tuple(nodes))
     cg = ConfigGraph(jag, g, init)
-    cg.parent[init] = None
-    frontier = [init]
-    depth = 0
-    while frontier:
-        if len(cg.parent) > limits.max_configs:
-            cg.limit_hit = "max_configs"
-            break
-        if limits.max_run_len is not None and depth > limits.max_run_len:
-            cg.limit_hit = "max_run_len"
-            break
-        nxt = []
-        for config in frontier:
-            succs = step(jag, g, config)
-            cg.adj[config] = succs
-            if config.state == jag.accept_state:
-                cg.accepting.append(config)
-            for s in succs:
-                if s not in cg.parent:
-                    cg.parent[s] = config
-                    nxt.append(s)
-        frontier = nxt
-        depth += 1
+    cg.parent, cg.limit_hit = expand(init, partial(step, jag, g), limits,
+                                     cg.adj.__setitem__)
+    cg.accepting = [c for c in cg.adj if c.state == jag.accept_state]
     return cg
 
 
@@ -274,21 +313,7 @@ def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
     """First-visit order of curr along the BFS-shortest accepting run."""
     if not cg.accepting:
         return None
-    curr = cg.jag.curr
-    path = []
-    config = cg.accepting[0]
-    while config is not None:
-        path.append(config)
-        config = cg.parent[config]
-    path.reverse()
-    order = []
-    seen = set()
-    for config in path:
-        v = config.nodes[curr - 1]
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-    return tuple(order)
+    return first_visits(cg.parent, cg.accepting[0], cg.jag.curr)
 
 
 def _complete_graph(jag: NdJag, g: LabelledGraph, limits: Limits,

@@ -84,15 +84,21 @@ def test_run_compiled_matches_interpreted(grid22_file):
     depth = {}
     for config, parent in cg.parent.items():  # parents come first
         depth[config] = 0 if parent is None else depth[parent] + 1
-    budget = sum(d <= depth[cg.accepting[0]] for d in depth.values())
+    accept_depth = depth[cg.accepting[0]]
+    budget = sum(d <= accept_depth for d in depth.values())
     short = build_config_graph(jag, g, Limits(max_configs=budget))
     assert short.limit_hit and short.accepting
-    flags = ["--limits-configs", str(budget)]
-    code1, out1, _ = run_cli(["run", "grid-traverse", str(grid22_file)] + flags)
-    code2, out2, _ = run_cli(["run", "grid-traverse", str(grid22_file),
-                              "--compiled"] + flags)
-    assert code1 == 0 and out1.startswith("verdict: accept\n")
-    assert (code1, out1) == (code2, out2)
+    # a run-length bound one short of that depth runs out in both
+    cases = [(["--limits-configs", str(budget)], 0, "accept"),
+             (["--max-run-len", str(accept_depth - 1)], 2, "resource-limit"),
+             (["--max-run-len", str(accept_depth)], 0, "accept")]
+    for flags, code, verdict in cases:
+        code1, out1, _ = run_cli(["run", "grid-traverse", str(grid22_file)]
+                                 + flags)
+        code2, out2, _ = run_cli(["run", "grid-traverse", str(grid22_file),
+                                  "--compiled"] + flags)
+        assert code1 == code and out1.startswith(f"verdict: {verdict}\n"), flags
+        assert (code1, out1) == (code2, out2), flags
 
 
 def test_run_program_file(tmp_path, grid22_file):

@@ -41,8 +41,9 @@ def test_move_label_exceeds_degree_is_static_error():
 def test_explicit_domain_must_be_degree_closed_when_moved():
     prog = parse_program(
         "pebble p\ndir x : {1,3}\nguess x\nmove p along x\naccept")
-    with pytest.raises(ProgramError):
+    with pytest.raises(ProgramError) as exc:
         prog.bind(2)
+    assert exc.value.line == 4
     prog.bind(3)
 
 
@@ -278,4 +279,20 @@ def test_random_program_bisimulation():
         assert verdict is res.verdict
         if res.verdict is Verdict.ACCEPT:
             assert accepting_run_visits(cg) == res.visit_order
+            # both searches count run length alike: a bound one short of
+            # the first accept configuration's depth runs out, its depth
+            # accepts along the same run
+            depth, config = 0, cg.accepting[0]
+            while cg.parent[config] is not None:
+                depth, config = depth + 1, cg.parent[config]
+            short = Limits(max_run_len=depth - 1)
+            assert interpret(prog, g, short).verdict is Verdict.RESOURCE_LIMIT
+            assert accepts(jag, g, short) is Verdict.RESOURCE_LIMIT
+            enough = Limits(max_run_len=depth)
+            res_d = interpret(prog, g, enough)
+            cg_d = build_config_graph(jag, g, enough)
+            assert res_d.verdict is Verdict.ACCEPT
+            assert accepts(jag, g, config_graph=cg_d) is Verdict.ACCEPT
+            assert accepting_run_visits(cg_d) == res_d.visit_order \
+                == res.visit_order
         checked += 1
