@@ -24,14 +24,15 @@ variable.  Declarations precede statements.  Programs end by ``accept``;
 falling off the end, like ``fail``, kills the run.
 
 Acceptance is angelic: a program accepts when some resolution of its guesses
-reaches ``accept``.  The interpreter explores the finite product of program
-point, variable valuation, and pebble placement breadth-first with
-memoization, so cyclic nondeterminism terminates.  The compiler produces an
-automaton over states (program point, valuation) whose runs step through the
-same product, one instruction per machine step; every pebble not being acted
-on jumps to itself.  Both run the one search of ``machine.expand``, so they
-count budgets alike, and in both ``accept`` is one step, into an accept
-configuration.
+reaches ``accept``.  A step is one pebble action (``move``, ``jump``, or
+``accept`` into an accept configuration); control instructions move no
+pebble and fold into the actions they reach (``BoundProgram.fold``).  The
+interpreter explores the finite product of program point, variable
+valuation, and pebble placement breadth-first with memoization, so cyclic
+nondeterminism terminates.  The compiler produces an automaton over states
+(program point, valuation) whose runs step through the same product; every
+pebble not being acted on jumps to itself.  Both step by the one fold and
+run the one search of ``machine.expand``, so they count budgets alike.
 
 Pebbles named ``s`` and ``t`` are the designated ones and are added
 implicitly when not declared; the designated ``t`` always starts on the
@@ -319,6 +320,9 @@ def _expect_close(lines, pos, open_line):
 # ---------------------------------------------------------------------------
 # Binding and lowering
 
+_ACTIONS = ("move", "jump", "accept")  # the instructions that are steps
+
+
 @dataclass(frozen=True)
 class BoundProgram:
     """Program lowered to flat instructions for a concrete graph degree."""
@@ -340,6 +344,53 @@ class BoundProgram:
 
     def points(self) -> int:
         return len(self.instrs)
+
+    def fold(self, pt: int, vals: tuple, pi) -> list:
+        """The ``(pt, vals)`` pairs at a ``move``, ``jump`` or ``accept``
+        that control flow reaches from ``(pt, vals)``, breadth-first.
+
+        Follows every other instruction and drops ``fail``; a seen-set ends
+        control-only cycles.  ``pi[i - 1] == pi[j - 1]`` iff pebbles i and
+        j share a node, which holds throughout since no pebble moves.
+        """
+        instrs = self.instrs
+        todo = [(pt, vals)]
+        seen = set(todo)
+        actions = []
+        for pt, vals in todo:  # todo grows while it is read
+            op = instrs[pt]
+            kind = op[0]
+            if kind in _ACTIONS:
+                actions.append((pt, vals))
+                continue
+            if kind == "goto":
+                nxt = ((op[1], vals),)
+            elif kind == "ifvar":
+                nxt = ((op[2] if vals[op[1]] else op[3], vals),)
+            elif kind == "ifeq":
+                together = pi[op[1] - 1] == pi[op[2] - 1]
+                nxt = ((op[3] if together else op[4], vals),)
+            elif kind == "guess":
+                vi = op[1]
+                nxt = [(pt + 1, _assign(vals, vi, val))
+                       for val in self.var_domains[vi]]
+            elif kind == "forstart":
+                a, b = _eval_bound(op[2], vals), _eval_bound(op[3], vals)
+                nxt = ((op[5], vals),) if a > b else \
+                    ((op[4], _assign(vals, op[1], a)),)
+            elif kind == "fornext":
+                vi = op[1]
+                nxt = ((op[4], vals),) if vals[vi] >= _eval_bound(op[2], vals) \
+                    else ((op[3], _assign(vals, vi, vals[vi] + 1)),)
+            elif kind == "fail":
+                continue
+            else:  # pragma: no cover
+                raise AssertionError(kind)
+            for state in nxt:
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+        return actions
 
 
 def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
@@ -472,6 +523,10 @@ def _eval_bound(expr, vals):
     return expr[1] if expr[0] == "lit" else vals[expr[1]]
 
 
+def _assign(vals, vi, val):
+    return vals[:vi] + (val,) + vals[vi + 1:]
+
+
 # ---------------------------------------------------------------------------
 # Interpreter
 
@@ -489,15 +544,14 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     Searches the product (program point, valuation, placement) with
     ``machine.expand``, the search and the budgets of the compiled
     machine, and stops at the first accept configuration.  As in the
-    compiled automaton, ``accept`` is one step, into the accept point
-    ``len(instrs)`` with no valuation.  On accept, reports the first-visit
-    order of the curr pebble along the accepting run found (None without a
-    curr pebble).
+    compiled automaton, a step is one pebble action of ``BoundProgram.fold``
+    and ``accept`` steps into the accept point ``len(instrs)`` with no
+    valuation.  On accept, reports the first-visit order of the curr pebble
+    along the accepting run found (None without a curr pebble).
     """
     bp = prog.bind(g.degree)
     rho = g.rho
-    instrs = bp.instrs
-    domains = bp.var_domains
+    instrs, fold = bp.instrs, bp.fold
     end = len(instrs)
     init_nodes = tuple(g.targetnode if i + 1 == bp.t_idx else g.startnode
                        for i in range(bp.num_pebbles))
@@ -506,51 +560,23 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
         pt, vals, nodes = state
         if pt == end:
             return ()
-        op = instrs[pt]
-        kind = op[0]
-        if kind == "jump":
+        # most states sit on an action, which is its own fold: skip the call
+        acts = [(pt, vals)] if instrs[pt][0] in _ACTIONS else \
+            fold(pt, vals, nodes)
+        out = []
+        for pt, vals in acts:
+            op = instrs[pt]
+            if op[0] == "accept":
+                out.append((end, (), nodes))
+                continue
             nn = list(nodes)
-            nn[op[1] - 1] = nodes[op[2] - 1]
-            return ((pt + 1, vals, tuple(nn)),)
-        if kind == "move":
-            label = _eval_bound(op[2], vals)
-            nn = list(nodes)
-            nn[op[1] - 1] = rho[nodes[op[1] - 1]][label - 1]
-            return ((pt + 1, vals, tuple(nn)),)
-        if kind == "guess":
-            vi = op[1]
-            out = []
-            for val in domains[vi]:
-                nv = list(vals)
-                nv[vi] = val
-                out.append((pt + 1, tuple(nv), nodes))
-            return out
-        if kind == "ifeq":
-            tgt = op[3] if nodes[op[1] - 1] == nodes[op[2] - 1] else op[4]
-            return ((tgt, vals, nodes),)
-        if kind == "ifvar":
-            return ((op[2] if vals[op[1]] else op[3], vals, nodes),)
-        if kind == "goto":
-            return ((op[1], vals, nodes),)
-        if kind == "forstart":
-            a, b = _eval_bound(op[2], vals), _eval_bound(op[3], vals)
-            if a > b:
-                return ((op[5], vals, nodes),)
-            nv = list(vals)
-            nv[op[1]] = a
-            return ((op[4], tuple(nv), nodes),)
-        if kind == "fornext":
-            b = _eval_bound(op[2], vals)
-            if vals[op[1]] >= b:
-                return ((op[4], vals, nodes),)
-            nv = list(vals)
-            nv[op[1]] += 1
-            return ((op[3], tuple(nv), nodes),)
-        if kind == "accept":
-            return ((end, (), nodes),)
-        if kind == "fail":
-            return ()
-        raise AssertionError(kind)  # pragma: no cover
+            p = op[1] - 1
+            if op[0] == "jump":
+                nn[p] = nodes[op[2] - 1]
+            else:  # move
+                nn[p] = rho[nodes[p]][_eval_bound(op[2], vals) - 1]
+            out.append((pt + 1, vals, tuple(nn)))
+        return out
 
     accepted = []
 
@@ -580,14 +606,14 @@ _QA = "qa"
 def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
     """Compile to an automaton over states (program point, valuation).
 
-    The machine is degree-specific, mirroring the nonuniformity of the
-    model: direction domains and move labels are fixed at compile time.
+    Each transition is one pebble action of ``BoundProgram.fold`` as a move
+    vector.  The machine is degree-specific, mirroring the nonuniformity of
+    the model: direction domains and move labels are fixed at compile time.
     State count is bounded by program points times the product of variable
     domain sizes, plus the accept state.
     """
     bp = prog.bind(degree)
-    instrs = bp.instrs
-    domains = bp.var_domains
+    instrs, fold = bp.instrs, bp.fold
     npeb = bp.num_pebbles
     selfs = tuple(-(i + 1) for i in range(npeb))
 
@@ -595,51 +621,20 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
         if state == _QA:
             return ()
         pt, vals = state
-        op = instrs[pt]
-        kind = op[0]
-        if kind == "jump":
+        acts = [state] if instrs[pt][0] in _ACTIONS else fold(pt, vals, pi)
+        out = {}  # accept reached under several valuations is one transition
+        for pt, vals in acts:
+            op = instrs[pt]
+            if op[0] == "accept":
+                out[_QA, selfs] = None
+                continue
             moves = list(selfs)
-            moves[op[1] - 1] = -op[2]
-            return (((pt + 1, vals), tuple(moves)),)
-        if kind == "move":
-            label = _eval_bound(op[2], vals)
-            moves = list(selfs)
-            moves[op[1] - 1] = label
-            return (((pt + 1, vals), tuple(moves)),)
-        if kind == "guess":
-            vi = op[1]
-            out = []
-            for val in domains[vi]:
-                nv = list(vals)
-                nv[vi] = val
-                out.append(((pt + 1, tuple(nv)), selfs))
-            return tuple(out)
-        if kind == "ifeq":
-            together = pi[op[1] - 1] == pi[op[2] - 1]
-            return (((op[3] if together else op[4], vals), selfs),)
-        if kind == "ifvar":
-            return (((op[2] if vals[op[1]] else op[3], vals), selfs),)
-        if kind == "goto":
-            return (((op[1], vals), selfs),)
-        if kind == "forstart":
-            a, b = _eval_bound(op[2], vals), _eval_bound(op[3], vals)
-            if a > b:
-                return (((op[5], vals), selfs),)
-            nv = list(vals)
-            nv[op[1]] = a
-            return (((op[4], tuple(nv)), selfs),)
-        if kind == "fornext":
-            b = _eval_bound(op[2], vals)
-            if vals[op[1]] >= b:
-                return (((op[4], vals), selfs),)
-            nv = list(vals)
-            nv[op[1]] += 1
-            return (((op[3], tuple(nv)), selfs),)
-        if kind == "accept":
-            return ((_QA, selfs),)
-        if kind == "fail":
-            return ()
-        raise AssertionError(kind)  # pragma: no cover
+            if op[0] == "jump":
+                moves[op[1] - 1] = -op[2]
+            else:  # move
+                moves[op[1] - 1] = _eval_bound(op[2], vals)
+            out[(pt + 1, vals), tuple(moves)] = None
+        return tuple(out)
 
     return NdJag(start_state=(0, bp.init_vals), accept_state=_QA,
                  num_pebbles=npeb, s=bp.s_idx, t=bp.t_idx, curr=bp.curr_idx,

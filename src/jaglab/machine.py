@@ -50,9 +50,11 @@ class Limits:
     ``expand`` checks both before each BFS level, for the interpreter and
     the compiled machine alike: ``max_configs`` bounds the configurations
     discovered, ``max_run_len`` the depth of the level, i.e. the steps of
-    the runs explored.  ``accept`` is one step, into an accept
-    configuration.  A search that runs out before it reaches an accept
-    configuration yields a resource-limit verdict, never a silent answer.
+    the runs explored.  A pebble program's step is one pebble action
+    (``move``, ``jump``, or ``accept`` into an accept configuration); its
+    control instructions fold into it.  A search that runs out before it
+    reaches an accept configuration yields a resource-limit verdict, never
+    a silent answer.
     """
 
     max_configs: int = 10_000_000
@@ -160,6 +162,8 @@ class ConfigGraph:
 
     ``limit_hit`` names the budget that stopped the build (``"max_configs"``
     or ``"max_run_len"``); it is None when the graph is complete.
+    ``configs_explored`` counts the configurations discovered, as
+    ``max_configs`` and ``lang.interpret`` do.
     """
 
     jag: NdJag
@@ -172,7 +176,7 @@ class ConfigGraph:
 
     @property
     def configs_explored(self) -> int:
-        return len(self.adj)
+        return len(self.parent)
 
 
 def expand(initial, successors: Callable, limits: Limits,

@@ -3,9 +3,9 @@ import pytest
 from jaglab.errors import ProgramError
 from jaglab.graph import LabelledGraph
 from jaglab.lang import compile_program, interpret, parse_program
-from jaglab.machine import (Verdict, accepts, all_partitions,
+from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             build_config_graph, check_orderable,
-                            enumerate_runs)
+                            enumerate_runs, verify)
 from jaglab.algorithms import grid_traversal_program
 
 
@@ -155,11 +155,59 @@ def test_deterministic_program_has_one_maximal_run(grid_cayleys):
 
 def test_fail_prunes_exactly_the_guilty_runs(grid_cayleys):
     g = grid_cayleys[(1, 2)].graph
+    # guesses fold into the next pebble action, so each resolution takes
+    # the jump into its own state (the jump's point, its valuation)
     prog = parse_program(
-        "guess a : bool\nguess b : bool\nif a {\nif b {\nfail\n}\n}\naccept")
+        "pebble p\nguess a : bool\nguess b : bool\njump p to s\n"
+        "if a {\nif b {\nfail\n}\n}\naccept")
     jag = compile_program(prog, 1)
     runs = enumerate_runs(jag, g, max_len=20)
     assert len(runs) == 3  # four guess resolutions, one pruned
+
+
+def test_max_run_len_counts_pebble_actions(grid_cayleys):
+    """A guess and a branch are no steps: ``accept`` is the only one."""
+    g = grid_cayleys[(1, 2)].graph
+    prog = parse_program("guess b : bool\nif b {\n}\naccept")
+    jag = compile_program(prog, g.degree)
+    for bound, want in ((0, Verdict.RESOURCE_LIMIT), (1, Verdict.ACCEPT)):
+        limits = Limits(max_run_len=bound)
+        assert interpret(prog, g, limits).verdict is want
+        assert accepts(jag, g, limits) is want
+
+
+def test_control_only_cycles_terminate(grid_cayleys):
+    g = grid_cayleys[(1, 2)].graph
+    spin = parse_program("while s == s {\n}\naccept")
+    assert spin.bind(1).fold(0, (), (1, 1)) == []
+    reguess = parse_program(
+        "guess b : bool\nwhile b {\nguess b : bool\n}\naccept")
+    assert reguess.bind(1).fold(0, (False,), (1, 1)) == [(4, (False,))]
+    for prog, want, configs in ((spin, Verdict.REJECT, 1),
+                                (reguess, Verdict.ACCEPT, 2)):
+        res = interpret(prog, g)
+        assert (res.verdict, res.configs_explored) == (want, configs)
+        assert accepts(compile_program(prog, g.degree), g) is want
+
+
+def test_run_and_verify_count_the_same_configurations():
+    """Both report the configurations discovered when a budget runs out."""
+    g = LabelledGraph(4, 2, ((2, 1), (3, 0), (0, 3), (1, 2)), 0, 3)
+    prog = grid_traversal_program(g.degree)
+    jag = compile_program(prog, g.degree)
+    cg = build_config_graph(jag, g)
+    depth = {}
+    for config, parent in cg.parent.items():  # parents come first
+        depth[config] = 0 if parent is None else depth[parent] + 1
+    half = depth[cg.accepting[0]] // 2
+    # one below the configurations of depth <= half: the search stops
+    # before it expands level half
+    budget = sum(d <= half for d in depth.values()) - 1
+    for limits in (Limits(max_configs=budget), Limits(max_run_len=half)):
+        res = interpret(prog, g, limits)
+        report = verify(jag, g, limits)
+        assert res.verdict is report.verdict is Verdict.RESOURCE_LIMIT
+        assert res.configs_explored == report.configs_explored
 
 
 def test_bisimulation_verdict_and_order(grid_cayleys):
