@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen, run, verify, connect, oracle, spotcheck.  Exit codes are
-the machine-readable verdict channel: 0 accept/connected, 1 reject/
-disconnected, 2 resource limit or cap exceeded, 3 input error.  All output
-is line-oriented plain text with stable keys.
+Subcommands: gen, run, verify, connect, oracle, wreath-count, spotcheck.
+Exit codes are the machine-readable verdict channel: 0 accept/connected,
+1 reject/disconnected, 2 resource limit or cap exceeded, 3 input error.
+All output is line-oriented plain text with stable keys.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Grammar (line oriented; ``#`` starts a comment; blocks use braces):
     visit <p>                  # place curr on <p>'s node
     if <cond> { ... } [else { ... }]
     while <cond> { ... }
-    for <id> = <a> to <b> { ... }
+    for <id> = <a> to <b> { ... }   # a, b: integer, direction variable, or d
     fail
     accept
 
@@ -52,6 +52,10 @@ _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
              "else", "while", "for", "fail", "accept", "along", "to", "at",
              "bool", "target", "start", "not", "true", "false"}
+
+
+# the lines that close a block; only the first block of an if takes _ELSE
+_CLOSE, _ELSE = ["}"], ["}", "else", "{"]
 
 
 def _tokens(line: str) -> list[str]:
@@ -122,15 +126,13 @@ def parse_program(text: str) -> PebbleProgram:
                     spec = ("1..d",)
                 elif toks[3] == "{" and toks[-1] == "}":
                     vals = [t for t in toks[4:-1] if t != ","]
-                    body_vals = []
                     # allow {a..b} contiguous shorthand alongside comma lists
-                    if ".." in vals:
-                        if len(vals) == 3 and vals[1] == "..":
-                            body_vals = list(range(int(vals[0]), int(vals[2]) + 1))
-                        else:
-                            raise ProgramError("malformed domain", line=lineno)
-                    else:
+                    if ".." not in vals:
                         body_vals = [int(v) for v in vals]
+                    elif len(vals) == 3 and vals[1] == "..":
+                        body_vals = list(range(int(vals[0]), int(vals[2]) + 1))
+                    else:
+                        raise ProgramError("malformed domain", line=lineno)
                     if not body_vals:
                         raise ProgramError("empty domain", line=lineno)
                     spec = ("set", tuple(sorted(set(body_vals))))
@@ -167,27 +169,21 @@ def parse_program(text: str) -> PebbleProgram:
         if name not in pebble_names:
             raise ProgramError(f"undeclared pebble {name!r}", line=lineno)
 
-    def parse_label(tok, lineno):
-        if tok.isdigit():
-            val = int(tok)
-            if val < 1:
-                raise ProgramError("edge labels start at 1", line=lineno)
-            return ("lit", val)
-        if tok == "d":
-            return ("degree",)
-        if tok in dir_names:
-            return ("var", tok)
-        raise ProgramError(f"{tok!r} is not a label or direction variable",
-                           line=lineno)
-
-    def parse_bound(tok, lineno):
+    def operand(tok, lineno, what):
+        """A label or loop bound: a literal, ``d``, or a dir variable."""
         if tok.isdigit():
             return ("lit", int(tok))
         if tok == "d":
             return ("degree",)
         if tok in dir_names:
             return ("var", tok)
-        raise ProgramError(f"{tok!r} is not a loop bound", line=lineno)
+        raise ProgramError(f"{tok!r} is not {what}", line=lineno)
+
+    def move(p, tok, lineno):
+        label = operand(tok, lineno, "a label or direction variable")
+        if label == ("lit", 0):
+            raise ProgramError("edge labels start at 1", line=lineno)
+        return ("move", p, label, lineno)
 
     def parse_cond(toks, lineno):
         if len(toks) == 1:
@@ -201,42 +197,47 @@ def parse_program(text: str) -> PebbleProgram:
             return ("eq" if toks[1] == "==" else "ne", toks[0], toks[2])
         raise ProgramError("malformed condition", line=lineno)
 
-    def parse_block(pos):
+    def block(pos, open_line, closers):
+        """The statements from ``pos`` up to their closing line, which must
+        be one of ``closers``; returns (statements, closer, next position)."""
+        stmts, pos = statements(pos)
+        if pos == len(lines):
+            raise ProgramError("missing '}' for block", line=open_line)
+        lineno, toks = lines[pos]
+        if toks not in closers:
+            raise ProgramError("unexpected 'else'" if toks == _ELSE
+                               else "malformed '}' line", line=lineno)
+        return stmts, toks, pos + 1
+
+    def statements(pos):
+        """The statements up to the next '}' line, and that line's position."""
         stmts = []
-        while pos < len(lines):
+        while pos < len(lines) and lines[pos][1][0] != "}":
             lineno, toks = lines[pos]
+            pos += 1
             head = toks[0]
-            if head == "}":
-                return tuple(stmts), pos
             if head in ("pebble", "dir"):
                 raise ProgramError("declarations must precede statements",
                                    line=lineno)
             if head == "guess":
-                if len(toks) == 2:
-                    name = toks[1]
-                    if name in dir_names or name in bool_names:
-                        stmts.append(("guess", name, lineno))
-                    else:
-                        raise ProgramError(f"undeclared variable {name!r}",
-                                           line=lineno)
-                elif len(toks) == 4 and toks[2] == ":" and toks[3] == "bool":
-                    stmts.append(("guess", toks[1], lineno))
-                else:
+                # the pre-pass declared the variable of guess <id> : bool
+                if len(toks) == 2 and toks[1] not in dir_names | bool_names:
+                    raise ProgramError(f"undeclared variable {toks[1]!r}",
+                                       line=lineno)
+                if len(toks) != 2 and toks[2:] != [":", "bool"]:
                     raise ProgramError("malformed guess", line=lineno)
-                pos += 1
+                stmts.append(("guess", toks[1], lineno))
             elif head == "move":
                 if len(toks) != 4 or toks[2] != "along":
                     raise ProgramError("expected: move <p> along <e>", line=lineno)
                 need_pebble(toks[1], lineno)
-                stmts.append(("move", toks[1], parse_label(toks[3], lineno), lineno))
-                pos += 1
+                stmts.append(move(toks[1], toks[3], lineno))
             elif head == "jump":
                 if len(toks) != 4 or toks[2] != "to":
                     raise ProgramError("expected: jump <p> to <q>", line=lineno)
                 need_pebble(toks[1], lineno)
                 need_pebble(toks[3], lineno)
                 stmts.append(("jump", toks[1], toks[3], lineno))
-                pos += 1
             elif head == "visit":
                 if len(toks) != 2:
                     raise ProgramError("expected: visit <p>", line=lineno)
@@ -245,33 +246,23 @@ def parse_program(text: str) -> PebbleProgram:
                     raise ProgramError("visit needs a declared curr pebble",
                                        line=lineno)
                 stmts.append(("jump", "curr", toks[1], lineno))
-                pos += 1
             elif head == "fail":
                 stmts.append(("fail", lineno))
-                pos += 1
             elif head == "accept":
                 stmts.append(("accept", lineno))
-                pos += 1
             elif head == "if" or head == "while":
                 if toks[-1] != "{":
                     raise ProgramError("expected '{' at line end", line=lineno)
                 cond = parse_cond(toks[1:-1], lineno)
-                block, pos = parse_block(pos + 1)
                 if head == "while":
-                    _expect_close(lines, pos, lineno)
-                    stmts.append(("while", cond, block, lineno))
-                    pos += 1
-                else:
-                    close_toks = lines[pos][1] if pos < len(lines) else None
-                    if close_toks == ["}", "else", "{"]:
-                        else_block, pos = parse_block(pos + 1)
-                        _expect_close(lines, pos, lineno)
-                        stmts.append(("if", cond, block, else_block, lineno))
-                        pos += 1
-                    else:
-                        _expect_close(lines, pos, lineno)
-                        stmts.append(("if", cond, block, (), lineno))
-                        pos += 1
+                    body, _, pos = block(pos, lineno, (_CLOSE,))
+                    stmts.append(("while", cond, body, lineno))
+                else:  # only the first block of an if may close with an else
+                    body, close, pos = block(pos, lineno, (_CLOSE, _ELSE))
+                    else_body = ()
+                    if close == _ELSE:
+                        else_body, _, pos = block(pos, lineno, (_CLOSE,))
+                    stmts.append(("if", cond, body, else_body, lineno))
             elif head == "for":
                 # for <id> = <a> to <b> {
                 if len(toks) != 7 or toks[2] != "=" or toks[4] != "to" \
@@ -282,39 +273,27 @@ def parse_program(text: str) -> PebbleProgram:
                 if var not in dir_names:
                     raise ProgramError(f"loop variable {var!r} is not a dir",
                                        line=lineno)
-                a = parse_bound(toks[3], lineno)
-                b = parse_bound(toks[5], lineno)
-                block, pos = parse_block(pos + 1)
-                _expect_close(lines, pos, lineno)
-                stmts.append(("for", var, a, b, block, lineno))
-                pos += 1
+                a = operand(toks[3], lineno, "a loop bound")
+                b = operand(toks[5], lineno, "a loop bound")
+                body, _, pos = block(pos, lineno, (_CLOSE,))
+                stmts.append(("for", var, a, b, body, lineno))
             elif len(toks) >= 3 and toks[1] == ":=":
                 need_pebble(head, lineno)
                 need_pebble(toks[2], lineno)
-                if len(toks) == 3:
-                    stmts.append(("jump", head, toks[2], lineno))
-                elif len(toks) == 5 and toks[3] == ".":
-                    stmts.append(("jump", head, toks[2], lineno))
-                    stmts.append(("move", head, parse_label(toks[4], lineno), lineno))
-                else:
+                if len(toks) != 3 and (len(toks) != 5 or toks[3] != "."):
                     raise ProgramError("expected: <p> := <q> or <p> := <q>.<e>",
                                        line=lineno)
-                pos += 1
+                stmts.append(("jump", head, toks[2], lineno))
+                if len(toks) == 5:  # <p> := <q>.<e> jumps, then moves
+                    stmts.append(move(head, toks[4], lineno))
             else:
                 raise ProgramError(f"unrecognized statement {head!r}", line=lineno)
         return tuple(stmts), pos
 
-    body, pos = parse_block(idx)
+    body, pos = statements(idx)
     if pos != len(lines):
         raise ProgramError("unbalanced '}'", line=lines[pos][0])
     return PebbleProgram(tuple(pebbles), tuple(dirs), tuple(bools), body, text)
-
-
-def _expect_close(lines, pos, open_line):
-    if pos >= len(lines) or lines[pos][1][0] != "}":
-        raise ProgramError("missing '}' for block", line=open_line)
-    if lines[pos][1] not in (["}"], ["}", "else", "{"]):
-        raise ProgramError("malformed '}' line", line=lines[pos][0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +306,10 @@ _ACTIONS = ("move", "jump", "accept")  # the instructions that are steps
 class BoundProgram:
     """Program lowered to flat instructions for a concrete graph degree."""
 
-    program: PebbleProgram
-    degree: int
     pebble_names: tuple
     s_idx: int
     t_idx: int
     curr_idx: int | None
-    var_names: tuple
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
@@ -411,27 +387,11 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
     domains += [(False, True)] * len(prog.bools)
     init_vals = tuple(dom[0] for dom in domains)
 
-    def label_expr(e, lineno):
-        if e[0] == "lit":
-            if e[1] > degree:
-                raise ProgramError(f"label {e[1]} exceeds degree {degree}",
-                                   line=lineno)
-            return ("lit", e[1])
+    def operand(e):
+        """A label or loop bound with ``d`` and variables resolved."""
         if e[0] == "degree":
             return ("lit", degree)
-        vi = vidx[e[1]]
-        # only variables used as move labels must be degree-closed
-        if any(not 1 <= v <= degree for v in domains[vi]):
-            raise ProgramError(f"domain of {e[1]!r} not within 1..{degree}",
-                               line=lineno)
-        return ("var", vi)
-
-    def bound_expr(e, lineno):
-        if e[0] == "lit":
-            return ("lit", e[1])
-        if e[0] == "degree":
-            return ("lit", degree)
-        return ("var", vidx[e[1]])
+        return ("var", vidx[e[1]]) if e[0] == "var" else e
 
     instrs: list = []
 
@@ -446,7 +406,17 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
             if kind == "jump":
                 emit(("jump", pidx[st[1]], pidx[st[2]]))
             elif kind == "move":
-                emit(("move", pidx[st[1]], label_expr(st[2], lineno)))
+                label = operand(st[2])
+                if label[0] == "lit" and label[1] > degree:
+                    raise ProgramError(f"label {label[1]} exceeds degree {degree}",
+                                       line=lineno)
+                # only variables used as move labels must be degree-closed
+                if label[0] == "var" and \
+                        any(not 1 <= v <= degree for v in domains[label[1]]):
+                    raise ProgramError(
+                        f"domain of {st[2][1]!r} not within 1..{degree}",
+                        line=lineno)
+                emit(("move", pidx[st[1]], label))
             elif kind == "guess":
                 emit(("guess", vidx[st[1]]))
             elif kind == "fail":
@@ -479,7 +449,7 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
                     raise ProgramError(
                         f"for-loop variable {var!r} needs a contiguous domain",
                         line=lineno)
-                av, bv = bound_expr(a, lineno), bound_expr(b, lineno)
+                av, bv = operand(a), operand(b)
                 # assignments must stay inside the counter's domain
                 amin = av[1] if av[0] == "lit" else min(domains[av[1]])
                 bmax = bv[1] if bv[0] == "lit" else max(domains[bv[1]])
@@ -505,9 +475,8 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
             emit(("jump", pidx[name], t_idx))
     walk(prog.body)
     emit(("fail",))  # falling off the end rejects
-    return BoundProgram(prog, degree, tuple(pebble_names), s_idx, t_idx,
-                        curr_idx, tuple(var_names), tuple(domains), init_vals,
-                        tuple(instrs))
+    return BoundProgram(tuple(pebble_names), s_idx, t_idx, curr_idx,
+                        tuple(domains), init_vals, tuple(instrs))
 
 
 def _branch(cond, then_pt, else_pt, vidx, pidx):
@@ -560,7 +529,7 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
         pt, vals, nodes = state
         if pt == end:
             return ()
-        # most states sit on an action, which is its own fold: skip the call
+        # an action is its own fold: skip the call and its seen-set
         acts = [(pt, vals)] if instrs[pt][0] in _ACTIONS else \
             fold(pt, vals, nodes)
         out = []

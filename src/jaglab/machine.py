@@ -430,10 +430,15 @@ def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
 
 def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
                     config_graph: ConfigGraph | None = None):
-    """Decide orderability; returns (flag, canonical first-visit order).
+    """Decide whether all accepting runs share one first-visit order;
+    returns (flag, canonical first-visit order).
 
     The canonical order is that of the BFS-shortest accepting run (None if
-    none accepts); orderable iff every accepting run shares it.
+    none accepts); the flag is true iff every accepting run shares it.  This
+    is only the shared-order half of orderability: it does not check
+    traversability.  ``verify`` reports ``orderable`` as traversable and
+    shared, so an automaton that jumps ``curr`` straight to the targetnode
+    gets a true flag here and ``orderable: false`` from ``verify``.
     """
     cg = _complete_graph(jag, g, limits, config_graph, "orderability")
     order = accepting_run_visits(cg)

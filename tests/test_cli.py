@@ -208,6 +208,29 @@ def test_builtin_order_programs(tmp_path):
     assert code == 0 and "orderable: true" in out
 
 
+@pytest.mark.parametrize("program, spec", [
+    ("product-order", "direct(grid:d=1,l=3, sym:n=3)"),
+    ("canon-order", "wreath(grid:d=1,l=2, grid:d=1,l=3)"),
+    ("co-st-conn", "sym:n=3"),
+])
+def test_builtin_tower_programs_visit_in_tower_order(tmp_path, program, spec):
+    path = tmp_path / "g.graph"
+    run_cli(["gen", spec, "-o", str(path)])
+    code, order, _ = run_cli(["oracle", "order", "--family", spec])
+    assert code == 0
+    code, out, _ = run_cli(["verify", program, str(path), "--family", spec])
+    assert code == 0 and "orderable: true" in out
+    assert f"visit_order: {' '.join(order.split())}" in out.splitlines()
+
+
+def test_connect_co_st_conn(tmp_path):
+    path = tmp_path / "s3.graph"
+    run_cli(["gen", "sym:n=3", "--target", "4", "-o", str(path)])
+    code, out, _ = run_cli(["connect", "co-st-conn", str(path),
+                            "--family", "sym:n=3"])
+    assert code == 0 and out.strip() == "connected"
+
+
 def test_wreath_count_cli():
     code, out, _ = run_cli(["wreath-count", "--family",
                             "wreath(grid:d=1,l=2, grid:d=1,l=2)"])

@@ -261,6 +261,81 @@ def test_syntax_errors_carry_line_numbers():
         parse_program("pebble p\nwhile p == p {\nfail")  # missing brace
 
 
+@pytest.mark.parametrize("source, line", [
+    # a while block closed by an else
+    ("pebble p\nwhile p == s {\nfail\n} else {\naccept\n}", 4),
+    # a for block closed by an else
+    ("pebble p\ndir c : {1..2}\nfor c = 1 to 2 {\nmove p along 1\n"
+     "} else {\naccept\n}", 5),
+    # a second else after an if ... else
+    ("pebble p\nif p == s {\nfail\n} else {\nfail\n} else {\naccept\n}", 6),
+    # nested in an if, the misplaced else once parsed without an error
+    ("pebble p\nguess b : bool\nif b {\nwhile p == s {\nfail\n} else {\n"
+     "accept\n}\naccept", 6),
+], ids=["while", "for", "second-else", "nested-while"])
+def test_only_an_if_block_closes_with_else(source, line):
+    with pytest.raises(ProgramError, match="unexpected 'else'") as exc:
+        parse_program(source)
+    assert exc.value.line == line
+
+
+def test_lowering_of_every_statement_form():
+    prog = parse_program("""\
+pebble curr
+pebble a at target
+pebble b at start
+dir x : 1..d
+dir y : {2,1}
+dir c : {1..3}
+guess x
+guess f : bool
+if a == s {
+    move curr along x
+} else {
+    move curr along d
+}
+if f {
+    fail
+}
+while a != t {
+    a := t
+}
+for c = 1 to 2 {
+    move b along 1
+}
+for c = x to y {
+    guess y
+}
+jump b to curr
+b := a.2
+visit b
+accept
+""")
+    bp = prog.bind(2)
+    assert bp.pebble_names == ("curr", "a", "b", "s", "t")
+    assert (bp.s_idx, bp.t_idx, bp.curr_idx) == (4, 5, 1)
+    assert bp.var_domains == ((1, 2), (1, 2), (1, 2, 3), (False, True))
+    assert bp.init_vals == (1, 1, 1, False)
+    assert bp.instrs == (
+        ("jump", 2, 5),                                        # a at target
+        ("guess", 0), ("guess", 3),
+        ("ifeq", 2, 4, 4, 6),
+        ("move", 1, ("var", 0)), ("goto", 7),
+        ("move", 1, ("lit", 2)),                               # along d
+        ("ifvar", 3, 8, 9), ("fail",),
+        ("ifeq", 2, 5, 12, 10), ("jump", 2, 5), ("goto", 9),  # while a != t
+        ("forstart", 2, ("lit", 1), ("lit", 2), 13, 15),
+        ("move", 3, ("lit", 1)),
+        ("fornext", 2, ("lit", 2), 13, 15),
+        ("forstart", 2, ("var", 0), ("var", 1), 16, 18),
+        ("guess", 1),
+        ("fornext", 2, ("var", 1), 16, 18),
+        ("jump", 3, 1),
+        ("jump", 3, 2), ("move", 3, ("lit", 2)),               # b := a.2
+        ("jump", 1, 3),                                        # visit b
+        ("accept",), ("fail",))
+
+
 def _random_program(rng):
     lines = ["pebble curr", "pebble a", "dir x : 1..d"]
 
