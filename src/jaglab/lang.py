@@ -58,7 +58,7 @@ _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
 _CLOSE, _ELSE = ["}"], ["}", "else", "{"]
 
 
-def _tokens(line: str) -> list[str]:
+def _tokens(line: str, lineno: int) -> list[str]:
     out = []
     pos = 0
     while pos < len(line):
@@ -67,7 +67,8 @@ def _tokens(line: str) -> list[str]:
             continue
         m = _TOKEN.match(line, pos)
         if not m:
-            raise ProgramError(f"cannot tokenize at {line[pos:]!r}")
+            raise ProgramError(f"cannot tokenize at {line[pos:]!r}",
+                               line=lineno)
         out.append(m.group(0))
         pos = m.end()
     return out
@@ -92,7 +93,7 @@ def parse_program(text: str) -> PebbleProgram:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            lines.append((lineno, _tokens(stripped)))
+            lines.append((lineno, _tokens(stripped, lineno)))
 
     pebbles: list = []
     dirs: list = []
@@ -126,6 +127,11 @@ def parse_program(text: str) -> PebbleProgram:
                     spec = ("1..d",)
                 elif toks[3] == "{" and toks[-1] == "}":
                     vals = [t for t in toks[4:-1] if t != ","]
+                    for v in vals:
+                        if v != ".." and not v.isdigit():
+                            raise ProgramError(
+                                f"domain value {v!r} is not an integer",
+                                line=lineno)
                     # allow {a..b} contiguous shorthand alongside comma lists
                     if ".." not in vals:
                         body_vals = [int(v) for v in vals]
@@ -141,6 +147,8 @@ def parse_program(text: str) -> PebbleProgram:
             else:
                 raise ProgramError("malformed dir declaration", line=lineno)
             declare(toks[1], lineno)
+            if toks[1] in ("s", "t"):
+                raise ProgramError("'s' and 't' are pebble names", line=lineno)
             dirs.append((toks[1], spec))
             idx += 1
         else:
@@ -148,8 +156,6 @@ def parse_program(text: str) -> PebbleProgram:
 
     pebble_names = {name for name, _ in pebbles}
     dir_names = {name for name, _ in dirs}
-    if dir_names & {"s", "t"}:
-        raise ProgramError("'s' and 't' are pebble names")
     pebble_names |= {"s", "t"}  # designated pebbles exist implicitly
 
     # collect implicit boolean declarations
@@ -246,10 +252,10 @@ def parse_program(text: str) -> PebbleProgram:
                     raise ProgramError("visit needs a declared curr pebble",
                                        line=lineno)
                 stmts.append(("jump", "curr", toks[1], lineno))
-            elif head == "fail":
-                stmts.append(("fail", lineno))
-            elif head == "accept":
-                stmts.append(("accept", lineno))
+            elif head == "fail" or head == "accept":
+                if len(toks) != 1:
+                    raise ProgramError(f"expected: {head}", line=lineno)
+                stmts.append((head, lineno))
             elif head == "if" or head == "while":
                 if toks[-1] != "{":
                     raise ProgramError("expected '{' at line end", line=lineno)

@@ -25,7 +25,6 @@ import enum
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DiagnosticError, InputError, ResourceLimitExceeded
@@ -63,11 +62,7 @@ class Limits:
 
 def partition_of(nodes: tuple) -> tuple:
     """Canonical incidence partition: each pebble's least co-located index."""
-    first: dict = {}
-    out = []
-    for i, v in enumerate(nodes):
-        out.append(first.setdefault(v, i + 1))
-    return tuple(out)
+    return tuple([nodes.index(v) + 1 for v in nodes])
 
 
 def all_partitions(p: int):
@@ -87,8 +82,10 @@ class NdJag:
 
     ``delta`` maps (state, partition) to a tuple of (next_state, moves);
     it may be an explicit dict (absent keys mean no transitions) or a
-    callable.  Pebbles s and t are designated; curr is optional and is the
-    pebble whose placements define visit orders.
+    callable.  A callable must be a function of ``(state, partition)``:
+    a configuration-graph build asks it once per key and reuses the answer
+    for every configuration with that key.  Pebbles s and t are designated;
+    curr is optional and is the pebble whose placements define visit orders.
     """
 
     def __init__(self, start_state, accept_state, num_pebbles: int,
@@ -135,24 +132,64 @@ def initial_config(jag: NdJag, g: LabelledGraph) -> Configuration:
 
 
 def apply_moves(g: LabelledGraph, nodes: tuple, moves: tuple) -> tuple:
-    """All moves read the old placement; jumps and edge-walks are simultaneous."""
+    """All moves read the old placement; jumps and edge-walks are simultaneous.
+
+    The step of the run-tree oracle (``enumerate_runs``,
+    ``replay_curr_visits``); the configuration-graph build has its own, in
+    ``successors``.
+    """
     rho = g.rho
     out = []
     for i, mv in enumerate(moves):
         if mv > 0:
-            if mv > g.degree:
-                raise InputError(f"move label {mv} exceeds degree {g.degree}")
             out.append(rho[nodes[i]][mv - 1])
         else:
             out.append(nodes[-mv - 1])
     return tuple(out)
 
 
-def step(jag: NdJag, g: LabelledGraph, config: Configuration) -> list[Configuration]:
-    """All successor configurations of ``config`` (may be empty: dead)."""
-    succs = []
-    for nxt, moves in jag.transitions(config.state, partition_of(config.nodes)):
-        succs.append(Configuration(nxt, apply_moves(g, config.nodes, moves)))
+def successors(jag: NdJag, g: LabelledGraph) -> Callable:
+    """The successor function of one configuration-graph build.
+
+    It maps a configuration to the list of its successors (empty: dead).
+    The control sees only ``(state, partition)``, so ``jag.transitions`` is
+    asked once per such key and its answer kept in a table that lives as
+    long as the returned function.  Each move vector is checked when its
+    key enters the table, i.e. at the first configuration that would apply
+    it: its labels against the degree and, since a callable ``delta`` is
+    not checked when the automaton is made, its length and encoding.
+    """
+    table: dict = {}
+    transitions = jag.transitions
+    p = jag.num_pebbles
+    rho = g.rho
+    degree = g.degree
+    new = tuple.__new__
+
+    def succs(config):
+        state, nodes = config
+        key = (state, partition_of(nodes))
+        outs = table.get(key)
+        if outs is None:
+            outs = tuple(transitions(*key))
+            for _, moves in outs:
+                if len(moves) != p:
+                    raise InputError("move vector length != pebble count")
+                for mv in moves:
+                    if mv > degree or mv == 0 or mv < -p:
+                        raise InputError(
+                            f"move label {mv} exceeds degree {degree}"
+                            if mv > degree else f"bad move encoding {mv}")
+            table[key] = outs
+        result = []
+        for nxt, moves in outs:
+            out = []
+            for v, mv in zip(nodes, moves):
+                out.append(rho[v][mv - 1] if mv > 0 else nodes[-mv - 1])
+            # tuple.__new__ skips the Python-level NamedTuple constructor
+            result.append(new(Configuration, (nxt, tuple(out))))
+        return result
+
     return succs
 
 
@@ -251,7 +288,7 @@ def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
             nodes[peb - 1] = node
         init = init._replace(nodes=tuple(nodes))
     cg = ConfigGraph(jag, g, init)
-    cg.parent, cg.limit_hit = expand(init, partial(step, jag, g), limits,
+    cg.parent, cg.limit_hit = expand(init, successors(jag, g), limits,
                                      cg.adj.__setitem__)
     cg.accepting = [c for c in cg.adj if c.state == jag.accept_state]
     return cg

@@ -259,6 +259,18 @@ def test_syntax_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(ProgramError):
         parse_program("pebble p\nwhile p == p {\nfail")  # missing brace
+    for source, line, message in [
+        ("pebble p\ndir x : {a}\naccept", 2, "'a' is not an integer"),
+        ("pebble p\ndir x : {a..3}\naccept", 2, "'a' is not an integer"),
+        ("pebble p\ndir x : {1, b}\naccept", 2, "'b' is not an integer"),
+        ("pebble p\naccept p now", 2, "expected: accept"),
+        ("pebble p\nfail now\naccept", 2, "expected: fail"),
+        ("pebble p\n@ accept", 2, "cannot tokenize at '@ accept'"),
+        ("pebble p\ndir t : 1..d\naccept", 2, "'s' and 't' are pebble names"),
+    ]:
+        with pytest.raises(ProgramError, match=message) as exc:
+            parse_program(source)
+        assert exc.value.line == line, source
 
 
 @pytest.mark.parametrize("source, line", [

@@ -11,7 +11,8 @@ from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             check_orderable, check_traversable,
                             decide_co_st_connectivity, enumerate_runs,
                             initial_config, parse_jag, partition_of,
-                            replay_curr_visits, serialize_jag, step, verify)
+                            replay_curr_visits, serialize_jag, successors,
+                            verify)
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import random_graph, random_jag
@@ -77,22 +78,77 @@ def test_step_mutual_jump_swaps(grid_cayleys):
     g = grid_cayleys[(2, 2)].graph
     rules = {("q0", (1, 2)): (("q1", (-2, -1)),)}
     jag = NdJag("q0", "qa", 2, delta=rules)
-    succs = step(jag, g, Configuration("q0", (0, 3)))
+    succs = successors(jag, g)(Configuration("q0", (0, 3)))
     assert succs == [Configuration("q1", (3, 0))]
 
 
 def test_step_dead_configuration(grid_cayleys):
     g = grid_cayleys[(2, 2)].graph
     jag = NdJag("q0", "qa", 2, delta={})
-    assert step(jag, g, Configuration("q0", (0, 0))) == []
+    assert successors(jag, g)(Configuration("q0", (0, 0))) == []
 
 
 def test_step_move_along(grid_cayleys):
     g = grid_cayleys[(1, 5)].graph  # a single cycle
     rules = {("q0", (1,)): (("q0", (1,)),)}
     jag = NdJag("q0", "qa", 1, s=1, t=1, delta=rules)
-    succs = step(jag, g, Configuration("q0", (0,)))
+    succs = successors(jag, g)(Configuration("q0", (0,)))
     assert succs == [Configuration("q0", (1,))]
+
+
+def test_move_label_above_degree_is_input_error(grid_cayleys):
+    g = grid_cayleys[(2, 2)].graph  # degree 2
+    # label 3 only becomes applicable after a first step, at a new key
+    rules = {("q0", (1,)): (("q1", (-1,)),),
+             ("q1", (1,)): (("qa", (3,)),)}
+
+    def fn(state, pi):
+        return rules.get((state, pi), ())
+
+    for delta in (rules, fn):
+        jag = NdJag("q0", "qa", 1, s=1, t=1, delta=delta)
+        with pytest.raises(InputError, match="move label 3 exceeds degree 2"):
+            build_config_graph(jag, g)
+        with pytest.raises(InputError, match="move label 3 exceeds degree 2"):
+            verify(jag, g)
+
+
+@pytest.mark.parametrize("moves, message", [
+    ((0,), "bad move encoding 0"),
+    ((-2,), "bad move encoding -2"),
+    ((-1, -1), "move vector length"),
+])
+def test_callable_delta_moves_are_checked(grid_cayleys, moves, message):
+    # a rule table is checked when the automaton is made, a callable when
+    # the build first asks it
+    jag = NdJag("q0", "qa", 1, s=1, t=1,
+                delta=lambda state, pi: (("qa", moves),) if state == "q0" else ())
+    with pytest.raises(InputError, match=message):
+        build_config_graph(jag, grid_cayleys[(2, 2)].graph)
+    with pytest.raises(InputError, match=message):
+        NdJag("q0", "qa", 1, s=1, t=1, delta={("q0", (1,)): (("qa", moves),)})
+
+
+def test_build_asks_delta_once_per_key(grid_cayleys):
+    g = grid_cayleys[(2, 3)].graph
+    prog = grid_traversal_program()
+    compiled = compile_program(prog, g.degree)
+    calls = []
+
+    def counting(state, pi):
+        calls.append((state, pi))
+        return compiled.transitions(state, pi)
+
+    jag = NdJag(compiled.start_state, compiled.accept_state,
+                compiled.num_pebbles, s=compiled.s, t=compiled.t,
+                curr=compiled.curr, delta=counting)
+    for _ in range(2):  # the table lives for one build only
+        calls.clear()
+        cg = build_config_graph(jag, g)
+        keys = {(c.state, partition_of(c.nodes)) for c in cg.adj}
+        assert len(calls) == len(keys) == len(set(calls))
+        assert set(calls) == keys
+        assert len(cg.adj) > len(keys)  # keys are shared by configurations
 
 
 def test_step_simultaneity_is_order_independent(grid_cayleys):
