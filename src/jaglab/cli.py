@@ -51,8 +51,10 @@ def _apply_graph_flags(g, args):
 
 
 def _load_graph(args):
+    if args.graph is None:
+        raise InputError(f"oracle {args.kind} needs a graph file")
     path = Path(args.graph)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"no such graph file: {path}")
     return _apply_graph_flags(parse_graph(path.read_text()), args)
 
@@ -78,7 +80,7 @@ def _resolve_program(args, g):
         alg.check_tower(family.graph, family.tower)
         return alg.tower_program(family.tower)
     path = Path(name)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"no such program: {name!r} (builtins: grid-traverse, "
                          f"{', '.join(_TOWER_PROGRAMS)})")
     return parse_program(path.read_text())
@@ -88,7 +90,10 @@ def cmd_gen(args) -> int:
     g = _apply_graph_flags(parse_family(args.family_spec).graph, args)
     text = serialize_graph(g)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return EXIT_ACCEPT

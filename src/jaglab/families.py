@@ -24,6 +24,7 @@ from .errors import InputError
 from .groups import CayleyGraph, cayley_graph
 
 _TUPLE = re.compile(r"\(([^()]*)\)")
+_GENS = re.compile(r"(\s*\([^()]*\))+\s*")
 
 
 @dataclass(frozen=True)
@@ -73,17 +74,33 @@ def _split_args(body: str) -> list[str]:
     return args
 
 
-def _params(body: str, sep: str = ",") -> dict:
+def _params(body: str, keys: tuple, optional: tuple = (), sep: str = ",") -> dict:
+    """Split ``key=value`` items; every one of ``keys`` is required, the
+    ``optional`` ones may appear, and no other key may."""
     out = {}
     for item in body.split(sep):
         item = item.strip()
         if not item:
             continue
         key, eq, val = item.partition("=")
+        key = key.strip()
         if not eq:
             raise InputError(f"expected key=value in family spec, got {item!r}")
-        out[key.strip()] = val.strip()
+        if key not in keys + optional or key in out:
+            raise InputError(f"unknown or repeated family parameter {key!r}")
+        out[key] = val.strip()
+    for key in keys:
+        if key not in out:
+            raise InputError(f"family spec needs {key}=...")
     return out
+
+
+def _int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"family parameter {key} must be an integer, "
+                         f"got {text!r}") from None
 
 
 def parse_family(spec: str, targetnode=None) -> Family:
@@ -126,36 +143,35 @@ def parse_family(spec: str, targetnode=None) -> Family:
     body = rest[1:]
 
     if kind == "grid":
-        p = _params(body)
-        group, gens = groups.grid_group(int(p["d"]), int(p["l"]))
+        p = _params(body, ("d", "l"))
+        group, gens = groups.grid_group(_int(p["d"], "d"), _int(p["l"], "l"))
         cay = cayley_graph(group, gens, targetnode)
         return Family(kind, spec, group, gens, cay, alg.abelian_tower(cay))
 
     if kind == "abelian":
-        parts = _params(body, sep=";")
-        if "mod" not in parts:
-            raise InputError("abelian spec needs mod=...")
-        moduli = tuple(int(x) for x in parts["mod"].split(","))
+        parts = _params(body, ("mod",), ("gens",), sep=";")
+        moduli = tuple(_int(x, "mod") for x in parts["mod"].split(","))
         gens_arg = None
         if "gens" in parts:
-            tuples = _TUPLE.findall(parts["gens"])
-            if not tuples:
+            if not _GENS.fullmatch(parts["gens"]):
                 raise InputError("gens must be tuples like (1,0)(0,1)")
-            gens_arg = [tuple(int(x) for x in t.split(",")) for t in tuples]
+            tuples = _TUPLE.findall(parts["gens"])
+            gens_arg = [tuple(_int(x, "gens") for x in t.split(","))
+                        for t in tuples]
         group, gens = groups.abelian_group(moduli, gens_arg)
         cay = cayley_graph(group, gens, targetnode)
         return Family(kind, spec, group, gens, cay, alg.abelian_tower(cay))
 
     if kind == "sym":
-        p = _params(body)
-        n = int(p["n"])
+        p = _params(body, ("n",))
+        n = _int(p["n"], "n")
         group, gens = groups.symmetric_group(n)
         cay = cayley_graph(group, gens, targetnode)
         return Family(kind, spec, group, gens, cay, alg.symmetric_tower(n))
 
     if kind == "gl":
-        p = _params(body)
-        group, gens = groups.gl_group(int(p["n"]), int(p["p"]))
+        p = _params(body, ("n", "p"))
+        group, gens = groups.gl_group(_int(p["n"], "n"), _int(p["p"], "p"))
         cay = cayley_graph(group, gens, targetnode)
         return Family(kind, spec, group, gens, cay, None)
 

@@ -175,10 +175,9 @@ def abelian_group(moduli: Sequence[int], gens: Sequence[Sequence[int]] | None = 
     if gens is None:
         gen_list = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
     else:
+        if any(len(g) != k for g in gens):
+            raise InputError("generator arity does not match moduli")
         gen_list = tuple(tuple(int(x) % moduli[i] for i, x in enumerate(g)) for g in gens)
-        for g in gens:
-            if len(g) != k:
-                raise InputError("generator arity does not match moduli")
     if len(subgroup_closure(group, gen_list)) != size:
         raise InputError(f"{name}: given generators do not generate the group")
     return group, gen_list

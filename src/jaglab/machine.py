@@ -110,13 +110,9 @@ class NdJag:
             self._fn = delta
         else:
             rules = {k: tuple(v) for k, v in (delta or {}).items()}
-            for (state, pi), outs in rules.items():
-                for nxt, moves in outs:
-                    if len(moves) != num_pebbles:
-                        raise InputError("move vector length != pebble count")
-                    for mv in moves:
-                        if mv == 0 or mv < -num_pebbles:
-                            raise InputError(f"bad move encoding {mv}")
+            for outs in rules.values():
+                for _, moves in outs:
+                    _check_moves(moves, num_pebbles)
             self.rules = rules
             self._fn = lambda state, pi: rules.get((state, pi), ())
 
@@ -131,21 +127,29 @@ def initial_config(jag: NdJag, g: LabelledGraph) -> Configuration:
     return Configuration(jag.start_state, nodes)
 
 
+def _check_moves(moves: tuple, num_pebbles: int, degree: int | None = None):
+    """Raise ``InputError`` unless ``moves`` has one move per pebble, each a
+    jump to a pebble or a label of at most ``degree`` (None: not checked).
+    ``successors`` has a copy inline, which is cheaper per key."""
+    if len(moves) != num_pebbles:
+        raise InputError("move vector length != pebble count")
+    for mv in moves:
+        if degree is not None and mv > degree:
+            raise InputError(f"move label {mv} exceeds degree {degree}")
+        if mv == 0 or mv < -num_pebbles:
+            raise InputError(f"bad move encoding {mv}")
+
+
 def apply_moves(g: LabelledGraph, nodes: tuple, moves: tuple) -> tuple:
     """All moves read the old placement; jumps and edge-walks are simultaneous.
 
-    The step of the run-tree oracle (``enumerate_runs``,
+    The checked step of the run-tree oracle (``enumerate_runs``,
     ``replay_curr_visits``); the configuration-graph build has its own, in
     ``successors``.
     """
-    rho = g.rho
-    out = []
-    for i, mv in enumerate(moves):
-        if mv > 0:
-            out.append(rho[nodes[i]][mv - 1])
-        else:
-            out.append(nodes[-mv - 1])
-    return tuple(out)
+    _check_moves(moves, len(nodes), g.degree)
+    return tuple(g.rho[v][mv - 1] if mv > 0 else nodes[-mv - 1]
+                 for v, mv in zip(nodes, moves))
 
 
 def successors(jag: NdJag, g: LabelledGraph) -> Callable:
@@ -406,52 +410,41 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
             work.append(s)
 
 
-def _traversable(cg: ConfigGraph) -> bool:
-    """Traversability on a complete configuration graph.
+def _curr_pass(cg: ConfigGraph, order: tuple):
+    """Yield ``(covers, follows)`` for each value ``_accept_values`` carries
+    into an accept configuration of a complete configuration graph.
 
-    One pass gives each configuration the bitset of nodes that curr occupies
-    on every run to it (a must-visit dataflow, as in Cooper, Harvey and
-    Kennedy's dominance algorithm); every accept configuration's set must
-    cover the reachable nodes.
+    A value is one int: the bitset of nodes that curr occupies on every run
+    to the configuration (a must-visit dataflow, as in Cooper, Harvey and
+    Kennedy's dominance algorithm), plus an "on order" bit at position
+    ``num_nodes``, set while no run has left ``order``, the first-visit
+    sequence of some accepting run.  The join is ``&``.  On order, each
+    run's visited set is a prefix of ``order``; the join keeps the shortest,
+    and a run with a shorter prefix goes wrong wherever a longer one does,
+    so the join is exact.  ``covers``: the bitset holds every node reachable
+    from the startnode.  ``follows``: every run is on order and has visited
+    all of it.  Neither comes back once false.
     """
-    if not cg.accepting:
-        return False
     g = cg.graph
     curr = cg.jag.curr - 1
-    need = 0
-    for v in reachable_set(g, g.startnode):
-        need |= 1 << v
-    visited = _accept_values(cg, 1 << cg.initial.nodes[curr],
-                             lambda bits, c: bits | 1 << c.nodes[curr],
-                             operator.and_)
-    return all(bits & need == need for bits in visited)
+    on = 1 << g.num_nodes
+    need = sum(1 << v for v in reachable_set(g, g.startnode))
+    # nexts[k]: the bit of the node after a prefix of length k (0: none)
+    nexts = [1 << v for v in order] + [0]
+    complete = on | sum(nexts)
 
+    def extend(value, config):
+        bit = 1 << config.nodes[curr]
+        if value & bit:
+            return value
+        if value & on and bit != nexts[value.bit_count() - 1]:
+            value ^= on
+        return value | bit
 
-def _orderable(cg: ConfigGraph, order: tuple) -> bool:
-    """True iff every accepting run has the first-visit sequence ``order``,
-    the one of some accepting run.
-
-    Each run's progress through ``order`` is a prefix index; any placement
-    of curr on a node outside the visited prefix other than order[index]
-    marks the run as deviating for good.  Orderable iff no run accepts
-    deviating or with the prefix incomplete.
-    """
-    pos = {v: i for i, v in enumerate(order)}
-    curr = cg.jag.curr - 1
-    deviated = -1
-
-    def advance(idx, config):
-        p = pos.get(config.nodes[curr])
-        if idx == deviated or p is None or p > idx:
-            return deviated
-        return idx + 1 if p == idx else idx
-
-    # advance is monotone in idx (deviated lowest), so a run with a smaller
-    # index goes wrong on every continuation where one with a larger index
-    # does: keeping the least index per configuration is exact.  The
-    # initial curr placement is order[0] by construction.
-    reached = _accept_values(cg, 1, advance, min)
-    return all(idx == len(order) for idx in reached)
+    # the canonical order starts at curr's initial node by construction
+    for value in _accept_values(cg, on | 1 << cg.initial.nodes[curr], extend,
+                                operator.and_):
+        yield value & need == need, value == complete
 
 
 def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
@@ -462,7 +455,9 @@ def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     every node reachable from the startnode.
     """
     cg = _complete_graph(jag, g, limits, config_graph, "traversability")
-    return _traversable(cg), accepting_run_visits(cg)
+    order = accepting_run_visits(cg)
+    return (order is not None
+            and all(covers for covers, _ in _curr_pass(cg, order))), order
 
 
 def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
@@ -479,7 +474,8 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     """
     cg = _complete_graph(jag, g, limits, config_graph, "orderability")
     order = accepting_run_visits(cg)
-    return order is not None and _orderable(cg, order), order
+    return (order is not None
+            and all(follows for _, follows in _curr_pass(cg, order))), order
 
 
 def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
@@ -543,8 +539,12 @@ def verify(jag: NdJag, g: LabelledGraph,
     visit_order = None
     if jag.curr is not None:
         visit_order = accepting_run_visits(cg)
-        traversable = _traversable(cg)
-        orderable = traversable and _orderable(cg, visit_order)
+        traversable = orderable = visit_order is not None
+        for covers, follows in _curr_pass(cg, visit_order) if visit_order else ():
+            if not covers:  # neither flag can hold now
+                traversable = orderable = False
+                break
+            orderable = orderable and follows
     return VerificationReport(verdict, traversable, orderable, visit_order,
                               cg.configs_explored)
 

@@ -46,6 +46,11 @@ def test_gen_bad_spec_exit3():
     assert code == 3 and "input error" in err
 
 
+def test_gen_to_directory_exit3(tmp_path):
+    code, _, err = run_cli(["gen", "sym:n=3", "-o", str(tmp_path)])
+    assert code == 3 and "cannot write" in err
+
+
 def test_gen_target_out_of_range_exit3():
     code, _, err = run_cli(["gen", "grid:d=2,l=2", "--target", "4"])
     assert code == 3 and "--target 4 out of range" in err
@@ -124,6 +129,35 @@ def test_run_limit_exit2(grid22_file):
 def test_run_missing_program_exit3(grid22_file):
     code, _, err = run_cli(["run", "no-such-thing", str(grid22_file)])
     assert code == 3
+
+
+@pytest.mark.parametrize("kind", ["reach", "undirected"])
+def test_oracle_without_graph_exit3(kind):
+    code, _, err = run_cli(["oracle", kind])
+    assert code == 3 and "needs a graph file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "grid-traverse", "{dir}"],
+    ["verify", "grid-traverse", "{dir}"],
+    ["connect", "grid-traverse", "{dir}"],
+    ["oracle", "reach", "{dir}"],
+    ["oracle", "undirected", "{dir}"],
+    ["run", "{dir}", "{graph}"],
+    ["verify", "{dir}", "{graph}"],
+])
+def test_directory_paths_exit3(tmp_path, grid22_file, argv):
+    argv = [a.format(dir=tmp_path, graph=grid22_file) for a in argv]
+    code, _, err = run_cli(argv)
+    assert code == 3 and "input error" in err
+
+
+def test_connect_malformed_family_exit3(tmp_path):
+    path = tmp_path / "s3.graph"
+    run_cli(["gen", "sym:n=3", "-o", str(path)])
+    code, _, err = run_cli(["connect", "co-st-conn", str(path),
+                            "--family", "sym:m=3"])
+    assert code == 3 and "input error" in err
 
 
 def test_verify_report_keys(grid22_file):

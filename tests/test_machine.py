@@ -129,6 +129,23 @@ def test_callable_delta_moves_are_checked(grid_cayleys, moves, message):
         NdJag("q0", "qa", 1, s=1, t=1, delta={("q0", (1,)): (("qa", moves),)})
 
 
+@pytest.mark.parametrize("moves, message", [
+    ((-1, -1), "move vector length"),
+    ((0,), "bad move encoding 0"),
+    ((2,), "move label 2 exceeds degree 1"),
+])
+def test_oracle_step_checks_moves_like_the_build(moves, message):
+    g = LabelledGraph(2, 1, ((1,), (0,)), 0, 1)  # degree 1
+    jag = NdJag("q0", "qa", 1, s=1, t=1, curr=1,
+                delta=lambda state, pi: (("qa", moves),) if state == "q0" else ())
+    with pytest.raises(InputError, match=message):
+        build_config_graph(jag, g)
+    with pytest.raises(InputError, match=message):
+        enumerate_runs(jag, g, max_len=2)
+    with pytest.raises(InputError, match=message):
+        replay_curr_visits(jag, g, [("qa", moves)])
+
+
 def test_build_asks_delta_once_per_key(grid_cayleys):
     g = grid_cayleys[(2, 3)].graph
     prog = grid_traversal_program()
