@@ -214,14 +214,9 @@ def counting_capacity(e: int, pebbles: int) -> int:
 
 def counter_values(cay: CayleyGraph, gen_index: int) -> list[int]:
     """The counter positions 0..e-1 as nodes along the chosen generator."""
-    g = cay.gens[gen_index - 1]
-    e = element_order(cay.group, g)
-    node = cay.graph.startnode
-    out = [node]
-    for _ in range(e - 1):
-        node = cay.graph.step(node, gen_index)
-        out.append(node)
-    return out
+    e = element_order(cay.group, cay.gens[gen_index - 1])
+    return tower_order(cay.graph,
+                       CanonicalTower((TowerPosition((gen_index,), e),)))
 
 
 def count_to_max_order_program(degree: int) -> PebbleProgram:
@@ -275,11 +270,9 @@ def abelian_e_values(group: FiniteGroup, gens: Sequence) -> tuple[int, ...]:
     return tuple(es)
 
 
-def abelian_canonical_exponents(group: FiniteGroup, gens: Sequence, x,
-                                e_values: Sequence[int] | None = None) -> tuple:
+def abelian_canonical_exponents(group: FiniteGroup, gens: Sequence, x) -> tuple:
     """The unique digit tuple (t_i < e_i) whose generator word reaches x."""
-    es = tuple(e_values) if e_values is not None else abelian_e_values(group, gens)
-    for digits in digit_tuples(es):
+    for digits in digit_tuples(abelian_e_values(group, gens)):
         y = group.identity
         for g, t in zip(gens, digits):
             y = group.multiply(power(group, g, t), y)
@@ -290,11 +283,8 @@ def abelian_canonical_exponents(group: FiniteGroup, gens: Sequence, x,
 
 def abelian_canonical_path(group: FiniteGroup, gens: Sequence, x) -> tuple[int, ...]:
     """Label word of the canonical path to x: t_1 ones, then t_2 twos, ..."""
-    digits = abelian_canonical_exponents(group, gens, x)
-    word: list[int] = []
-    for i, t in enumerate(digits, start=1):
-        word += [i] * t
-    return tuple(word)
+    tower = _generator_tower(abelian_e_values(group, gens))
+    return tower.word(abelian_canonical_exponents(group, gens, x))
 
 
 @dataclass(frozen=True)
@@ -315,13 +305,12 @@ def abelian_ordering_run(cay: CayleyGraph) -> tuple[list[int], list[AbelianOrder
     tuple in successor order.  Returns (visit order, induction trail).
     """
     g = cay.graph
-    d = g.degree
     start = g.startnode
     states = [AbelianOrderingState(0, start, 0)]
     enumerated = {start}
     es: list[int] = []
     gmax, nmax = start, 0
-    for i in range(1, d + 1):
+    for i in range(1, g.degree + 1):
         # advance: walk gmax . g_i^t until membership in the enumerated subgroup
         node = g.step(gmax, i)
         t = 1
@@ -334,15 +323,8 @@ def abelian_ordering_run(cay: CayleyGraph) -> tuple[list[int], list[AbelianOrder
         gmax = target(g, gmax, [i] * (t - 1))
         nmax += t - 1
         states.append(AbelianOrderingState(i, gmax, nmax))
-        enumerated = {
-            target(g, start, sum(([j + 1] * dj for j, dj in enumerate(digits)), []))
-            for digits in digit_tuples(es)}
-    order = []
-    for digits in digit_tuples(es):
-        word: list[int] = []
-        for j, t in enumerate(digits, start=1):
-            word += [j] * t
-        order.append(target(g, start, word))
+        order = tower_order(g, _generator_tower(es))
+        enumerated = set(order)
     return order, states
 
 
@@ -363,17 +345,25 @@ class CanonicalTower:
     def bounds(self) -> tuple[int, ...]:
         return tuple(p.size for p in self.positions)
 
+    def word(self, digits: Sequence[int]) -> tuple[int, ...]:
+        """Label word of a digit tuple: each position's word, digit times."""
+        word: tuple[int, ...] = ()
+        for pos, t in zip(self.positions, digits):
+            word += pos.word * t
+        return word
+
+
+def _generator_tower(es: Sequence[int]) -> CanonicalTower:
+    """One position per generator: position i steps along label i, bound e_i."""
+    return CanonicalTower(tuple(
+        TowerPosition((i,), e) for i, e in enumerate(es, start=1)))
+
 
 def tower_order(g: LabelledGraph, tower: CanonicalTower) -> list[int]:
     """Visit order: every digit tuple in successor order, mapped to nodes by
     walking the concatenated position words from the startnode."""
-    order = []
-    for digits in digit_tuples(tower.bounds):
-        word: list[int] = []
-        for pos, t in zip(tower.positions, digits):
-            word += list(pos.word) * t
-        order.append(target(g, g.startnode, word))
-    return order
+    return [target(g, g.startnode, tower.word(digits))
+            for digits in digit_tuples(tower.bounds)]
 
 
 def check_tower(g: LabelledGraph, tower: CanonicalTower) -> list[int]:
@@ -388,9 +378,7 @@ def check_tower(g: LabelledGraph, tower: CanonicalTower) -> list[int]:
 
 
 def abelian_tower(cay: CayleyGraph) -> CanonicalTower:
-    es = abelian_e_values(cay.group, cay.gens)
-    return CanonicalTower(tuple(
-        TowerPosition((i,), e) for i, e in enumerate(es, start=1)))
+    return _generator_tower(abelian_e_values(cay.group, cay.gens))
 
 
 def symmetric_tower(n: int) -> CanonicalTower:

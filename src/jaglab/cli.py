@@ -2,7 +2,8 @@
 
 Subcommands: gen, run, verify, connect, oracle, wreath-count, spotcheck.
 Exit codes are the machine-readable verdict channel: 0 accept/connected,
-1 reject/disconnected, 2 resource limit or cap exceeded, 3 input error.
+1 reject/disconnected, 2 resource limit or cap exceeded, 3 input error
+(command-line usage errors included).
 All output is line-oriented plain text with stable keys.
 """
 
@@ -17,7 +18,7 @@ from .errors import (CapExceeded, DiagnosticError, InputError,
                      ResourceLimitExceeded)
 from .families import Family, max_generator_order, parse_family
 from .graph import (is_undirected, parse_graph, reachable_set, reduce_degree,
-                    serialize_graph)
+                    serialize_graph, validate_components)
 from .lang import compile_program, interpret, parse_program
 from .machine import Limits, Verdict, verify as machine_verify, accepts, \
     accepting_run_visits, build_config_graph, decide_co_st_connectivity
@@ -40,13 +41,15 @@ def _limits(args) -> Limits:
 
 
 def _apply_graph_flags(g, args):
-    """Apply ``--target`` and ``--degree-reduce`` to a graph."""
+    """Apply ``--target`` and ``--degree-reduce`` to a graph; the result
+    must still keep the input convention of a graph file."""
     if args.target is not None:
         if not 0 <= args.target < g.num_nodes:
             raise InputError(f"--target {args.target} out of range")
         g = type(g)(g.num_nodes, g.degree, g.rho, g.startnode, args.target)
     if args.degree_reduce:
         g = reduce_degree(g)
+    validate_components(g)
     return g
 
 
@@ -224,12 +227,31 @@ def cmd_spotcheck(args) -> int:
     return EXIT_ACCEPT if result.ok else EXIT_REJECT
 
 
+def _count(text: str) -> int:
+    """Type of a count option: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 3); exit 2 is a resource limit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p):
     p.add_argument("graph", help="graph file")
     p.add_argument("--family", help="family spec for builtin program names")
-    p.add_argument("--limits-configs", type=int, default=10_000_000,
+    p.add_argument("--limits-configs", type=_count, default=10_000_000,
                    help="configuration budget")
-    p.add_argument("--max-run-len", type=int, default=None)
+    p.add_argument("--max-run-len", type=_count, default=None)
     p.add_argument("--degree-reduce", action="store_true",
                    help="apply the degree-3 reduction to the input graph")
     p.add_argument("--target", type=int, default=None,
@@ -237,8 +259,8 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="jaglab")
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap = _Parser(prog="jaglab")
+    sub = ap.add_subparsers(dest="command", required=True)  # parsers are _Parser too
 
     p = sub.add_parser("gen", help="emit a graph file for a family spec")
     p.add_argument("family_spec")
@@ -271,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--bound", type=int, default=None,
                    help="reversal bound for the undirected check")
-    p.add_argument("--pebbles", type=int, default=1,
+    p.add_argument("--pebbles", type=_count, default=1,
                    help="counting pebbles for the maxorder capacity")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--degree-reduce", action="store_true")
@@ -283,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spotcheck",
                        help="randomized reachability-vs-enumeration agreement")
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limits-configs", type=int, default=10_000)
+    p.add_argument("--limits-configs", type=_count, default=10_000)
     p.set_defaults(fn=cmd_spotcheck)
 
     return ap

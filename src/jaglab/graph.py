@@ -8,7 +8,6 @@ construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,17 +64,25 @@ def target(g: LabelledGraph, v: int, w: Path) -> int:
     return v
 
 
+def closure(start, step) -> set:
+    """Everything reachable from ``start`` by repeated ``step`` (BFS).
+
+    ``step(x)`` yields the neighbours of ``x``.  Reachable nodes, weak
+    components, subgroups and group elements are all this one search.
+    """
+    seen = {start}
+    queue = [start]
+    for x in queue:  # the queue grows while it is read
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def reachable_set(g: LabelledGraph, v: int) -> frozenset[int]:
     """All nodes reachable from ``v`` along labelled edges (directed sense)."""
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for nxt in g.rho[u]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+    return frozenset(closure(v, g.rho.__getitem__))
 
 
 def weak_components(g: LabelledGraph) -> list[frozenset[int]]:
@@ -88,18 +95,9 @@ def weak_components(g: LabelledGraph) -> list[frozenset[int]]:
     comps = []
     seen: set[int] = set()
     for root in range(g.num_nodes):
-        if root in seen:
-            continue
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if root not in seen:
+            comps.append(frozenset(closure(root, adj.__getitem__)))
+            seen |= comps[-1]
     return comps
 
 

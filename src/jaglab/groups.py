@@ -1,7 +1,10 @@
 """Finite groups as first-class values, group families, and Cayley graphs.
 
-Groups are multiplication oracles plus a full enumeration of the element
-domain; everything here is desk-scale, guarded by a configurable cap.
+A group is whatever its generators reach from the identity: its elements
+are the sorted closure of the identity under left multiplication by the
+generators, and that sorted order is the node numbering of its Cayley
+graphs.  Each family checks that closure against the order it expects;
+everything here is desk-scale, guarded by a configurable cap.
 Permutations multiply left-to-right in the standard sense: ``(a*b)(x) =
 a(b(x))``, i.e. the right factor acts first.  Cayley edges use left
 multiplication: the edge labelled i maps v to gens[i-1] * v.
@@ -9,13 +12,13 @@ multiplication: the edge labelled i maps v to gens[i-1] * v.
 
 from __future__ import annotations
 
-import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import CapExceeded, InputError
-from .graph import LabelledGraph
+from .graph import LabelledGraph, closure
 
 DEFAULT_CAP = 10 ** 6
 
@@ -41,20 +44,21 @@ def _check_cap(size: int, what: str) -> None:
 
 
 class FiniteGroup:
-    """A finite group given by enumeration plus multiply/inverse oracles."""
+    """The group generated by ``gens`` under multiply/inverse oracles.
 
-    def __init__(self, name: str, elements: Sequence, identity,
-                 multiply: Callable, inverse: Callable):
+    ``elements`` is the sorted closure of the identity under left
+    multiplication by ``gens``; ``index`` maps each element to its position.
+    """
+
+    def __init__(self, name: str, identity, multiply: Callable,
+                 inverse: Callable, gens: Sequence):
         self.name = name
-        self.elements = tuple(elements)
         self.identity = identity
         self.multiply = multiply
         self.inverse = inverse
+        self.elements = tuple(sorted(closure(
+            identity, lambda x: [multiply(g, x) for g in gens])))
         self.index = {e: i for i, e in enumerate(self.elements)}
-        if identity not in self.index:
-            raise InputError(f"{name}: identity not among elements")
-        if len(self.index) != len(self.elements):
-            raise InputError(f"{name}: duplicate elements in enumeration")
 
     @property
     def order(self) -> int:
@@ -64,7 +68,9 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-GeneratorSet = tuple
+def _expect_order(group: FiniteGroup, size: int) -> None:
+    if group.order != size:
+        raise InputError(f"{group.name}: given generators do not generate the group")
 
 
 def element_order(group: FiniteGroup, x) -> int:
@@ -80,20 +86,10 @@ def element_order(group: FiniteGroup, x) -> int:
 
 
 def subgroup_closure(group: FiniteGroup, xs: Sequence) -> frozenset:
-    """Closure of ``xs`` under multiplication and inverse."""
-    closure = {group.identity}
-    frontier = [group.identity]
-    gens = list(xs) + [group.inverse(x) for x in xs]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = group.multiply(g, a)
-                if b not in closure:
-                    closure.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(closure)
+    """The subgroup generated by ``xs``: in a finite group, the closure of
+    the identity under multiplication alone."""
+    mul = group.multiply
+    return frozenset(closure(group.identity, lambda a: [mul(g, a) for g in xs]))
 
 
 def power(group: FiniteGroup, x, n: int):
@@ -156,9 +152,7 @@ def abelian_group(moduli: Sequence[int], gens: Sequence[Sequence[int]] | None = 
     moduli = tuple(int(m) for m in moduli)
     if not moduli or any(m < 1 for m in moduli):
         raise InputError("moduli must be positive integers")
-    size = 1
-    for m in moduli:
-        size *= m
+    size = math.prod(moduli)
     _check_cap(size, "abelian group")
     k = len(moduli)
 
@@ -168,18 +162,15 @@ def abelian_group(moduli: Sequence[int], gens: Sequence[Sequence[int]] | None = 
     def inv(a):
         return tuple((-a[i]) % moduli[i] for i in range(k))
 
-    elements = tuple(itertools.product(*(range(m) for m in moduli)))
-    name = "Z" + "x".join(f"Z{m}" for m in moduli) if k > 1 else f"Z{moduli[0]}"
-    group = FiniteGroup(name, elements, (0,) * k, mul, inv)
-
     if gens is None:
         gen_list = tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k))
     else:
         if any(len(g) != k for g in gens):
             raise InputError("generator arity does not match moduli")
         gen_list = tuple(tuple(int(x) % moduli[i] for i, x in enumerate(g)) for g in gens)
-    if len(subgroup_closure(group, gen_list)) != size:
-        raise InputError(f"{name}: given generators do not generate the group")
+    name = "Z" + "x".join(f"Z{m}" for m in moduli) if k > 1 else f"Z{moduli[0]}"
+    group = FiniteGroup(name, (0,) * k, mul, inv, gen_list)
+    _expect_order(group, size)
     return group, gen_list
 
 
@@ -209,20 +200,14 @@ def symmetric_group(n: int):
     """S(n) with generators (cy, sw): cy is i -> i+1 cyclically, sw swaps 1,2."""
     if n < 2:
         raise InputError("symmetric group needs n >= 2")
-    _check_cap(_factorial(n), "symmetric group")
-    elements = tuple(itertools.permutations(range(1, n + 1)))
-    identity = tuple(range(1, n + 1))
-    group = FiniteGroup(f"S{n}", elements, identity, _perm_mul, _perm_inv)
+    size = math.factorial(n)
+    _check_cap(size, "symmetric group")
     cy = tuple(list(range(2, n + 1)) + [1])
     sw = tuple([2, 1] + list(range(3, n + 1)))
+    group = FiniteGroup(f"S{n}", tuple(range(1, n + 1)), _perm_mul, _perm_inv,
+                        (cy, sw))
+    _expect_order(group, size)
     return group, (cy, sw)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 CY, SW = 1, 2
@@ -280,25 +265,6 @@ def _mat_inv(p):
     return inv
 
 
-def _det(a, p):
-    n = len(a)
-    m = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            f = m[r][col] * inv % p
-            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -339,16 +305,6 @@ def gl_group(n: int, p: int):
     for i in range(n):
         order *= p ** n - p ** i
     _check_cap(order, "general linear group")
-    _check_cap(p ** (n * n), "matrix enumeration")
-
-    mul = _mat_mul(p)
-    elements = tuple(
-        m for m in (tuple(tuple(row) for row in mat)
-                    for mat in itertools.product(
-                        itertools.product(range(p), repeat=n), repeat=n))
-        if _det(m, p))
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    group = FiniteGroup(f"GL({n},{p})", elements, identity, mul, _mat_inv(p))
 
     w = primitive_root(p)
     def colop(fn):
@@ -360,7 +316,11 @@ def gl_group(n: int, p: int):
     g_add = colop(lambda c: [c[0], [(x + y) % p for x, y in zip(c[0], c[1])]] + c[2:])
     g_swap = colop(lambda c: [c[1], c[0]] + c[2:])
     g_rot = colop(lambda c: c[1:] + [c[0]])
-    return group, (g_scale, g_add, g_swap, g_rot)
+    gens = (g_scale, g_add, g_swap, g_rot)
+    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    group = FiniteGroup(f"GL({n},{p})", identity, _mat_mul(p), _mat_inv(p), gens)
+    _expect_order(group, order)
+    return group, gens
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +328,8 @@ def gl_group(n: int, p: int):
 
 def direct_product(g_group: FiniteGroup, g_gens, h_group: FiniteGroup, h_gens):
     """Componentwise product; generators are G's embedded first, then H's."""
-    _check_cap(g_group.order * h_group.order, "direct product")
+    size = g_group.order * h_group.order
+    _check_cap(size, "direct product")
 
     def mul(a, b):
         return (g_group.multiply(a[0], b[0]), h_group.multiply(a[1], b[1]))
@@ -376,12 +337,11 @@ def direct_product(g_group: FiniteGroup, g_gens, h_group: FiniteGroup, h_gens):
     def inv(a):
         return (g_group.inverse(a[0]), h_group.inverse(a[1]))
 
-    elements = tuple(itertools.product(g_group.elements, h_group.elements))
-    identity = (g_group.identity, h_group.identity)
-    group = FiniteGroup(f"({g_group.name}x{h_group.name})", elements, identity,
-                        mul, inv)
     gens = tuple((g, h_group.identity) for g in g_gens)
     gens += tuple((g_group.identity, h) for h in h_gens)
+    group = FiniteGroup(f"({g_group.name}x{h_group.name})",
+                        (g_group.identity, h_group.identity), mul, inv, gens)
+    _expect_order(group, size)
     return group, gens
 
 
@@ -427,13 +387,11 @@ class WreathStructure:
             return (fp, hi)
 
         one = (tuple(g_id for _ in h_elems), h_group.identity)
-        elements = tuple(
-            (f, h) for f in itertools.product(g_group.elements, repeat=len(h_elems))
-            for h in h_elems)
-        self.group = FiniteGroup(f"({g_group.name} wr {h_group.name})", elements,
-                                 one, mul, inv)
         self.gens = tuple(self.delta_left(g) for g in self.g_gens)
         self.gens += tuple(self.delta_right(h) for h in self.h_gens)
+        self.group = FiniteGroup(f"({g_group.name} wr {h_group.name})", one,
+                                 mul, inv, self.gens)
+        _expect_order(self.group, size)
 
     def delta_left(self, g):
         """Embedding of a G-element: the map supported at 1_H only."""

@@ -579,17 +579,27 @@ def serialize_jag(jag: NdJag) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _jag_int(tok: str, lineno: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise InputError(f"line {lineno}: {what} must be an integer, "
+                         f"got {tok!r}") from None
+
+
 def parse_jag(text: str) -> NdJag:
     states = None
     start = accept = None
     pebbles = None
     s_idx, t_idx, curr_idx = 1, 2, None
-    rules: dict = {}
+    rule_lines = []  # (line, state, partition, next state, moves)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
+        if toks[0] in ("start", "accept", "pebbles") and len(toks) != 2:
+            raise InputError(f"line {lineno}: {toks[0]} takes one argument")
         if toks[0] == "states":
             states = tuple(toks[1:])
         elif toks[0] == "start":
@@ -597,16 +607,17 @@ def parse_jag(text: str) -> NdJag:
         elif toks[0] == "accept":
             accept = toks[1]
         elif toks[0] == "pebbles":
-            pebbles = int(toks[1])
+            pebbles = _jag_int(toks[1], lineno, "pebbles")
         elif toks[0] == "designate":
             for item in toks[1:]:
                 key, _, val = item.partition("=")
+                what = f"designation {key}"
                 if key == "s":
-                    s_idx = int(val)
+                    s_idx = _jag_int(val, lineno, what)
                 elif key == "t":
-                    t_idx = int(val)
+                    t_idx = _jag_int(val, lineno, what)
                 elif key == "curr":
-                    curr_idx = int(val)
+                    curr_idx = _jag_int(val, lineno, what)
                 else:
                     raise InputError(f"line {lineno}: unknown designation {key}")
         elif "->" in toks:
@@ -614,20 +625,32 @@ def parse_jag(text: str) -> NdJag:
             if arrow != 2 or len(toks) < 4:
                 raise InputError(f"line {lineno}: malformed rule")
             state, pi_txt = toks[0], toks[1]
-            pi = tuple(int(x) for x in pi_txt.split(","))
+            pi = tuple(_jag_int(x, lineno, "partition entry")
+                       for x in pi_txt.split(","))
             nxt = toks[3]
             moves = []
             for tok in toks[4:]:
                 if tok[0] == "m":
-                    moves.append(int(tok[1:]))
+                    moves.append(_jag_int(tok[1:], lineno, "move label"))
                 elif tok[0] == "j":
-                    moves.append(-int(tok[1:]))
+                    moves.append(-_jag_int(tok[1:], lineno, "jump target"))
                 else:
                     raise InputError(f"line {lineno}: bad move {tok}")
-            rules.setdefault((state, pi), []).append((nxt, tuple(moves)))
+            rule_lines.append((lineno, state, pi, nxt, tuple(moves)))
         else:
             raise InputError(f"line {lineno}: unrecognized line")
     if start is None or accept is None or pebbles is None:
         raise InputError("missing start/accept/pebbles header")
+    rules: dict = {}
+    for lineno, state, pi, nxt, moves in rule_lines:
+        # a canonical vector is its own partition; any other never matches one
+        if len(pi) != pebbles or partition_of(pi) != pi:
+            raise InputError(f"line {lineno}: {','.join(map(str, pi))} is not "
+                             f"a partition vector of {pebbles} pebbles")
+        try:
+            _check_moves(moves, pebbles)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        rules.setdefault((state, pi), []).append((nxt, moves))
     return NdJag(start, accept, pebbles, s=s_idx, t=t_idx, curr=curr_idx,
-                 delta={k: tuple(v) for k, v in rules.items()}, states=states)
+                 delta=rules, states=states)

@@ -284,3 +284,51 @@ def test_run_grid_program_rejects_non_cayley(tmp_path):
     path.write_text("4 2 0 3\n2 1\n1 2\n1 0\n2 1\n")
     code, out, _ = run_cli(["run", "grid-traverse", str(path)])
     assert code == 1 and "verdict: reject" in out
+
+
+def test_target_keeps_input_convention(tmp_path):
+    # two 3-cycles; --target 1 leaves the second one without a pebble
+    two = tmp_path / "two.graph"
+    two.write_text("6 1 0 3\n1\n2\n0\n4\n5\n3\n")
+    code, _, _ = run_cli(["verify", "grid-traverse", str(two)])
+    assert code == 0  # as written, each component holds a pebble
+    for flags in (["--target", "1"], ["--target", "1", "--degree-reduce"]):
+        code, _, err = run_cli(["verify", "grid-traverse", str(two)] + flags)
+        assert code == 3
+        assert "component contains neither startnode nor targetnode" in err
+    # the same graph written with that targetnode is rejected alike
+    bad = tmp_path / "bad.graph"
+    bad.write_text("6 1 0 1\n1\n2\n0\n4\n5\n3\n")
+    code, _, err = run_cli(["verify", "grid-traverse", str(bad)])
+    assert code == 3
+    assert "component contains neither startnode nor targetnode" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "grid-traverse", "{graph}", "--limits-configs", "abc"],
+    ["verify", "grid-traverse", "{graph}", "--limits-configs", "-3"],
+    ["run", "grid-traverse", "{graph}", "--max-run-len", "-1"],
+    ["verify", "grid-traverse"],
+    ["oracle", "nope", "{graph}"],
+    ["oracle", "maxorder", "--family", "abelian:mod=4,2", "--pebbles", "-1"],
+    ["spotcheck", "--pairs", "-1"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit3(grid22_file, argv):
+    argv = [a.format(graph=grid22_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 3
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "-h"])
+    assert exc.value.code == 0
+
+
+def test_connect_budget_exit2(grid22_file):
+    code, _, err = run_cli(["connect", "grid-traverse", str(grid22_file),
+                            "--limits-configs", "50"])
+    assert code == 2
+    assert "limit: max_configs budget exhausted" in err

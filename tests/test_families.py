@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from jaglab.errors import InputError
 from jaglab.families import max_generator_order, parse_family
+from jaglab.graph import serialize_graph
 
 
 @pytest.mark.parametrize("spec,nodes,degree", [
@@ -70,3 +73,28 @@ def test_max_generator_order():
 def test_bad_specs_rejected(spec):
     with pytest.raises(InputError):
         parse_family(spec)
+
+
+# Node ids follow the sorted element order of each group; these digests of
+# the generated graph files pin that numbering for every family kind.
+@pytest.mark.parametrize("spec,digest", [
+    ("gl:n=2,p=3",
+     "fa48e2fd1f7d6877025202468aa69349469fde2f53ae15aef380452129a1d6d3"),
+    ("gl:n=3,p=2",
+     "7142d243f9fa07690628a18d99cc36e5cef2fbadeee72d93f4f983ab22740706"),
+    ("sym:n=4",
+     "933ca15cf11bc1609fb2b12969e3d70f3e88522a2ba8abad766189f9328148b5"),
+    ("abelian:mod=4,2;gens=(2,1)(1,0)",
+     "61371670e57651e54372bf05234c62dfdc6d19704ee9b01eed03ab77a3b64264"),
+    ("direct(sym:n=3, grid:d=1,l=3)",
+     "7fd8affbed27355f1a7b6f7c698f3b296bc6763d84f6752f8974fac47eb7c8d5"),
+    ("wreath(grid:d=1,l=2, grid:d=1,l=3)",
+     "43e88cb5713723a635257e557fe0bb235d4e1cb9491ef4994a77c6ffaee3737c"),
+    ("wreath(grid:d=1,l=3, grid:d=1,l=2)",
+     "7a0a471df66579dd91777dc738b464d211877817694dcafd45d6df54bf3eb31d"),
+    ("direct(wreath(grid:d=1,l=2, grid:d=1,l=2), grid:d=1,l=2)",
+     "bfb694edb95d586503fbd5ec118881c3cbfaf9a6ed7e0b9fe532ff30272d2ce4"),
+])
+def test_node_numbering_frozen(spec, digest):
+    text = serialize_graph(parse_family(spec).graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -501,8 +501,23 @@ def test_interchange_roundtrip():
 
 
 def test_parse_jag_rejects_bad_rows():
-    with pytest.raises(InputError):
-        parse_jag("states a b\nstart a\naccept b\npebbles 2\na 1,1 -> b x1\n")
+    head = "states a b\nstart a\naccept b\npebbles 2\n"
+    bad = [
+        (head + "a 1,1 -> b x1\n", 5),
+        ("states a b\nstart a\naccept b\npebbles x\n", 4),
+        (head + "designate curr=z\n", 5),
+        (head + "a 1,1 -> b mx m1\n", 5),
+        (head + "a x,1 -> b m1 m1\n", 5),
+        ("states a b\nstart\naccept b\npebbles 2\n", 2),
+        # not canonical partition vectors of 2 pebbles: such a rule never fires
+        (head + "a 1,1 -> b m1 m1\na 2,1 -> b m1 m1\n", 6),
+        (head + "a 1,1,1 -> b m1 m1\n", 5),
+        (head + "a 1,1 -> b m1 m1\na 1,1 -> b m0 m1\n", 6),
+        (head + "a 1,1 -> b m1\n", 5),
+    ]
+    for text, line in bad:
+        with pytest.raises(InputError, match=f"^line {line}: "):
+            parse_jag(text)
 
 
 def test_bad_designations_rejected():
@@ -533,3 +548,17 @@ def test_single_node_component_trivially_orderable():
     trav, _ = check_traversable(jag, g)
     ordb, order = check_orderable(jag, g)
     assert trav and ordb and order == (0,)
+
+
+def test_curr_deciders_name_the_budget_that_ran_out(grid_cayleys):
+    # the deciders need the complete configuration graph; a budget that
+    # stops the build short raises instead of deciding on part of it
+    g = grid_cayleys[(2, 2)].graph
+    jag = compile_program(grid_traversal_program(), 2)
+    deciders = (check_traversable, check_orderable, decide_co_st_connectivity)
+    for limits, name in ((Limits(max_configs=50), "max_configs"),
+                         (Limits(max_run_len=3), "max_run_len")):
+        for decide in deciders:
+            with pytest.raises(ResourceLimitExceeded,
+                               match=f"^{name} budget exhausted$"):
+                decide(jag, g, limits)
