@@ -48,6 +48,8 @@ class FiniteGroup:
 
     ``elements`` is the sorted closure of the identity under left
     multiplication by ``gens``; ``index`` maps each element to its position.
+    The closure's products are kept as the rows of the Cayley graph on
+    ``gens``, so ``cayley_graph`` need not multiply again.
     """
 
     def __init__(self, name: str, identity, multiply: Callable,
@@ -56,9 +58,19 @@ class FiniteGroup:
         self.identity = identity
         self.multiply = multiply
         self.inverse = inverse
-        self.elements = tuple(sorted(closure(
-            identity, lambda x: [multiply(g, x) for g in gens])))
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        gens = tuple(gens)
+        products = {}
+
+        def step(x):
+            products[x] = ys = [multiply(g, x) for g in gens]
+            return ys
+
+        self.elements = tuple(sorted(closure(identity, step)))
+        self.index = index = {e: i for i, e in enumerate(self.elements)}
+        self._gens = gens
+        # _rows[v][i]: the index of gens[i] * elements[v]
+        self._rows = tuple(tuple([index[y] for y in products[x]])
+                           for x in self.elements)
 
     @property
     def order(self) -> int:
@@ -128,15 +140,19 @@ def cayley_graph(group: FiniteGroup, gens: Sequence, targetnode=None) -> CayleyG
     for g in gens:
         if g not in group.index:
             raise InputError(f"generator {g!r} not a group element")
-    if len(subgroup_closure(group, gens)) != group.order:
-        raise InputError(f"{group.name}: generators do not generate the group")
     node_of = group.index
-    rows = []
-    for v in group.elements:
-        rows.append(tuple(node_of[group.multiply(g, v)] for g in gens))
+    if gens == group._gens:  # the group is their closure: rows recorded
+        rows = group._rows
+    else:
+        if len(subgroup_closure(group, gens)) != group.order:
+            raise InputError(
+                f"{group.name}: generators do not generate the group")
+        mul = group.multiply
+        rows = tuple(tuple(node_of[mul(g, v)] for g in gens)
+                     for v in group.elements)
     start = node_of[group.identity]
     tgt = start if targetnode is None else node_of[targetnode]
-    graph = LabelledGraph(group.order, len(gens), tuple(rows), start, tgt)
+    graph = LabelledGraph(group.order, len(gens), rows, start, tgt)
     return CayleyGraph(graph, group, gens, node_of)
 
 

@@ -22,6 +22,7 @@ never follow a transition out of an accept configuration.
 from __future__ import annotations
 
 import enum
+import gc
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -130,7 +131,8 @@ def initial_config(jag: NdJag, g: LabelledGraph) -> Configuration:
 def _check_moves(moves: tuple, num_pebbles: int, degree: int | None = None):
     """Raise ``InputError`` unless ``moves`` has one move per pebble, each a
     jump to a pebble or a label of at most ``degree`` (None: not checked).
-    ``successors`` has a copy inline, which is cheaper per key."""
+    ``successors`` has a copy inline, in the loop that fills its sparse
+    plans, which is cheaper per key."""
     if len(moves) != num_pebbles:
         raise InputError("move vector length != pebble count")
     for mv in moves:
@@ -162,6 +164,14 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
     key enters the table, i.e. at the first configuration that would apply
     it: its labels against the degree and, since a callable ``delta`` is
     not checked when the automaton is made, its length and encoding.
+
+    The table holds a sparse plan per transition, ``(next_state, steps)``:
+    ``steps`` lists only the pebbles that can move, by 0-based index i, as
+    ``(i, label - 1)`` for an edge-walk and ``(i, -j)`` for a jump to
+    pebble j.  A jump to the pebble itself or to one in the same block of
+    the partition cannot change the placement, so it is dropped when the
+    entry is filled; a transition with no steps keeps the placement tuple
+    as it is.
     """
     table: dict = {}
     transitions = jag.transitions
@@ -170,28 +180,45 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
     degree = g.degree
     new = tuple.__new__
 
+    def plan(key):
+        state, pi = key
+        outs = []
+        for nxt, moves in transitions(state, pi):
+            if len(moves) != p:
+                raise InputError("move vector length != pebble count")
+            steps = []
+            i = 0
+            for mv in moves:
+                if mv > 0:
+                    if mv > degree:
+                        raise InputError(
+                            f"move label {mv} exceeds degree {degree}")
+                    steps.append((i, mv - 1))
+                elif mv == 0 or mv < -p:
+                    raise InputError(f"bad move encoding {mv}")
+                elif pi[~mv] != pi[i]:
+                    steps.append((i, mv))
+                i += 1
+            outs.append((nxt, tuple(steps)))
+        table[key] = outs = tuple(outs)
+        return outs
+
     def succs(config):
         state, nodes = config
         key = (state, partition_of(nodes))
-        outs = table.get(key)
-        if outs is None:
-            outs = tuple(transitions(*key))
-            for _, moves in outs:
-                if len(moves) != p:
-                    raise InputError("move vector length != pebble count")
-                for mv in moves:
-                    if mv > degree or mv == 0 or mv < -p:
-                        raise InputError(
-                            f"move label {mv} exceeds degree {degree}"
-                            if mv > degree else f"bad move encoding {mv}")
-            table[key] = outs
+        plans = table.get(key)
+        if plans is None:
+            plans = plan(key)
         result = []
-        for nxt, moves in outs:
-            out = []
-            for v, mv in zip(nodes, moves):
-                out.append(rho[v][mv - 1] if mv > 0 else nodes[-mv - 1])
-            # tuple.__new__ skips the Python-level NamedTuple constructor
-            result.append(new(Configuration, (nxt, tuple(out))))
+        for nxt, steps in plans:
+            if steps:
+                out = list(nodes)
+                for i, m in steps:
+                    out[i] = rho[nodes[i]][m] if m >= 0 else nodes[~m]
+                # tuple.__new__ skips the Python-level NamedTuple constructor
+                result.append(new(Configuration, (nxt, tuple(out))))
+            else:
+                result.append(new(Configuration, (nxt, nodes)))
         return result
 
     return succs
@@ -233,30 +260,42 @@ def expand(initial, successors: Callable, limits: Limits,
     succs)`` sees each expanded configuration in BFS order together with
     its successors; a true result ends the search with no limit hit.
 
+    The cyclic garbage collector is paused for the search: configurations,
+    placements and successor lists hold no reference cycles, so its
+    passes, which grow with the heap, would find nothing to free.  The
+    caller's collector state is restored however the search ends, by a
+    return, a stop from ``visit`` or an exception.
+
     Returns ``(parent, limit_hit)``: ``parent`` maps every configuration
     discovered to the one it was first reached from (the initial one to
     None), and ``limit_hit`` names the budget that ran out, or is None.
     """
-    parent = {initial: None}
-    frontier = [initial]
-    depth = 0
-    while frontier:
-        if len(parent) > limits.max_configs:
-            return parent, "max_configs"
-        if limits.max_run_len is not None and depth > limits.max_run_len:
-            return parent, "max_run_len"
-        nxt = []
-        for config in frontier:
-            succs = successors(config)
-            if visit(config, succs):
-                return parent, None
-            for s in succs:
-                if s not in parent:
-                    parent[s] = config
-                    nxt.append(s)
-        frontier = nxt
-        depth += 1
-    return parent, None
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        parent = {initial: None}
+        frontier = [initial]
+        depth = 0
+        while frontier:
+            if len(parent) > limits.max_configs:
+                return parent, "max_configs"
+            if limits.max_run_len is not None and depth > limits.max_run_len:
+                return parent, "max_run_len"
+            nxt = []
+            for config in frontier:
+                succs = successors(config)
+                if visit(config, succs):
+                    return parent, None
+                for s in succs:
+                    if s not in parent:
+                        parent[s] = config
+                        nxt.append(s)
+            frontier = nxt
+            depth += 1
+        return parent, None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def first_visits(parent: dict, config, curr: int) -> tuple:

@@ -1,6 +1,8 @@
 import pytest
 
 from jaglab.groups import abelian_group, cayley_graph, grid_group
+from jaglab.machine import (Configuration, apply_moves, build_config_graph,
+                            partition_of, successors)
 
 GRID_CASES = [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)]
 
@@ -38,3 +40,19 @@ def abelian_corpus():
         group, gg = abelian_group(moduli, gens)
         out.append((moduli, gens, group, gg, cayley_graph(group, gg)))
     return out
+
+
+def assert_steps_match_oracle(jag, g):
+    """Every configuration of a complete build steps as the oracle's
+    ``apply_moves`` says, successors in ``jag.transitions`` order.  Returns
+    the number of configurations checked."""
+    cg = build_config_graph(jag, g)
+    assert cg.limit_hit is None
+    succs = successors(jag, g)
+    for c in cg.adj:
+        want = [Configuration(nxt, apply_moves(g, c.nodes, moves))
+                for nxt, moves in jag.transitions(c.state, partition_of(c.nodes))]
+        got = succs(c)
+        assert got == want == cg.adj[c]
+        assert all(type(s) is Configuration for s in got)
+    return len(cg.adj)

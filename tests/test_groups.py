@@ -64,6 +64,17 @@ def test_cayley_graph_shapes():
     assert cay.graph.targetnode == cay.graph.startnode  # defaults to identity
 
 
+def test_cayley_rows_are_left_products():
+    # rows recorded by the group's closure (own generators) and rows
+    # multiplied out (any other generating set) both map v to gens[i] * v
+    for group, gens in _group_corpus():
+        for gg in (gens, gens[::-1], gens + gens[:1]):
+            cay = cayley_graph(group, gg)
+            assert cay.graph.rho == tuple(
+                tuple(cay.node_of[group.multiply(g, v)] for g in gg)
+                for v in group.elements)
+
+
 def test_cayley_rejects_non_generating():
     group, _ = abelian_group((4,))
     with pytest.raises(InputError):

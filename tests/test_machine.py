@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,17 +6,20 @@ import pytest
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.graph import LabelledGraph, disjoint_union, reachable_set
 from jaglab.groups import abelian_group, cayley_graph, symmetric_group
-from jaglab.lang import compile_program
+from jaglab.lang import compile_program, interpret
 from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             all_partitions, apply_moves, build_config_graph,
                             check_orderable, check_traversable,
                             decide_co_st_connectivity, enumerate_runs,
-                            initial_config, parse_jag, partition_of,
+                            expand, initial_config, parse_jag, partition_of,
                             replay_curr_visits, serialize_jag, successors,
                             verify)
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import random_graph, random_jag
+
+from conftest import assert_steps_match_oracle
+from test_lang import _random_program
 
 
 def _selfs(p):
@@ -184,6 +188,96 @@ def test_step_simultaneity_is_order_independent(grid_cayleys):
             mv = moves[i]
             out[i] = g.rho[nodes[i]][mv - 1] if mv > 0 else nodes[-mv - 1]
         assert tuple(out) == want
+
+
+def test_successors_match_apply_moves_on_random_jags():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(150):
+        g = random_graph(rng, max_nodes=5, max_degree=3)
+        jag = random_jag(rng, g.degree, max_pebbles=3)
+        checked += assert_steps_match_oracle(jag, g)
+    assert checked > 500
+
+
+def test_successors_match_apply_moves_on_compiled_programs():
+    rng = random.Random(32)
+    checked = 0
+    for _ in range(300):
+        g = random_graph(rng, max_nodes=5, max_degree=2)
+        jag = compile_program(_random_program(rng), g.degree)
+        checked += assert_steps_match_oracle(jag, g)
+    assert checked > 500
+
+
+def test_successors_match_apply_moves_on_no_op_jumps():
+    # pebbles 1 and 3 start on node 0, pebble 2 (t) on node 2
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 2)
+    rules = {
+        ("q0", (1, 2, 1)): (
+            ("q1", (-1, -2, -3)),   # every pebble stays
+            ("q2", (-3, -2, -1)),   # 1 and 3 swap on one node
+            ("q3", (-2, 1, -1)),    # 1 jumps to another node, 2 moves
+            ("q4", (1, -2, -1)),    # 3 jumps to 1's old node as 1 moves
+        ),
+        ("q3", (1, 2, 2)): (("q0", (-3, -3, -3)),),
+        ("q4", (1, 2, 3)): (("q0", (-1, -1, 1)),),
+    }
+    jag = NdJag("q0", "qa", 3, delta=rules)
+    assert assert_steps_match_oracle(jag, g) == 7
+    init = initial_config(jag, g)
+    stay, swap, _, _ = successors(jag, g)(init)
+    # a transition that moves no pebble keeps the placement tuple
+    assert stay.nodes is init.nodes and swap.nodes is init.nodes
+
+
+def _grid_walker(label):
+    """Walk pebble 1 along label 1, then once along ``label`` and accept:
+    that move's key is first met one level into the search."""
+    return NdJag("q0", "qa", 1, s=1, t=1, delta={
+        ("q0", (1,)): (("q0", (1,)), ("q1", (1,))),
+        ("q1", (1,)): (("qa", (label,)),)})
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+@pytest.mark.parametrize("search", [
+    "complete build", "input error", "interpret accept", "max_configs stop"])
+def test_expand_restores_the_callers_collector(grid_cayleys, caller_enabled,
+                                               search):
+    g = grid_cayleys[(2, 3)].graph
+    saved = gc.isenabled(), gc.get_threshold()
+    try:
+        gc.set_threshold(500, 7, 9)
+        (gc.enable if caller_enabled else gc.disable)()
+        if search == "complete build":
+            assert not build_config_graph(_grid_walker(2), g).limit_hit
+        elif search == "input error":
+            with pytest.raises(InputError, match="exceeds degree"):
+                build_config_graph(_grid_walker(3), g)
+        elif search == "interpret accept":
+            assert interpret(grid_traversal_program(), g).verdict is \
+                Verdict.ACCEPT
+        else:
+            cg = build_config_graph(_grid_walker(2), g, Limits(max_configs=2))
+            assert cg.limit_hit == "max_configs"
+        assert gc.isenabled() is caller_enabled
+        assert gc.get_threshold() == (500, 7, 9)
+    finally:
+        gc.set_threshold(*saved[1])
+        (gc.enable if saved[0] else gc.disable)()
+
+
+def test_expand_pauses_the_collector():
+    during = []
+
+    def succs(n):
+        during.append(gc.isenabled())
+        return [n + 1] if n < 3 else []
+
+    assert gc.isenabled()
+    parent, limit_hit = expand(0, succs, Limits(), lambda c, s: False)
+    assert (len(parent), limit_hit) == (4, None)
+    assert during == [False] * 4 and gc.isenabled()
 
 
 def test_accepts_trivial_start_is_accept(grid_cayleys):

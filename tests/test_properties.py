@@ -6,7 +6,8 @@ or t, an accept state equal to the start state, a startnode other than 0,
 an accept state with no rules, and a callable ``delta``.  ``verify``,
 ``check_traversable``, ``check_orderable`` and
 ``decide_co_st_connectivity`` are compared with ``enumerate_runs`` and
-``replay_curr_visits``, which share nothing with the configuration graph.
+``replay_curr_visits``, which share nothing with the configuration graph,
+and every step of the build with the oracle's ``apply_moves``.
 
 Runs of length at most n * configs_explored show every first-visit
 sequence of curr: between two first visits a run can drop any loop, and
@@ -23,6 +24,8 @@ from jaglab.machine import (NdJag, Verdict, all_partitions, build_config_graph,
                             check_orderable, check_traversable,
                             decide_co_st_connectivity, enumerate_runs,
                             replay_curr_visits, verify)
+
+from conftest import assert_steps_match_oracle
 
 TREE_NODES = 2000
 
@@ -109,3 +112,10 @@ def test_curr_deciders_agree_with_run_enumeration(case):
     else:
         with pytest.raises(DiagnosticError):
             decide_co_st_connectivity(jag, g, config_graph=cg)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_successors_match_apply_moves(case):
+    jag, g = case
+    assert assert_steps_match_oracle(jag, g) > 0
