@@ -68,7 +68,8 @@ def closure(start, step) -> set:
     """Everything reachable from ``start`` by repeated ``step`` (BFS).
 
     ``step(x)`` yields the neighbours of ``x``.  Reachable nodes, weak
-    components, subgroups and group elements are all this one search.
+    components and subgroups are all this one search; ``FiniteGroup``
+    unrolls it to number each product as it is found.
     """
     seen = {start}
     queue = [start]

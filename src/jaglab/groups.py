@@ -48,8 +48,9 @@ class FiniteGroup:
 
     ``elements`` is the sorted closure of the identity under left
     multiplication by ``gens``; ``index`` maps each element to its position.
-    The closure's products are kept as the rows of the Cayley graph on
-    ``gens``, so ``cayley_graph`` need not multiply again.
+    The closure records each product by its number, not as an element, and
+    those records become the rows of the Cayley graph on ``gens``, so
+    ``cayley_graph`` need not multiply again.
     """
 
     def __init__(self, name: str, identity, multiply: Callable,
@@ -58,19 +59,31 @@ class FiniteGroup:
         self.identity = identity
         self.multiply = multiply
         self.inverse = inverse
-        gens = tuple(gens)
-        products = {}
-
-        def step(x):
-            products[x] = ys = [multiply(g, x) for g in gens]
-            return ys
-
-        self.elements = tuple(sorted(closure(identity, step)))
-        self.index = index = {e: i for i, e in enumerate(self.elements)}
-        self._gens = gens
+        self._gens = gens = tuple(gens)
+        k = len(gens)
+        # breadth-first closure: index numbers the elements in the order
+        # found; products[n*k + i] is the number of gens[i] * found[n]
+        index = {identity: 0}
+        found = [identity]
+        products = []
+        for x in found:  # the queue grows while it is read
+            for g in gens:
+                y = multiply(g, x)
+                n = index.setdefault(y, len(found))
+                if n == len(found):
+                    found.append(y)
+                products.append(n)
+        self.elements = elements = tuple(sorted(found))
+        del found
+        # renumber from order found to sorted position
+        old = [index[e] for e in elements]
+        pos = [0] * len(elements)
+        for v, e in enumerate(elements):
+            pos[old[v]] = index[e] = v
+        self.index = index
         # _rows[v][i]: the index of gens[i] * elements[v]
-        self._rows = tuple(tuple([index[y] for y in products[x]])
-                           for x in self.elements)
+        self._rows = tuple(tuple([pos[n] for n in products[o * k:o * k + k]])
+                           for o in old)
 
     @property
     def order(self) -> int:
@@ -140,16 +153,17 @@ def cayley_graph(group: FiniteGroup, gens: Sequence, targetnode=None) -> CayleyG
     for g in gens:
         if g not in group.index:
             raise InputError(f"generator {g!r} not a group element")
-    node_of = group.index
-    if gens == group._gens:  # the group is their closure: rows recorded
-        rows = group._rows
-    else:
-        if len(subgroup_closure(group, gens)) != group.order:
+    rows = group._rows
+    if gens != group._gens:
+        # another generating set closes to the same sorted elements, so
+        # its rows are numbered as group.index numbers them
+        other = FiniteGroup(group.name, group.identity, group.multiply,
+                            group.inverse, gens)
+        if other.order != group.order:
             raise InputError(
                 f"{group.name}: generators do not generate the group")
-        mul = group.multiply
-        rows = tuple(tuple(node_of[mul(g, v)] for g in gens)
-                     for v in group.elements)
+        rows = other._rows
+    node_of = group.index
     start = node_of[group.identity]
     tgt = start if targetnode is None else node_of[targetnode]
     graph = LabelledGraph(group.order, len(gens), rows, start, tgt)

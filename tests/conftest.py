@@ -42,11 +42,13 @@ def abelian_corpus():
     return out
 
 
-def assert_steps_match_oracle(jag, g):
-    """Every configuration of a complete build steps as the oracle's
-    ``apply_moves`` says, successors in ``jag.transitions`` order.  Returns
-    the number of configurations checked."""
-    cg = build_config_graph(jag, g)
+def assert_steps_match_oracle(jag, g, cg=None):
+    """Every configuration of a complete build ``cg`` (made here if not
+    given) steps as the oracle's ``apply_moves`` says, successors in
+    ``jag.transitions`` order.  Returns the number of configurations
+    checked."""
+    if cg is None:
+        cg = build_config_graph(jag, g)
     assert cg.limit_hit is None
     succs = successors(jag, g)
     for c in cg.adj:
