@@ -224,6 +224,8 @@ def cmd_spotcheck(args) -> int:
     print(f"pairs: {result.pairs}")
     print(f"agreements: {result.agreements}")
     print(f"discarded: {result.discarded}")
+    if result.reason:
+        print(f"FAILED {result.reason}")
     return EXIT_ACCEPT if result.ok else EXIT_REJECT
 
 
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_wreath_count)
 
     p = sub.add_parser("spotcheck",
-                       help="randomized reachability-vs-enumeration agreement")
+                       help="every decider against run enumeration, randomized")
     p.add_argument("--pairs", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limits-configs", type=_count, default=10_000)

@@ -296,7 +296,10 @@ def parse_program(text: str) -> PebbleProgram:
                 raise ProgramError(f"unrecognized statement {head!r}", line=lineno)
         return tuple(stmts), pos
 
-    body, pos = statements(idx)
+    try:
+        body, pos = statements(idx)
+    finally:  # the two call each other: break that reference cycle
+        block = statements = None
     if pos != len(lines):
         raise ProgramError("unbalanced '}'", line=lines[pos][0])
     return PebbleProgram(tuple(pebbles), tuple(dirs), tuple(bools), body, text)
@@ -479,7 +482,10 @@ def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
     for name, at_target in prog.pebbles:
         if at_target and pidx[name] != t_idx:
             emit(("jump", pidx[name], t_idx))
-    walk(prog.body)
+    try:
+        walk(prog.body)
+    finally:  # walk calls itself: break that reference cycle
+        walk = None
     emit(("fail",))  # falling off the end rejects
     return BoundProgram(tuple(pebble_names), s_idx, t_idx, curr_idx,
                         tuple(domains), init_vals, tuple(instrs))

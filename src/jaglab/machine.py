@@ -356,23 +356,20 @@ def enumerate_runs(jag: NdJag, g: LabelledGraph, max_len: int,
     nothing with the reachability route.  Runs end at their first
     accept-state configuration.
     """
-    init = initial_config(jag, g)
     traces = set()
     expanded = 0
-    stack = [(init, ())]
+    stack = [(initial_config(jag, g), ())]
     while stack:
-        config, trace = stack.pop()
-        if config.state == jag.accept_state:
+        (state, nodes), trace = stack.pop()
+        if state == jag.accept_state:
             traces.add(trace)
-            continue
-        if len(trace) >= max_len:
-            continue
-        expanded += 1
-        if expanded > max_tree_nodes:
-            raise ResourceLimitExceeded("run-tree budget exhausted")
-        for nxt, moves in jag.transitions(config.state, partition_of(config.nodes)):
-            stack.append((Configuration(nxt, apply_moves(g, config.nodes, moves)),
-                          trace + ((nxt, moves),)))
+        elif len(trace) < max_len:
+            expanded += 1
+            if expanded > max_tree_nodes:
+                raise ResourceLimitExceeded("run-tree budget exhausted")
+            for nxt, moves in jag.transitions(state, partition_of(nodes)):
+                stack.append((Configuration(nxt, apply_moves(g, nodes, moves)),
+                              trace + ((nxt, moves),)))
     return frozenset(traces)
 
 
@@ -381,15 +378,11 @@ def replay_curr_visits(jag: NdJag, g: LabelledGraph,
     """First-visit sequence of the curr pebble along an enumerated trace."""
     if jag.curr is None:
         raise InputError("automaton designates no curr pebble")
-    config = initial_config(jag, g)
-    order = [config.nodes[jag.curr - 1]]
-    seen = set(order)
-    for state, moves in trace:
-        config = Configuration(state, apply_moves(g, config.nodes, moves))
-        v = config.nodes[jag.curr - 1]
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
+    nodes = initial_config(jag, g).nodes
+    order = {nodes[jag.curr - 1]: None}  # a dict keeps first insertions
+    for _, moves in trace:
+        nodes = apply_moves(g, nodes, moves)
+        order.setdefault(nodes[jag.curr - 1])
     return tuple(order)
 
 

@@ -1,32 +1,27 @@
 """Acceptance suite: every criterion at its stated tolerance, one pass/fail
 line per criterion (visible with ``pytest -s`` or in captured output)."""
 
-import itertools
 import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from jaglab.graph import (LabelledGraph, disjoint_union, reachable_set,
                           reduce_degree)
-from jaglab.groups import (abelian_group, cayley_graph, grid_group, k_cycle,
-                           p_k_path, power, symmetric_group, wreath_structure)
+from jaglab.groups import (cayley_graph, grid_group, power, symmetric_group,
+                           wreath_structure)
 from jaglab.lang import compile_program, interpret
 from jaglab.machine import (Limits, Verdict, accepts, build_config_graph,
                             check_orderable, check_traversable,
                             decide_co_st_connectivity)
 from jaglab.algorithms import (abelian_e_values, abelian_ordering_run,
                                abelian_tower, digit_tuples,
-                               doubling_machine, grid_traversal_program,
-                               jump_to_target_program, run_register_machine,
-                               symmetric_ordering_run, symmetric_tower,
-                               tower_program, two_tour_guesser_program,
-                               wreath_is_number, wreath_same,
-                               wreath_successor, wreath_tower, wreath_value)
-from jaglab.graph import target as path_target
+                               grid_traversal_program, jump_to_target_program,
+                               symmetric_tower, tower_program,
+                               two_tour_guesser_program, wreath_tower)
 from jaglab.spotcheck import run_spotcheck
 
+import test_algorithms as algorithm_tests
+import test_groups as group_tests
 from conftest import GRID_CASES
 
 
@@ -95,55 +90,21 @@ def test_criterion_3_abelian_ordering(abelian_corpus):
 
 def test_criterion_4_symmetric_group():
     with criterion(4, "symmetric canonical forms", 10):
-        for n in range(2, 7):
-            group, gens = symmetric_group(n)
-            cay = cayley_graph(group, gens)
-            for k in range(2, n + 1):
-                word = p_k_path(n, k)
-                got = cay.element_at(
-                    path_target(cay.graph, cay.graph.startnode, word))
-                assert got == k_cycle(n, k), (n, k)
-        for n in range(2, 5):
-            group, gens = symmetric_group(n)
-            cay = cayley_graph(group, gens)
-            order = symmetric_ordering_run(cay)
-            assert len(order) == group.order
-            assert len(set(order)) == group.order
-        assert len(symmetric_ordering_run(
-            cayley_graph(*symmetric_group(4)))) == 24
+        for n in range(2, 7):  # each k-cycle is reached by its word p_k
+            group_tests.test_p_k_path_is_k_cycle(n)
+        for n, count in ((2, 2), (3, 6), (4, 24)):
+            algorithm_tests.test_symmetric_ordering_bijective(n, count)
 
 
 def test_criterion_5_wreath_arithmetic():
     with criterion(5, "wreath counting", 30):
-        # support identity by full enumeration on Z2 wr Z2 and Z2 wr Z3
+        # the support identity by full enumeration on Z2 wr Z2 and Z2 wr Z3
         for hmod in (2, 3):
-            ws = wreath_structure(*grid_group(1, 2), *grid_group(1, hmod))
-            nonid = [g for g in ws.G.elements if g != ws.G.identity]
-            for r in range(ws.H.order + 1):
-                for hs in itertools.permutations(ws.H.elements, r):
-                    for gs in itertools.product(nonid, repeat=r):
-                        prod = ws.group.identity
-                        for h, g in zip(hs, gs):
-                            blk = ws.group.multiply(
-                                ws.group.multiply(ws.delta_right(h),
-                                                  ws.delta_left(g)),
-                                ws.delta_right(ws.H.inverse(h)))
-                            prod = ws.group.multiply(prod, blk)
-                        assert prod == ws.point_support(hs, gs)
+            group_tests.test_point_support_equals_conjugate_product(hmod)
         # same/successor vs the support-count oracle, all pairs, |H| <= 4
-        for h_group in (grid_group(1, 2), grid_group(1, 3), abelian_group((2, 2))):
-            ws = wreath_structure(*grid_group(1, 2), *h_group)
-            reps = [x for x in ws.group.elements if wreath_is_number(ws, x)]
-            for x in reps:
-                for y in reps:
-                    vx, vy = wreath_value(ws, x), wreath_value(ws, y)
-                    assert wreath_same(ws, x, y) == (vx == vy)
-                    assert wreath_successor(ws, x, y) == (vy == vx + 1)
+        algorithm_tests.test_same_and_successor_exhaustive()
         # register-machine doubling saturates exactly at |H| = 4
-        ws = wreath_structure(*grid_group(1, 2), *abelian_group((2, 2)))
-        assert run_register_machine(doubling_machine(), ws, inputs=(2,)) == 4
-        with pytest.raises(OverflowError):
-            run_register_machine(doubling_machine(), ws, inputs=(3,))
+        algorithm_tests.test_register_machine_doubling_and_overflow()
 
 
 def _connectivity_instances(grid_cayleys, abelian_corpus):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.graph import LabelledGraph, disjoint_union, reachable_set
 from jaglab.groups import abelian_group, cayley_graph, symmetric_group
-from jaglab.lang import compile_program, interpret
+from jaglab.lang import compile_program, interpret, parse_program
 from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             all_partitions, apply_moves, build_config_graph,
                             check_orderable, check_traversable,
@@ -16,7 +17,8 @@ from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             verify)
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
-from jaglab.spotcheck import random_graph, random_jag
+from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
+                              random_jag)
 
 from conftest import assert_steps_match_oracle
 from test_lang import _random_program
@@ -280,6 +282,19 @@ def test_expand_pauses_the_collector():
     assert during == [False] * 4 and gc.isenabled()
 
 
+def test_parse_and_bind_leave_no_cyclic_garbage():
+    # interpret and compile_program bind a program on every call
+    source = tower_program(symmetric_tower(4)).source
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        parse_program(source).bind(2)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
 def test_accepts_trivial_start_is_accept(grid_cayleys):
     jag = NdJag("qa", "qa", 2, delta={})
     assert accepts(jag, grid_cayleys[(2, 2)].graph) is Verdict.ACCEPT
@@ -318,25 +333,6 @@ def test_enumerate_trivial_and_dead(grid_cayleys):
     assert enumerate_runs(NdJag("q0", "qa", 2, delta={}), g, 5) == frozenset()
 
 
-def test_enumerate_agrees_with_accepts_randomized():
-    rng = random.Random(2)
-    checked = 0
-    while checked < 15:
-        g = random_graph(rng)
-        jag = random_jag(rng, g.degree)
-        cg = build_config_graph(jag, g, Limits(max_configs=4000))
-        if cg.limit_hit:
-            continue
-        try:
-            runs = enumerate_runs(jag, g, max_len=cg.configs_explored,
-                                  max_tree_nodes=200_000)
-        except ResourceLimitExceeded:
-            continue
-        want = Verdict.ACCEPT if runs else Verdict.REJECT
-        assert accepts(jag, g, config_graph=cg) is want
-        checked += 1
-
-
 def test_traversable_grid_program(grid_cayleys):
     g = grid_cayleys[(2, 2)].graph
     jag = compile_program(grid_traversal_program(), 2)
@@ -349,18 +345,13 @@ def test_traversable_cross_checked_with_run_traces(grid_cayleys):
     # every accepting trace places curr on every reachable node
     g = grid_cayleys[(1, 2)].graph
     jag = compile_program(grid_traversal_program(), 1)
-    flag, witness = check_traversable(jag, g)
-    assert flag
-    runs = enumerate_runs(jag, g, max_len=60, max_tree_nodes=500_000)
-    assert runs
+    assert check_traversable(jag, g)[0]
+    orders = expected(jag, g, 500_000).orders
     reach = reachable_set(g, g.startnode)
-    orders = {replay_curr_visits(jag, g, trace) for trace in runs}
-    for order in orders:
-        assert reach <= set(order)
+    assert orders and all(reach <= set(o) for o in orders)
     # and the orderability witness is the unique first-visit sequence
     ok, canon = check_orderable(jag, g)
-    assert ok
-    assert orders == {canon}
+    assert ok and orders == {canon}
 
 
 def test_orderable_requires_curr(grid_cayleys):
@@ -431,17 +422,10 @@ def avoidance_traversable(cg) -> bool:
 
 
 def test_checkers_agree_with_run_enumeration():
-    """Traversability, orderability and co-st against brute force, on random
-    automata whose accept state has rules, so runs go on past it.
-    Traversability is also compared with the per-node avoidance search, and
-    ``verify`` with the checkers, on every instance with a complete
-    configuration graph.
-
-    Runs of length at most n * configs_explored show every first-visit
-    sequence of curr: between two first visits a run can drop any loop, and
-    configs_explored is at least the number of configurations reachable
-    before acceptance.  Instances whose run tree cannot be exhausted are
-    skipped and counted.
+    """Every decider against the run-tree oracle, on random automata whose
+    accept state has rules, so runs go on past it; traversability also
+    against the per-node avoidance search, and ``verify`` against the
+    checkers.  Instances the oracle cannot exhaust are skipped and counted.
     """
     rng = random.Random(3)
     kept = skipped = 0
@@ -461,26 +445,30 @@ def test_checkers_agree_with_run_enumeration():
         assert report.traversable == trav
         assert report.orderable == (trav and ordb)
         assert report.visit_order == order
-        try:
-            runs = enumerate_runs(jag, g, max_len=g.num_nodes * cg.configs_explored,
-                                  max_tree_nodes=20_000)
-        except ResourceLimitExceeded:
+        exp = expected(jag, g, 20_000)
+        if exp is None:
             skipped += 1
             continue
         kept += 1
-        orders = {replay_curr_visits(jag, g, trace) for trace in runs}
-        reach = reachable_set(g, g.startnode)
-        assert trav == (bool(orders) and all(reach <= set(o) for o in orders))
-        assert ordb == (len(orders) == 1)
-        assert order is None if not orders else order in orders
-        if orders:
-            touched = any(g.targetnode in o for o in orders)
-            assert decide_co_st_connectivity(jag, g, config_graph=cg) == \
-                ("connected" if touched else "disconnected")
-        else:
-            with pytest.raises(DiagnosticError):
-                decide_co_st_connectivity(jag, g, config_graph=cg)
+        assert disagreement(jag, g, cg, exp) is None
     assert kept >= 100 and skipped <= 10
+
+
+@pytest.mark.parametrize("field, wrong", [
+    ("verdict", {"accepts": False}), ("traversable", {"traversable": False}),
+    ("orderable", {"orderable": False}), ("co-st", {"co_st": "disconnected"}),
+    ("visit_order", {"orders": frozenset({(0, 2, 1)})})])
+def test_disagreement_names_the_field_that_differs(field, wrong):
+    # one pebble walks the 3-cycle 0 1 2 and accepts
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 0)
+    jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta={
+        ("q0", (1,)): (("q1", (1,)),), ("q1", (1,)): (("acc", (1,)),)})
+    cg = build_config_graph(jag, g)
+    exp = expected(jag, g, 100)
+    assert exp == Expected(True, True, True, "connected", {(0, 1, 2)})
+    assert disagreement(jag, g, cg, exp) is None
+    reason = disagreement(jag, g, cg, dataclasses.replace(exp, **wrong))
+    assert reason.startswith(f"{field}: ")
 
 
 def test_orderable_when_a_configuration_merges_prefix_tags():
@@ -499,9 +487,7 @@ def test_orderable_when_a_configuration_merges_prefix_tags():
     rules[("q0", (1,))] += (("qb", (2,)),)
     rules[("qb", (1,))] = (("q1", (1,)),)
     jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta=rules)
-    orders = {replay_curr_visits(jag, g, trace)
-              for trace in enumerate_runs(jag, g, max_len=10)}
-    assert orders == {(0, 1, 2), (0, 2, 1)}
+    assert expected(jag, g, 1000).orders == {(0, 1, 2), (0, 2, 1)}
     assert check_traversable(jag, g)[0]
     assert check_orderable(jag, g) == (False, (0, 1, 2))
 

@@ -1,34 +1,21 @@
-"""Property tests: the curr deciders against the run-tree oracle.
+"""Property tests: the deciders against the run-tree oracle.
 
 Small automata on small graphs are drawn with hypothesis, including the
 cases ``spotcheck.random_jag`` never produces: one pebble, curr equal to s
 or t, an accept state equal to the start state, a startnode other than 0,
-an accept state with no rules, and a callable ``delta``.  ``verify``,
-``check_traversable``, ``check_orderable`` and
-``decide_co_st_connectivity`` are compared with ``enumerate_runs`` and
-``replay_curr_visits``, which share nothing with the configuration graph,
-and every step of the build with the oracle's ``apply_moves``.
-
-Runs of length at most n * configs_explored show every first-visit
-sequence of curr: between two first visits a run can drop any loop, and
-configs_explored is at least the number of configurations reachable before
-acceptance.  Instances whose run tree cannot be exhausted are discarded.
+an accept state with no rules, and a callable ``delta``.  Every decider is
+compared with ``spotcheck.expected``, every build step with the oracle's
+``apply_moves``, and a rule table with its interchange-format round trip.
 """
 
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from jaglab.errors import DiagnosticError, ResourceLimitExceeded
-from jaglab.graph import LabelledGraph, reachable_set
-from jaglab.machine import (NdJag, Verdict, all_partitions, build_config_graph,
-                            check_orderable, check_traversable,
-                            decide_co_st_connectivity, enumerate_runs,
-                            replay_curr_visits, verify)
+from jaglab.graph import LabelledGraph
+from jaglab.machine import (NdJag, all_partitions, build_config_graph,
+                            parse_jag, serialize_jag, verify)
+from jaglab.spotcheck import disagreement, expected
 
 from conftest import assert_steps_match_oracle
-
-TREE_NODES = 2000
-
 
 @st.composite
 def instances(draw):
@@ -84,32 +71,15 @@ def test_curr_deciders_agree_with_run_enumeration(case):
     jag, g = case
     cg = build_config_graph(jag, g)
     assert_steps_match_oracle(jag, g, cg)
-    try:
-        runs = enumerate_runs(jag, g, max_len=g.num_nodes * cg.configs_explored,
-                              max_tree_nodes=TREE_NODES)
-    except ResourceLimitExceeded:
-        assume(False)
-    orders = {replay_curr_visits(jag, g, trace) for trace in runs}
-    reach = reachable_set(g, g.startnode)
-    traversable = bool(orders) and all(reach <= set(o) for o in orders)
-    shared = len(orders) == 1
-
     report = verify(jag, g)
-    assert report.verdict is (Verdict.ACCEPT if orders else Verdict.REJECT)
-    assert report.traversable == traversable
-    assert report.orderable == (traversable and shared)
-    assert report.visit_order is None if not orders \
-        else report.visit_order in orders
     assert (report.configs_explored, report.limits_hit) == \
         (cg.configs_explored, ())
-    assert check_traversable(jag, g, config_graph=cg) == \
-        (traversable, report.visit_order)
-    assert check_orderable(jag, g, config_graph=cg) == \
-        (shared, report.visit_order)
-    if orders:
-        touched = any(g.targetnode in o for o in orders)
-        assert decide_co_st_connectivity(jag, g, config_graph=cg) == \
-            ("connected" if touched else "disconnected")
-    else:
-        with pytest.raises(DiagnosticError):
-            decide_co_st_connectivity(jag, g, config_graph=cg)
+    if jag.rules is not None:  # the interchange format keeps the automaton
+        back = parse_jag(serialize_jag(jag))
+        assert (back.rules, back.start_state, back.accept_state) == \
+            (jag.rules, jag.start_state, jag.accept_state)
+        assert (back.s, back.t, back.curr) == (jag.s, jag.t, jag.curr)
+        assert verify(back, g) == report
+    exp = expected(jag, g, 2000)
+    assume(exp is not None)
+    assert disagreement(jag, g, cg, exp) is None
