@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
-from .machine import Limits, NdJag, Verdict, expand, first_visits
+from .machine import (Limits, NdJag, Verdict, expand, first_visits,
+                      partition_of)
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -529,6 +530,11 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     and ``accept`` steps into the accept point ``len(instrs)`` with no
     valuation.  On accept, reports the first-visit order of the curr pebble
     along the accepting run found (None without a curr pebble).
+
+    The fold reads the placement only through which pebbles share a node,
+    so its answer at a control point is kept for the length of the call,
+    per (point, valuation, ``partition_of(nodes)``), and reused as the same
+    list: successors come in the same order as without the cache.
     """
     bp = prog.bind(g.degree)
     rho = g.rho
@@ -536,14 +542,19 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     end = len(instrs)
     init_nodes = tuple(g.targetnode if i + 1 == bp.t_idx else g.startnode
                        for i in range(bp.num_pebbles))
+    folds: dict = {}
 
     def successors(state):
         pt, vals, nodes = state
         if pt == end:
             return ()
-        # an action is its own fold: skip the call and its seen-set
-        acts = [(pt, vals)] if instrs[pt][0] in _ACTIONS else \
-            fold(pt, vals, nodes)
+        if instrs[pt][0] in _ACTIONS:  # an action is its own fold
+            acts = ((pt, vals),)
+        else:
+            key = (pt, vals, partition_of(nodes))
+            acts = folds.get(key)
+            if acts is None:
+                acts = folds[key] = fold(pt, vals, key[2])
         out = []
         for pt, vals in acts:
             op = instrs[pt]

@@ -9,9 +9,10 @@ configuration-graph build; ``disagreement`` compares every decider with it;
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DiagnosticError, ResourceLimitExceeded
+from .errors import DiagnosticError
 from .graph import LabelledGraph, closure, reachable_set
 from .machine import (ConfigGraph, Configuration, Limits, NdJag, Verdict,
                       accepts, all_partitions, apply_moves,
@@ -59,11 +60,51 @@ class Expected:
     orders: frozenset | None = None  # the first-visit sequences of curr
 
 
+def _oracle_step(jag: NdJag, g: LabelledGraph):
+    """The step of a run, by ``apply_moves``; a run ends at acceptance."""
+    def step(config):
+        state, nodes = config
+        if state != jag.accept_state:
+            for nxt, moves in jag.transitions(state, partition_of(nodes)):
+                yield Configuration(nxt, apply_moves(g, nodes, moves))
+    return step
+
+
+def run_tree_nodes(jag: NdJag, g: LabelledGraph, max_len: int,
+                   cap: int) -> int:
+    """The number of nodes ``enumerate_runs(jag, g, max_len)`` expands, or
+    a number above ``cap`` as soon as the count passes it.
+
+    Those are the run-tree nodes that are not accepting and have fewer
+    than ``max_len`` steps, one per transition taken, duplicates included.
+    They are counted a depth at a time as a multiset of configurations, so
+    the count costs at most one step per configuration and depth however
+    many runs the tree holds.
+    """
+    step = _oracle_step(jag, g)
+    level = Counter([initial_config(jag, g)])
+    total = 0
+    for _ in range(max_len):
+        nxt = Counter()
+        for config, k in level.items():
+            if config.state != jag.accept_state:
+                total += k
+                if total > cap:
+                    return total
+                for s in step(config):
+                    nxt[s] += k
+        if not nxt:
+            break
+        level = nxt
+    return total
+
+
 def expected(jag: NdJag, g: LabelledGraph,
              max_tree_nodes: int) -> Expected | None:
     """What the deciders must answer for ``jag`` on ``g``, read off the
     accepting runs of fewer than n * C steps; None when their run tree has
-    more than ``max_tree_nodes`` nodes to expand.
+    more than ``max_tree_nodes`` nodes to expand, which ``run_tree_nodes``
+    tells before any run is enumerated.
 
     n is the node count and C the number of configurations that runs reach
     up to their first accept configuration, counted by ``graph.closure``
@@ -76,18 +117,12 @@ def expected(jag: NdJag, g: LabelledGraph,
     Then each stretch has at most C configurations, and the run fewer than
     n * C steps.
     """
-    def step(config):  # a step of a run, which ends at acceptance
-        state, nodes = config
-        if state != jag.accept_state:
-            for nxt, moves in jag.transitions(state, partition_of(nodes)):
-                yield Configuration(nxt, apply_moves(g, nodes, moves))
-
-    bound = g.num_nodes * len(closure(initial_config(jag, g), step))
-    try:
-        runs = enumerate_runs(jag, g, max_len=bound,
-                              max_tree_nodes=max_tree_nodes)
-    except ResourceLimitExceeded:
+    bound = g.num_nodes * len(closure(initial_config(jag, g),
+                                      _oracle_step(jag, g)))
+    if run_tree_nodes(jag, g, bound, max_tree_nodes) > max_tree_nodes:
         return None
+    runs = enumerate_runs(jag, g, max_len=bound,
+                          max_tree_nodes=max_tree_nodes)
     if jag.curr is None:
         return Expected(bool(runs))
     orders = frozenset(replay_curr_visits(jag, g, trace) for trace in runs)

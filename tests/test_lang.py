@@ -1,12 +1,13 @@
 import pytest
 
 from jaglab.errors import ProgramError
+from jaglab.families import parse_family
 from jaglab.graph import LabelledGraph
-from jaglab.lang import compile_program, interpret, parse_program
+from jaglab.lang import _ACTIONS, compile_program, interpret, parse_program
 from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             build_config_graph, check_orderable,
-                            enumerate_runs, verify)
-from jaglab.algorithms import grid_traversal_program
+                            enumerate_runs, partition_of, verify)
+from jaglab.algorithms import grid_traversal_program, tower_program
 
 
 def reachable_states(jag):
@@ -211,9 +212,15 @@ def test_run_and_verify_count_the_same_configurations():
 
 
 def test_bisimulation_verdict_and_order(grid_cayleys):
-    prog = grid_traversal_program(2)
-    for key in [(1, 2), (2, 2)]:
-        g = grid_cayleys[key].graph
+    cases = [(grid_traversal_program(2), grid_cayleys[key].graph)
+             for key in [(1, 2), (2, 2)]]
+    for spec in ("grid:d=2,l=5", "sym:n=4",
+                 "wreath(grid:d=1,l=2, grid:d=1,l=3)"):  # ladder rungs
+        family = parse_family(spec)
+        g = family.graph
+        cases.append((grid_traversal_program(g.degree) if spec.startswith("grid")
+                      else tower_program(family.tower), g))
+    for prog, g in cases:
         res = interpret(prog, g)
         jag = compile_program(prog, g.degree)
         assert accepts(jag, g) is res.verdict
@@ -431,3 +438,62 @@ def test_random_program_bisimulation():
             assert accepting_run_visits(cg_d) == res_d.visit_order \
                 == res.visit_order
         checked += 1
+
+
+def test_fold_reads_only_the_partition():
+    """At every reachable control point the fold of a placement is the fold
+    of its partition, in the same order: ``interpret`` may cache it."""
+    import random as _random
+    from jaglab.spotcheck import random_graph
+    rng = _random.Random(5)
+    checked = 0
+    for _ in range(200):
+        g = random_graph(rng, max_nodes=5, max_degree=2)
+        prog = _random_program(rng)
+        bp = prog.bind(g.degree)
+        cg = build_config_graph(compile_program(prog, g.degree), g,
+                                Limits(max_configs=20_000))
+        for state, nodes in cg.adj:
+            if state == "qa" or bp.instrs[state[0]][0] in _ACTIONS:
+                continue
+            pt, vals = state
+            assert bp.fold(pt, vals, nodes) == \
+                bp.fold(pt, vals, partition_of(nodes))
+            checked += 1
+    assert checked >= 200
+
+
+def test_budgets_mean_the_same_on_both_routes():
+    """Every run-length bound up to the first accept configuration's depth,
+    and a configuration budget at (and one below) each level boundary,
+    gives ``interpret`` and the compiled build the same verdict and, when
+    the budget runs out, the same count."""
+    import random as _random
+    from collections import Counter
+    from jaglab.spotcheck import random_graph
+    rng = _random.Random(91)
+    outcomes = Counter()
+    for _ in range(40):
+        g = random_graph(rng, max_nodes=4, max_degree=2)
+        prog = _random_program(rng)
+        jag = compile_program(prog, g.degree)
+        cg = build_config_graph(jag, g, Limits(max_configs=20_000))
+        if cg.limit_hit:
+            continue
+        depth = {}
+        for config, parent in cg.parent.items():  # parents come first
+            depth[config] = 0 if parent is None else depth[parent] + 1
+        top = depth[cg.accepting[0]] if cg.accepting else max(depth.values())
+        budgets = [Limits(max_run_len=k) for k in range(top + 1)]
+        for k in range(top + 1):
+            level_end = sum(d <= k for d in depth.values())
+            budgets += [Limits(max_configs=level_end - 1),
+                        Limits(max_configs=level_end)]
+        for limits in budgets:
+            res = interpret(prog, g, limits)
+            part = build_config_graph(jag, g, limits)
+            assert res.verdict is accepts(jag, g, config_graph=part)
+            if res.verdict is Verdict.RESOURCE_LIMIT:
+                assert res.configs_explored == part.configs_explored
+            outcomes[res.verdict] += 1
+    assert min(outcomes[v] for v in Verdict) >= 20

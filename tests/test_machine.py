@@ -18,7 +18,7 @@ from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
-                              random_jag)
+                              random_jag, run_tree_nodes)
 
 from conftest import assert_steps_match_oracle
 from test_lang import _random_program
@@ -469,6 +469,32 @@ def test_disagreement_names_the_field_that_differs(field, wrong):
     assert disagreement(jag, g, cg, exp) is None
     reason = disagreement(jag, g, cg, dataclasses.replace(exp, **wrong))
     assert reason.startswith(f"{field}: ")
+
+
+def test_run_tree_count_is_exact():
+    """``run_tree_nodes`` passes a budget exactly when ``enumerate_runs``
+    runs out of it, and below the budget it is the count that just fits."""
+    rng = random.Random(13)
+    too_big = fits = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        max_len = rng.randint(0, 12)
+        budget = rng.choice((10, 100, 1000))
+        count = run_tree_nodes(jag, g, max_len, budget)
+        try:
+            enumerate_runs(jag, g, max_len, max_tree_nodes=budget)
+        except ResourceLimitExceeded:
+            assert count > budget
+            too_big += 1
+            continue
+        assert count <= budget
+        enumerate_runs(jag, g, max_len, max_tree_nodes=count)
+        if count:
+            fits += 1
+            with pytest.raises(ResourceLimitExceeded):
+                enumerate_runs(jag, g, max_len, max_tree_nodes=count - 1)
+    assert too_big >= 5 and fits >= 100
 
 
 def test_orderable_when_a_configuration_merges_prefix_tags():
