@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
-from .machine import (Limits, NdJag, Verdict, expand, first_visits,
-                      partition_of)
+from .machine import Limits, NdJag, Verdict, expand, first_visits
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -378,6 +377,37 @@ class BoundProgram:
                     todo.append(state)
         return actions
 
+    def compared(self, pt: int) -> tuple:
+        """The pebble pairs ``(i, j)`` that ``ifeq`` instructions compare on
+        the control paths from ``pt`` to the next pebble actions.
+
+        Every branch is followed, whatever the valuation, so ``fold(pt,
+        vals, pi)`` reads ``pi`` only at these pairs: for every ``vals``
+        its answer depends only on which of them share a node.
+        """
+        instrs = self.instrs
+        todo = [pt]
+        seen = set(todo)
+        pairs = {}
+        for pt in todo:  # todo grows while it is read
+            op = instrs[pt]
+            kind = op[0]
+            if kind in _ACTIONS or kind == "fail":
+                continue
+            if kind == "goto":
+                nxt = (op[1],)
+            elif kind == "guess":
+                nxt = (pt + 1,)
+            else:  # ifvar, ifeq, forstart, fornext end with both targets
+                nxt = op[-2:]
+                if kind == "ifeq":
+                    pairs[op[1], op[2]] = None
+            for q in nxt:
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return tuple(pairs)
+
 
 def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
     if degree < 1:
@@ -512,6 +542,10 @@ def _assign(vals, vi, val):
 # ---------------------------------------------------------------------------
 # Interpreter
 
+# the kinds of an interpreter step plan
+_END, _FOLD, _SHIFT, _JUMP, _WALK = range(5)
+
+
 @dataclass(frozen=True)
 class RunResult:
     verdict: Verdict
@@ -531,61 +565,131 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     valuation.  On accept, reports the first-visit order of the curr pebble
     along the accepting run found (None without a curr pebble).
 
-    The fold reads the placement only through which pebbles share a node,
-    so its answer at a control point is kept for the length of the call,
-    per (point, valuation, ``partition_of(nodes)``), and reused as the same
-    list: successors come in the same order as without the cache.
+    A configuration is one int, ``sid * N + code``.  The state id ``sid``
+    numbers the ``(pt, vals)`` pairs in the order the search meets them;
+    the accept point is 0.  ``code = sum(nodes[i] * n**i)`` writes the
+    placement in radix ``n = g.num_nodes``, one digit per pebble, so
+    ``0 <= code < N = n**p`` for p pebbles.  Since every digit
+    ``nodes[i]`` lies in ``range(n)``, ``divmod(c, N)`` gives back ``sid``
+    and ``code``, and the radix-n digits of ``code`` the placement: the
+    ints are in bijection with the ``(pt, vals, nodes)`` triples, and the
+    search, its budgets and its answers are those over the triples.  (On
+    a one-node graph every code is 0 and ``c`` is the sid.)
+
+    Each sid gets a step plan the first time it is expanded.  A pebble
+    action is arithmetic on the int: it adds the change of sid times N and
+    the change of the acting pebble's digit.  At a control point the fold
+    reads the placement only through which of the pairs ``bp.compared(pt)``
+    share a node, so its answer is kept per sid and that pattern, reused as
+    the same list, for the length of the call; the placement is decoded
+    only to fill that cache.
     """
     bp = prog.bind(g.degree)
     rho = g.rho
     instrs, fold = bp.instrs, bp.fold
-    end = len(instrs)
-    init_nodes = tuple(g.targetnode if i + 1 == bp.t_idx else g.startnode
-                       for i in range(bp.num_pebbles))
-    folds: dict = {}
+    n = g.num_nodes
+    weights = [n ** i for i in range(bp.num_pebbles)]
+    N = n ** bp.num_pebbles
+    init_code = sum(w * (g.targetnode if i + 1 == bp.t_idx else g.startnode)
+                    for i, w in enumerate(weights))
+    states = [(len(instrs), ())]  # sid -> (pt, vals)
+    sids = {states[0]: 0}
+    plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
+    walks: dict = {}     # (pebble weight, label index) -> digit changes
+    compared: dict = {}  # control point -> weight pairs of bp.compared
 
-    def successors(state):
-        pt, vals, nodes = state
-        if pt == end:
-            return ()
-        if instrs[pt][0] in _ACTIONS:  # an action is its own fold
-            acts = ((pt, vals),)
+    def intern(state):
+        sid = sids.get(state)
+        if sid is None:
+            sid = sids[state] = len(states)
+            states.append(state)
+            plans.append(None)
+        return sid
+
+    def plan(sid):
+        """The step plan of a sid, ``(kind, shift, wp, x)``.  At an action,
+        ``c + shift`` moves ``c`` to the next sid, ``wp`` is the acting
+        pebble's weight, and ``x`` the weight of the pebble it jumps to or
+        its digit's change per node it walks from.  At a control point,
+        ``wp`` holds the weight pairs of the pebbles the fold compares and
+        ``x`` the fold's answers by which of them share a node."""
+        pt, vals = states[sid]
+        op = instrs[pt]
+        if op[0] not in _ACTIONS:
+            pairs = compared.get(pt)
+            if pairs is None:
+                pairs = compared[pt] = tuple((weights[i - 1], weights[j - 1])
+                                             for i, j in bp.compared(pt))
+            out = (_FOLD, 0, pairs, {})
+        elif op[0] == "accept":
+            out = (_SHIFT, -sid * N, 0, None)
         else:
-            key = (pt, vals, partition_of(nodes))
-            acts = folds.get(key)
-            if acts is None:
-                acts = folds[key] = fold(pt, vals, key[2])
-        out = []
-        for pt, vals in acts:
-            op = instrs[pt]
-            if op[0] == "accept":
-                out.append((end, (), nodes))
-                continue
-            nn = list(nodes)
-            p = op[1] - 1
+            shift = (intern((pt + 1, vals)) - sid) * N
+            wp = weights[op[1] - 1]
             if op[0] == "jump":
-                nn[p] = nodes[op[2] - 1]
+                out = (_JUMP, shift, wp, weights[op[2] - 1])
             else:  # move
-                nn[p] = rho[nodes[p]][_eval_bound(op[2], vals) - 1]
-            out.append((pt + 1, vals, tuple(nn)))
+                m = _eval_bound(op[2], vals) - 1
+                walk = walks.get((wp, m))
+                if walk is None:
+                    walk = walks[wp, m] = [(row[m] - v) * wp
+                                           for v, row in enumerate(rho)]
+                out = (_WALK, shift, wp, walk)
+        plans[sid] = out
+        return out
+
+    def successors(c):
+        sid = c // N
+        kind, shift, wp, x = plans[sid] or plan(sid)
+        # a digit of c is the digit of its code: N is a multiple of n * wp
+        if kind == _WALK:
+            return (c + shift + x[c // wp % n],)
+        if kind == _JUMP:
+            return (c + shift + (c // x % n - c // wp % n) * wp,)
+        if kind != _FOLD:
+            return (c + shift,) if kind == _SHIFT else ()
+        code = c - sid * N
+        together = 0  # bit k: the k-th compared pair shares a node
+        bit = 1
+        for wi, wj in wp:
+            if code // wi % n == code // wj % n:
+                together += bit
+            bit += bit
+        acts = x.get(together)
+        if acts is None:
+            pt, vals = states[sid]
+            acts = x[together] = []
+            nodes = [code // w % n for w in weights]
+            for a in map(intern, fold(pt, vals, nodes)):
+                act = plans[a] or plan(a)
+                acts.append((a * N + act[1], act[0], act[2], act[3]))
+        out = []
+        for to, kind, wp, wx in acts:  # to: the action's sid times N, shifted
+            if kind == _WALK:
+                out.append(to + code + wx[code // wp % n])
+            elif kind == _JUMP:
+                out.append(to + code + (code // wx % n - code // wp % n) * wp)
+            else:
+                out.append(to + code)
         return out
 
     accepted = []
 
-    def visit(state, succs):
-        if state[0] == end:
-            accepted.append(state)
+    def visit(c, succs):
+        if c < N:  # sid 0, the accept point
+            accepted.append(c)
             return True
         return False
 
-    parent, limit_hit = expand((0, bp.init_vals, init_nodes), successors,
-                               limits, visit)
+    parent, limit_hit = expand(intern((0, bp.init_vals)) * N + init_code,
+                               successors, limits, visit)
     if not accepted:
         verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
         return RunResult(verdict, None, len(parent))
     visit_order = None
     if bp.curr_idx is not None:
-        visit_order = first_visits(parent, accepted[0], bp.curr_idx)
+        w = weights[bp.curr_idx - 1]
+        visit_order = first_visits(parent, accepted[0], lambda c: c // w % n)
     return RunResult(Verdict.ACCEPT, visit_order, len(parent))
 
 

@@ -298,16 +298,17 @@ def expand(initial, successors: Callable, limits: Limits,
             gc.enable()
 
 
-def first_visits(parent: dict, config, curr: int) -> tuple:
-    """First-visit order of pebble ``curr`` (1-based) along the search-tree
-    path from the initial configuration to ``config``.
+def first_visits(parent: dict, config, curr_node: Callable) -> tuple:
+    """First-visit order of the curr pebble along the search-tree path from
+    the initial configuration to ``config``.
 
-    ``parent`` is the map ``expand`` returns; a configuration keeps its
-    pebble placement as its last field.
+    ``parent`` is the map ``expand`` returns, and ``curr_node(config)`` is
+    curr's node in a configuration of the space searched: a
+    ``Configuration`` here, a packed int in ``lang.interpret``.
     """
     path = []
     while config is not None:
-        path.append(config[-1][curr - 1])
+        path.append(curr_node(config))
         config = parent[config]
     return tuple(dict.fromkeys(reversed(path)))
 
@@ -390,7 +391,8 @@ def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
     """First-visit order of curr along the BFS-shortest accepting run."""
     if not cg.accepting:
         return None
-    return first_visits(cg.parent, cg.accepting[0], cg.jag.curr)
+    curr = cg.jag.curr - 1
+    return first_visits(cg.parent, cg.accepting[0], lambda c: c.nodes[curr])
 
 
 def _complete_graph(jag: NdJag, g: LabelledGraph, limits: Limits,

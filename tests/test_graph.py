@@ -3,9 +3,11 @@ import random
 import pytest
 
 from jaglab.errors import GraphFormatError, InputError
+from jaglab.families import parse_family
 from jaglab.graph import (LabelledGraph, disjoint_union, is_undirected,
                           parse_graph, reachable_set, reduce_degree,
-                          serialize_graph, target, weak_components)
+                          serialize_graph, target, validate_components,
+                          weak_components)
 from jaglab.groups import cayley_graph, symmetric_group
 
 GRID22_TEXT = """\
@@ -144,6 +146,43 @@ def test_serialize_parse_roundtrip(grid_cayleys):
 def test_parse_ignores_comments_and_blanks():
     text = "# header\n\n4 2 0 3 # inline\n2 1\n3 0\n0 3\n1 2\n"
     assert parse_graph(text) == parse_graph(GRID22_TEXT)
+
+
+def test_random_graphs_round_trip():
+    """A drawn graph round trips when its components are pebbled, and is
+    refused by ``parse_graph`` exactly when they are not."""
+    from jaglab.spotcheck import random_graph
+    rng = random.Random(13)
+    kept = two = 0
+    for _ in range(400):
+        g = random_graph(rng)
+        try:
+            validate_components(g)
+        except InputError:
+            with pytest.raises(GraphFormatError):
+                parse_graph(serialize_graph(g))
+            continue
+        assert parse_graph(serialize_graph(g)) == g
+        kept += 1
+        two += len(weak_components(g)) == 2
+    assert kept >= 100 and two >= 10
+
+
+@pytest.mark.parametrize("spec", [
+    "grid:d=2,l=3", "abelian:mod=4,2;gens=(2,1)(1,0)", "sym:n=4",
+    "gl:n=2,p=2", "wreath(grid:d=1,l=2, grid:d=1,l=3)",
+    "direct(sym:n=3, grid:d=1,l=3)"])
+def test_family_graphs_round_trip(spec):
+    g = parse_family(spec).graph
+    for h in (g, disjoint_union(g, g), reduce_degree(g)):
+        assert parse_graph(serialize_graph(h)) == h
+
+
+def test_serialized_text_is_a_fixed_point():
+    text = "# 2x2 grid\n\n4 2 0 3  # n d s t\n2 1\n\n3 0\n# rows\n0 3\n1 2"
+    once = serialize_graph(parse_graph(text))
+    assert once == GRID22_TEXT
+    assert serialize_graph(parse_graph(once)) == once
 
 
 def test_parse_entry_out_of_range_reports_line():

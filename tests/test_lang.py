@@ -3,7 +3,8 @@ import pytest
 from jaglab.errors import ProgramError
 from jaglab.families import parse_family
 from jaglab.graph import LabelledGraph
-from jaglab.lang import _ACTIONS, compile_program, interpret, parse_program
+from jaglab.lang import (_ACTIONS, RunResult, compile_program, interpret,
+                        parse_program)
 from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             build_config_graph, check_orderable,
                             enumerate_runs, partition_of, verify)
@@ -463,6 +464,31 @@ def test_fold_reads_only_the_partition():
     assert checked >= 200
 
 
+def test_fold_reads_only_the_compared_pairs():
+    """Placements on which the pairs of ``compared(pt)`` share nodes alike
+    fold alike from ``pt``: ``interpret`` keys its fold cache on them."""
+    import random as _random
+    rng = _random.Random(8)
+    keyed = 0
+    for _ in range(300):
+        prog = _random_program(rng)
+        bp = prog.bind(2)
+        partitions = list(all_partitions(bp.num_pebbles))
+        jag = compile_program(prog, 2)
+        for state in reachable_states(jag):
+            if state == "qa" or bp.instrs[state[0]][0] in _ACTIONS:
+                continue
+            pt, vals = state
+            pairs = bp.compared(pt)
+            folds = {}
+            for pi in partitions:
+                key = tuple(pi[i - 1] == pi[j - 1] for i, j in pairs)
+                assert folds.setdefault(key, bp.fold(pt, vals, pi)) == \
+                    bp.fold(pt, vals, pi)
+            keyed += len(folds) > 1
+    assert keyed >= 100
+
+
 def test_budgets_mean_the_same_on_both_routes():
     """Every run-length bound up to the first accept configuration's depth,
     and a configuration budget at (and one below) each level boundary,
@@ -497,3 +523,116 @@ def test_budgets_mean_the_same_on_both_routes():
                 assert res.configs_explored == part.configs_explored
             outcomes[res.verdict] += 1
     assert min(outcomes[v] for v in Verdict) >= 20
+
+
+def _compiled_run(prog, g, limits):
+    """The compiled automaton searched as ``interpret`` searches its
+    packed configurations: ``expand`` over ``machine.successors``, stopped
+    at the first accept configuration it expands."""
+    from jaglab.machine import expand, first_visits, initial_config, successors
+    jag = compile_program(prog, g.degree)
+    accepted = []
+
+    def visit(config, succs):
+        if config.state == jag.accept_state:
+            accepted.append(config)
+            return True
+        return False
+
+    parent, limit_hit = expand(initial_config(jag, g), successors(jag, g),
+                               limits, visit)
+    if not accepted:
+        verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
+        return RunResult(verdict, None, len(parent))
+    order = None
+    if jag.curr is not None:
+        curr = jag.curr - 1
+        order = first_visits(parent, accepted[0], lambda c: c.nodes[curr])
+    return RunResult(Verdict.ACCEPT, order, len(parent))
+
+
+# nine pebbles with s and t: on 300 nodes N = 300**9, so every packed
+# configuration but an accept one exceeds 2**63.  c jumps to itself, a to
+# b while they share a node, and curr walks the cycle from a to the
+# targetnode.
+_MANY_PEBBLES = """
+pebble curr
+pebble a
+pebble b
+pebble c
+pebble u
+pebble w
+pebble z at target
+dir x : 1..d
+guess x
+move a along x
+b := a.1
+move a along 1
+jump c to c
+if a == b {
+    jump a to b
+    jump u to b
+}
+jump w to z
+visit a
+while curr != z {
+    move curr along 2
+}
+accept
+"""
+
+
+def _cycle(n, target):
+    """n nodes in a cycle: label 1 steps back, label 2 forward."""
+    rows = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
+    return LabelledGraph(n, 2, rows, 0, target)
+
+
+@pytest.mark.parametrize("case", [
+    "one node", "300 nodes, 9 pebbles", "abelian 4x4 tower",
+    "accept first", "accept first with curr", "self and co-located jumps"])
+def test_packed_configurations_match_the_compiled_route(case):
+    """``interpret`` packs a configuration into one int in radix n; the
+    compiled route keeps ``Configuration`` tuples.  On the packing's edge
+    cases, under no budget and under budgets that stop each search, both
+    give the same verdict, visit order and ``configs_explored``."""
+    from jaglab.machine import accepting_run_visits
+    if case == "one node":  # radix 1: every placement code is 0
+        progs = [grid_traversal_program(2), parse_program(_MANY_PEBBLES)]
+        g = LabelledGraph(1, 2, ((0, 0),), 0, 0)
+    elif case == "300 nodes, 9 pebbles":
+        progs = [parse_program(_MANY_PEBBLES)]
+        g = _cycle(300, 40)
+        assert g.num_nodes ** progs[0].bind(2).num_pebbles > 2 ** 63
+    elif case == "abelian 4x4 tower":  # nearly every step folds control flow
+        family = parse_family("abelian:mod=4,4")
+        progs, g = [tower_program(family.tower)], family.graph
+    elif case == "accept first":
+        progs, g = [parse_program("accept\nfail")], _cycle(5, 2)
+    elif case == "accept first with curr":
+        progs = [parse_program("pebble curr at target\naccept"),
+                 parse_program("pebble curr\naccept")]
+        g = _cycle(5, 2)
+    else:
+        progs = [parse_program(
+            "pebble curr\npebble a\nmove a along 2\njump a to a\n"
+            "jump curr to a\njump a to curr\nif a == curr {\n"
+            "    jump curr to curr\n    move a along 2\n    visit a\n}\n"
+            "jump s to s\naccept")]
+        g = _cycle(6, 3)
+    for prog in progs:
+        full = interpret(prog, g)
+        k = full.configs_explored
+        budgets = [Limits()]
+        budgets += [Limits(max_configs=m)
+                    for m in sorted({0, 1, k // 2, k - 1, k})]
+        budgets += [Limits(max_run_len=r) for r in (0, 1, 2, 5, 40)]
+        for limits in budgets:
+            res = interpret(prog, g, limits)
+            assert res == _compiled_run(prog, g, limits), limits
+            jag = compile_program(prog, g.degree)
+            cg = build_config_graph(jag, g, limits)
+            assert res.verdict is accepts(jag, g, config_graph=cg)
+            if res.verdict is Verdict.ACCEPT and jag.curr is not None:
+                assert res.visit_order == accepting_run_visits(cg)
+        assert full.verdict is Verdict.ACCEPT

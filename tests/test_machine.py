@@ -295,6 +295,28 @@ def test_parse_and_bind_leave_no_cyclic_garbage():
         (gc.enable if collecting else gc.disable)()
 
 
+@pytest.mark.parametrize("outcome", ["accept", "reject", "max_configs stop"])
+def test_interpret_leaves_no_cyclic_garbage(grid_cayleys, outcome):
+    # expand pauses the collector, so the interpreter's state-id table,
+    # step plans and fold caches must go with reference counting alone
+    g = grid_cayleys[(2, 3)].graph
+    prog, limits, want = {
+        "accept": (grid_traversal_program(2), Limits(), Verdict.ACCEPT),
+        "reject": (parse_program("pebble p\nmove p along 1\nif p == s {\n"
+                                 "accept\n}"), Limits(), Verdict.REJECT),
+        "max_configs stop": (grid_traversal_program(2),
+                             Limits(max_configs=50), Verdict.RESOURCE_LIMIT),
+    }[outcome]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert interpret(prog, g, limits).verdict is want
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
 def test_accepts_trivial_start_is_accept(grid_cayleys):
     jag = NdJag("qa", "qa", 2, delta={})
     assert accepts(jag, grid_cayleys[(2, 2)].graph) is Verdict.ACCEPT
