@@ -707,11 +707,28 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
     the model: direction domains and move labels are fixed at compile time.
     State count is bounded by program points times the product of variable
     domain sizes, plus the accept state.
+
+    ``delta`` reads the partition only through the fold, so the automaton's
+    ``observes`` names no pair at an action point or at the accept state,
+    and at a control point the pairs ``bp.compared(pt)`` (0-based, a pebble
+    compared with itself left out), kept per point.
     """
     bp = prog.bind(degree)
     instrs, fold = bp.instrs, bp.fold
     npeb = bp.num_pebbles
     selfs = tuple(-(i + 1) for i in range(npeb))
+    compared: dict = {}  # control point -> its observed pairs
+
+    def observes(state):
+        if state == _QA or instrs[state[0]][0] in _ACTIONS:
+            return ()
+        pt = state[0]
+        pairs = compared.get(pt)
+        if pairs is None:
+            pairs = compared[pt] = tuple(dict.fromkeys(
+                (min(i, j) - 1, max(i, j) - 1)
+                for i, j in bp.compared(pt) if i != j))
+        return pairs
 
     def delta(state, pi):
         if state == _QA:
@@ -734,4 +751,4 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
 
     return NdJag(start_state=(0, bp.init_vals), accept_state=_QA,
                  num_pebbles=npeb, s=bp.s_idx, t=bp.t_idx, curr=bp.curr_idx,
-                 delta=delta)
+                 delta=delta, observes=observes)

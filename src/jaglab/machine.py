@@ -2,9 +2,12 @@
 
 An automaton has finitely many states, p pebbles, and a transition relation
 keyed on the current state and the incidence partition of the pebbles (which
-pebbles share a node) -- the only thing the control can observe.  Each
-transition moves every pebble simultaneously: along a labelled edge or by a
-jump to the OLD position of another pebble.
+pebbles share a node) -- the only thing the control can observe.  An
+automaton may say that in a state its control reads fewer pebble pairs than
+all of them; the configuration-graph build then keys its step table on the
+state and the co-location of those pairs alone.  Each transition moves every
+pebble simultaneously: along a labelled edge or by a jump to the OLD
+position of another pebble.
 
 Moves are encoded as small ints: +i means "follow edge label i", -j means
 "jump to pebble j".  Partitions are canonical vectors mapping each pebble to
@@ -22,7 +25,9 @@ never follow a transition out of an accept configuration.
 from __future__ import annotations
 
 import enum
+import functools
 import gc
+import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,20 +83,51 @@ def all_partitions(p: int):
     yield from rec([1] if p else [])
 
 
+@functools.cache
+def _every_pair(p: int) -> tuple:
+    """Every pebble pair ``(i, j)`` of p pebbles, 0-based with i < j: what
+    a control that reads the whole partition observes."""
+    return tuple(itertools.combinations(range(p), 2))
+
+
+def _checked_pairs(state, pairs, num_pebbles: int) -> tuple:
+    """``pairs`` as a tuple; raise ``InputError`` naming ``state`` unless
+    every entry is a pebble pair ``(i, j)`` with 0 <= i < j < num_pebbles."""
+    try:
+        pairs = tuple(pairs)
+    except TypeError:
+        raise InputError(f"state {state!r} observes {pairs!r}, not a "
+                         f"sequence of pebble pairs") from None
+    every = _every_pair(num_pebbles)
+    for pair in pairs:
+        if not (type(pair) is tuple and pair in every
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise InputError(f"state {state!r} observes {pair!r}, not a pair "
+                             f"(i, j) with 0 <= i < j < {num_pebbles}")
+    return pairs
+
+
 class NdJag:
     """A nondeterministic jumping automaton.
 
     ``delta`` maps (state, partition) to a tuple of (next_state, moves);
     it may be an explicit dict (absent keys mean no transitions) or a
-    callable.  A callable must be a function of ``(state, partition)``:
-    a configuration-graph build asks it once per key and reuses the answer
-    for every configuration with that key.  Pebbles s and t are designated;
-    curr is optional and is the pebble whose placements define visit orders.
+    callable.  ``observes(state)`` returns the pebble pairs ``(i, j)``,
+    0-based with i < j, whose co-location ``delta`` may read in ``state``;
+    None, the default, means every pair.  A callable ``delta`` must be a
+    function of the state and of the co-location of the pairs
+    ``observes(state)`` names: a configuration-graph build asks it once per
+    such key, with the partition of the first configuration that has it,
+    and reuses the answer for every configuration with that key.  Under
+    the default the key determines the partition, so a rule table is read
+    as written.  Pebbles s and t are designated; curr is optional and is
+    the pebble whose placements define visit orders.
     """
 
     def __init__(self, start_state, accept_state, num_pebbles: int,
                  s: int = 1, t: int = 2, curr: int | None = None,
-                 delta: Mapping | Callable = None, states: tuple | None = None):
+                 delta: Mapping | Callable = None, states: tuple | None = None,
+                 observes: Callable | None = None):
         if num_pebbles < 1:
             raise InputError("need at least one pebble")
         for name, idx in (("s", s), ("t", t)):
@@ -106,6 +142,7 @@ class NdJag:
         self.t = t
         self.curr = curr
         self.states = states
+        self.observes = observes
         if callable(delta):
             self.rules = None
             self._fn = delta
@@ -158,9 +195,15 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
     """The successor function of one configuration-graph build.
 
     It maps a configuration to the list of its successors (empty: dead).
-    The control sees only ``(state, partition)``, so ``jag.transitions`` is
-    asked once per such key and its answer kept in a table that lives as
-    long as the returned function.  Each move vector is checked when its
+    In a state the control sees only which of the pairs
+    ``jag.observes(state)`` share a node (every pair when ``observes`` is
+    None), so the table that lives as long as the returned function holds
+    ``table[state] = (pairs, plans)``: ``pairs`` is that answer, checked
+    when the state is first met, and ``plans`` maps a key ``bits``, with
+    bit k set when the k-th pair shares a node, to the state's plans.
+    ``jag.transitions`` is asked once per ``(state, bits)``, with the
+    partition of the first configuration that has it, and
+    ``partition_of`` runs only then.  Each move vector is checked when its
     key enters the table, i.e. at the first configuration that would apply
     it: its labels against the degree and, since a callable ``delta`` is
     not checked when the automaton is made, its length and encoding.
@@ -168,22 +211,25 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
     The table holds a sparse plan per transition, ``(next_state, steps)``:
     ``steps`` lists only the pebbles that can move, by 0-based index i, as
     ``(i, label - 1)`` for an edge-walk and ``(i, -j)`` for a jump to
-    pebble j.  A jump to the pebble itself or to one in the same block of
-    the partition cannot change the placement, so it is dropped when the
-    entry is filled; a transition with no steps keeps the placement tuple
-    as it is.
+    pebble j.  A jump to the pebble itself, or to one that the key shows
+    on the same node (the pair is observed and its bit set), cannot change
+    the placement, so it is dropped when the entry is filled; a transition
+    with no steps keeps the placement tuple as it is.  A jump between two
+    pebbles of an unobserved pair is kept even where they share a node:
+    another configuration with the same key may hold them apart.
     """
     table: dict = {}
     transitions = jag.transitions
+    observes = jag.observes
     p = jag.num_pebbles
+    every = _every_pair(p) if observes is None else None
     rho = g.rho
     degree = g.degree
     new = tuple.__new__
 
-    def plan(key):
-        state, pi = key
+    def plan(state, nodes, pairs):
         outs = []
-        for nxt, moves in transitions(state, pi):
+        for nxt, moves in transitions(state, partition_of(nodes)):
             if len(moves) != p:
                 raise InputError("move vector length != pebble count")
             steps = []
@@ -196,19 +242,38 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
                     steps.append((i, mv - 1))
                 elif mv == 0 or mv < -p:
                     raise InputError(f"bad move encoding {mv}")
-                elif pi[~mv] != pi[i]:
+                elif nodes[~mv] != nodes[i]:
+                    steps.append((i, mv))
+                # co-located: the key shows it only if the pair is observed,
+                # as every pair is under the default
+                elif ~mv != i and pairs is not every and \
+                        ((i, ~mv) if i < ~mv else (~mv, i)) not in pairs:
                     steps.append((i, mv))
                 i += 1
             outs.append((nxt, tuple(steps)))
-        table[key] = outs = tuple(outs)
-        return outs
+        return tuple(outs)
 
     def succs(config):
         state, nodes = config
-        key = (state, partition_of(nodes))
-        plans = table.get(key)
+        entry = table.get(state)
+        if entry is None:
+            if observes is None:
+                pairs = every
+            else:  # () needs no check: most states of a program observe it
+                pairs = observes(state)
+                if pairs != ():
+                    pairs = _checked_pairs(state, pairs, p)
+            entry = table[state] = (pairs, {})
+        pairs, by_bits = entry
+        bits = 0
+        bit = 1
+        for i, j in pairs:
+            if nodes[i] == nodes[j]:
+                bits += bit
+            bit += bit
+        plans = by_bits.get(bits)
         if plans is None:
-            plans = plan(key)
+            plans = by_bits[bits] = plan(state, nodes, pairs)
         result = []
         for nxt, steps in plans:
             if steps:

@@ -135,6 +135,34 @@ def test_callable_delta_moves_are_checked(grid_cayleys, moves, message):
         NdJag("q0", "qa", 1, s=1, t=1, delta={("q0", (1,)): (("qa", moves),)})
 
 
+@pytest.mark.parametrize("pairs", [
+    ((1, 0),), ((0, 0),), ((0, 2),), ((-1, 1),), ((0, 1, 2),), (0,),
+    ([0, 1],), ((0, 1.0),), None,
+])
+def test_observed_pairs_are_checked(grid_cayleys, pairs):
+    # observes is asked when the build first meets a state: q1 is met one
+    # step in, after q0's pair (0, 1) has passed the check
+    jag = NdJag("q0", "qa", 2, s=1, t=2,
+                delta=lambda state, pi: (("q1", (1, 1)),),
+                observes=lambda state: ((0, 1),) if state == "q0" else pairs)
+    with pytest.raises(InputError, match="^state 'q1' observes"):
+        build_config_graph(jag, grid_cayleys[(2, 2)].graph)
+
+
+def test_unobserved_co_located_jump_is_kept():
+    # both pebbles start on node 0; in q pebble 1 jumps to pebble 2's old
+    # node as 2 walks on.  q observes nothing, so (0, 0) and (0, 1) share
+    # one key, and the jump, a no-op at (0, 0), must move 1 at (0, 1)
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 0)
+    jag = NdJag("q", "qa", 2, s=1, t=2,
+                delta=lambda state, pi: (("q", (-2, 1)),) if state == "q" else (),
+                observes=lambda state: ())
+    cg = build_config_graph(jag, g)
+    assert list(cg.adj) == [Configuration("q", (0, 0)), Configuration("q", (0, 1)),
+                            Configuration("q", (1, 2)), Configuration("q", (2, 0))]
+    assert assert_steps_match_oracle(jag, g, cg) == 4
+
+
 @pytest.mark.parametrize("moves, message", [
     ((-1, -1), "move vector length"),
     ((0,), "bad move encoding 0"),
@@ -162,9 +190,7 @@ def test_build_asks_delta_once_per_key(grid_cayleys):
         calls.append((state, pi))
         return compiled.transitions(state, pi)
 
-    jag = NdJag(compiled.start_state, compiled.accept_state,
-                compiled.num_pebbles, s=compiled.s, t=compiled.t,
-                curr=compiled.curr, delta=counting)
+    jag = _wrapper(compiled, counting)
     for _ in range(2):  # the table lives for one build only
         calls.clear()
         cg = build_config_graph(jag, g)
@@ -172,6 +198,58 @@ def test_build_asks_delta_once_per_key(grid_cayleys):
         assert len(calls) == len(keys) == len(set(calls))
         assert set(calls) == keys
         assert len(cg.adj) > len(keys)  # keys are shared by configurations
+
+    # the compiled automaton's key is its state and the co-location of the
+    # pairs it observes there, a coarser key than the partition
+    def observed(state, nodes):
+        return state, tuple(nodes[i] == nodes[j]
+                            for i, j in compiled.observes(state))
+
+    jag = _wrapper(compiled, counting, observes=compiled.observes)
+    for _ in range(2):
+        calls.clear()
+        cg = build_config_graph(jag, g)
+        observed_keys = {observed(*c) for c in cg.adj}
+        assert len(calls) == len(observed_keys)
+        assert {observed(state, pi) for state, pi in calls} == observed_keys
+        assert len(observed_keys) < len(keys)
+
+
+def _wrapper(jag, delta, observes=None):
+    """An automaton like ``jag`` with ``delta`` and ``observes`` of its own."""
+    return NdJag(jag.start_state, jag.accept_state, jag.num_pebbles,
+                 s=jag.s, t=jag.t, curr=jag.curr, delta=delta,
+                 observes=observes)
+
+
+def _assert_builds_match(jag, g, limits):
+    """The build of ``jag`` is that of a wrapper which observes every pair:
+    same successors in the same order, parents, accepting and limit hit."""
+    got = build_config_graph(jag, g, limits)
+    want = build_config_graph(_wrapper(jag, jag.transitions), g, limits)
+    assert list(got.adj.items()) == list(want.adj.items())
+    assert list(got.parent.items()) == list(want.parent.items())
+    assert got.accepting == want.accepting
+    assert got.limit_hit == want.limit_hit
+    return got
+
+
+def test_observed_keys_build_what_every_pair_builds():
+    rng = random.Random(33)
+    hits = set()
+    for _ in range(500):
+        g = random_graph(rng, max_nodes=5, max_degree=2)
+        jag = compile_program(_random_program(rng), g.degree)
+        for limits in (Limits(), Limits(max_configs=8), Limits(max_run_len=3)):
+            hits.add(_assert_builds_match(jag, g, limits).limit_hit)
+    assert hits == {None, "max_configs", "max_run_len"}
+
+
+def test_observed_keys_build_the_ladder_graphs(grid_cayleys):
+    g = grid_cayleys[(2, 3)].graph
+    grid = compile_program(grid_traversal_program(), g.degree)
+    for jag, graph in ((grid, g), sym4_tower()):
+        assert _assert_builds_match(jag, graph, Limits()).accepting
 
 
 def test_step_simultaneity_is_order_independent(grid_cayleys):
