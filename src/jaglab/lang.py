@@ -31,8 +31,9 @@ interpreter explores the finite product of program point, variable
 valuation, and pebble placement breadth-first with memoization, so cyclic
 nondeterminism terminates.  The compiler produces an automaton over states
 (program point, valuation) whose runs step through the same product; every
-pebble not being acted on jumps to itself.  Both step by the one fold and
-run the one search of ``machine.expand``, so they count budgets alike.
+pebble not being acted on jumps to itself.  Both take their steps from the
+one fold and the one ``BoundProgram.action``, and run the one search of
+``machine.expand``, so they count budgets alike.
 
 Pebbles named ``s`` and ``t`` are the designated ones and are added
 implicitly when not declared; the designated ``t`` always starts on the
@@ -42,7 +43,7 @@ targetnode.  A pebble named ``curr`` is the visit-order pebble.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
@@ -322,6 +323,8 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
+    # observed(pt) per point, filled when asked so that binding stays cheap
+    _observed: dict = field(default_factory=dict, init=False, compare=False)
 
     @property
     def num_pebbles(self) -> int:
@@ -377,36 +380,54 @@ class BoundProgram:
                     todo.append(state)
         return actions
 
-    def compared(self, pt: int) -> tuple:
-        """The pebble pairs ``(i, j)`` that ``ifeq`` instructions compare on
-        the control paths from ``pt`` to the next pebble actions.
+    def action(self, pt: int, vals: tuple) -> tuple:
+        """``(next, pebble, move)`` for the ``move``, ``jump`` or ``accept``
+        at ``(pt, vals)``.  ``next`` is the ``(pt, vals)`` after it, None
+        for ``accept``, which moves no pebble.  Otherwise ``pebble`` moves
+        as in a move vector: ``+label`` along a label, ``-q`` to pebble q.
+        """
+        op = self.instrs[pt]
+        if op[0] == "accept":
+            return None, None, None
+        move = -op[2] if op[0] == "jump" else _eval_bound(op[2], vals)
+        return (pt + 1, vals), op[1], move
+
+    def observed(self, pt: int) -> tuple:
+        """The pebble pairs ``(i, j)``, 0-based with ``i < j``, that
+        ``ifeq`` instructions compare on the control paths from ``pt`` to
+        the next pebble actions; ``()`` at an action.
 
         Every branch is followed, whatever the valuation, so ``fold(pt,
         vals, pi)`` reads ``pi`` only at these pairs: for every ``vals``
-        its answer depends only on which of them share a node.
+        its answer depends only on which of them share a node.  A pebble
+        compared with itself always does, so that pair is left out.
         """
+        pairs = self._observed.get(pt)
+        if pairs is not None:
+            return pairs
         instrs = self.instrs
         todo = [pt]
         seen = set(todo)
-        pairs = {}
-        for pt in todo:  # todo grows while it is read
-            op = instrs[pt]
+        found = {}
+        for q in todo:  # todo grows while it is read
+            op = instrs[q]
             kind = op[0]
             if kind in _ACTIONS or kind == "fail":
                 continue
             if kind == "goto":
                 nxt = (op[1],)
             elif kind == "guess":
-                nxt = (pt + 1,)
+                nxt = (q + 1,)
             else:  # ifvar, ifeq, forstart, fornext end with both targets
                 nxt = op[-2:]
-                if kind == "ifeq":
-                    pairs[op[1], op[2]] = None
-            for q in nxt:
-                if q not in seen:
-                    seen.add(q)
-                    todo.append(q)
-        return tuple(pairs)
+                if kind == "ifeq" and op[1] != op[2]:
+                    found[min(op[1], op[2]) - 1, max(op[1], op[2]) - 1] = None
+            for r in nxt:
+                if r not in seen:
+                    seen.add(r)
+                    todo.append(r)
+        pairs = self._observed[pt] = tuple(found)
+        return pairs
 
 
 def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
@@ -566,27 +587,28 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     along the accepting run found (None without a curr pebble).
 
     A configuration is one int, ``sid * N + code``.  The state id ``sid``
-    numbers the ``(pt, vals)`` pairs in the order the search meets them;
-    the accept point is 0.  ``code = sum(nodes[i] * n**i)`` writes the
-    placement in radix ``n = g.num_nodes``, one digit per pebble, so
-    ``0 <= code < N = n**p`` for p pebbles.  Since every digit
-    ``nodes[i]`` lies in ``range(n)``, ``divmod(c, N)`` gives back ``sid``
-    and ``code``, and the radix-n digits of ``code`` the placement: the
-    ints are in bijection with the ``(pt, vals, nodes)`` triples, and the
-    search, its budgets and its answers are those over the triples.  (On
-    a one-node graph every code is 0 and ``c`` is the sid.)
+    numbers the states ``(pt, vals)`` a configuration can sit at in the
+    order the search meets them; the accept point is 0.  The code
+    ``sum(nodes[i] * n**i)`` writes the placement in radix ``n =
+    g.num_nodes``, one digit per pebble, so ``0 <= code < N = n**p`` for p
+    pebbles.  Since every digit ``nodes[i]`` lies in ``range(n)``,
+    ``divmod(c, N)`` gives back ``sid`` and ``code``, and the radix-n digits
+    of ``code`` the placement: the ints are in bijection with the ``(pt,
+    vals, nodes)`` triples, and the search, its budgets and its answers are
+    those over the triples.  (On a one-node graph every code is 0 and ``c``
+    is the sid.)
 
     Each sid gets a step plan the first time it is expanded.  A pebble
     action is arithmetic on the int: it adds the change of sid times N and
     the change of the acting pebble's digit.  At a control point the fold
-    reads the placement only through which of the pairs ``bp.compared(pt)``
-    share a node, so its answer is kept per sid and that pattern, reused as
-    the same list, for the length of the call; the placement is decoded
+    reads the placement only through which of the pairs ``bp.observed(pt)``
+    share a node, so its actions are kept per sid and that pattern, reused
+    as the same list, for the length of the call; the placement is decoded
     only to fill that cache.
     """
     bp = prog.bind(g.degree)
     rho = g.rho
-    instrs, fold = bp.instrs, bp.fold
+    instrs, fold, action, observed = bp.instrs, bp.fold, bp.action, bp.observed
     n = g.num_nodes
     weights = [n ** i for i in range(bp.num_pebbles)]
     N = n ** bp.num_pebbles
@@ -595,8 +617,7 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     states = [(len(instrs), ())]  # sid -> (pt, vals)
     sids = {states[0]: 0}
     plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
-    walks: dict = {}     # (pebble weight, label index) -> digit changes
-    compared: dict = {}  # control point -> weight pairs of bp.compared
+    walks: dict = {}  # (pebble weight, label) -> digit changes
 
     def intern(state):
         sid = sids.get(state)
@@ -606,35 +627,36 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
             plans.append(None)
         return sid
 
+    def act(nxt, pebble, move, base=0):
+        """``bp.action``'s answer as ``(kind, to, wp, x)``: ``to`` is the
+        next sid times N less ``base``, ``wp`` the acting pebble's weight,
+        and ``x`` the jump target's weight or the digit's change per node
+        walked from.  ``accept`` goes to sid 0 and moves no pebble."""
+        if nxt is None:
+            return _SHIFT, -base, 0, None
+        to = intern(nxt) * N - base
+        wp = weights[pebble - 1]
+        if move < 0:
+            return _JUMP, to, wp, weights[-move - 1]
+        walk = walks.get((wp, move))
+        if walk is None:
+            walk = walks[wp, move] = [(row[move - 1] - v) * wp
+                                      for v, row in enumerate(rho)]
+        return _WALK, to, wp, walk
+
     def plan(sid):
-        """The step plan of a sid, ``(kind, shift, wp, x)``.  At an action,
-        ``c + shift`` moves ``c`` to the next sid, ``wp`` is the acting
-        pebble's weight, and ``x`` the weight of the pebble it jumps to or
-        its digit's change per node it walks from.  At a control point,
-        ``wp`` holds the weight pairs of the pebbles the fold compares and
-        ``x`` the fold's answers by which of them share a node."""
+        """The step plan of a sid, ``(kind, shift, wp, x)``: at an action,
+        ``act``'s from base ``sid * N``, so ``c + shift`` has the next sid;
+        at a control point, ``wp`` holds the weight pairs of
+        ``bp.observed(pt)`` and ``x`` the fold's ``act``s from base 0 by
+        which of them share a node."""
         pt, vals = states[sid]
-        op = instrs[pt]
-        if op[0] not in _ACTIONS:
-            pairs = compared.get(pt)
-            if pairs is None:
-                pairs = compared[pt] = tuple((weights[i - 1], weights[j - 1])
-                                             for i, j in bp.compared(pt))
-            out = (_FOLD, 0, pairs, {})
-        elif op[0] == "accept":
-            out = (_SHIFT, -sid * N, 0, None)
+        if instrs[pt][0] in _ACTIONS:
+            nxt, pebble, move = action(pt, vals)
+            out = act(nxt, pebble, move, sid * N)
         else:
-            shift = (intern((pt + 1, vals)) - sid) * N
-            wp = weights[op[1] - 1]
-            if op[0] == "jump":
-                out = (_JUMP, shift, wp, weights[op[2] - 1])
-            else:  # move
-                m = _eval_bound(op[2], vals) - 1
-                walk = walks.get((wp, m))
-                if walk is None:
-                    walk = walks[wp, m] = [(row[m] - v) * wp
-                                           for v, row in enumerate(rho)]
-                out = (_WALK, shift, wp, walk)
+            out = (_FOLD, 0, tuple((weights[i], weights[j])
+                                   for i, j in observed(pt)), {})
         plans[sid] = out
         return out
 
@@ -649,7 +671,7 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
         if kind != _FOLD:
             return (c + shift,) if kind == _SHIFT else ()
         code = c - sid * N
-        together = 0  # bit k: the k-th compared pair shares a node
+        together = 0  # bit k: the k-th observed pair shares a node
         bit = 1
         for wi, wj in wp:
             if code // wi % n == code // wj % n:
@@ -658,13 +680,11 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
         acts = x.get(together)
         if acts is None:
             pt, vals = states[sid]
-            acts = x[together] = []
             nodes = [code // w % n for w in weights]
-            for a in map(intern, fold(pt, vals, nodes)):
-                act = plans[a] or plan(a)
-                acts.append((a * N + act[1], act[0], act[2], act[3]))
+            acts = x[together] = [act(*action(*a))
+                                  for a in fold(pt, vals, nodes)]
         out = []
-        for to, kind, wp, wx in acts:  # to: the action's sid times N, shifted
+        for kind, to, wp, wx in acts:
             if kind == _WALK:
                 out.append(to + code + wx[code // wp % n])
             elif kind == _JUMP:
@@ -709,26 +729,16 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
     domain sizes, plus the accept state.
 
     ``delta`` reads the partition only through the fold, so the automaton's
-    ``observes`` names no pair at an action point or at the accept state,
-    and at a control point the pairs ``bp.compared(pt)`` (0-based, a pebble
-    compared with itself left out), kept per point.
+    ``observes`` is ``bp.observed``: no pair at an action point, and none at
+    the accept state.
     """
     bp = prog.bind(degree)
-    instrs, fold = bp.instrs, bp.fold
+    instrs, fold, action, observed = bp.instrs, bp.fold, bp.action, bp.observed
     npeb = bp.num_pebbles
     selfs = tuple(-(i + 1) for i in range(npeb))
-    compared: dict = {}  # control point -> its observed pairs
 
     def observes(state):
-        if state == _QA or instrs[state[0]][0] in _ACTIONS:
-            return ()
-        pt = state[0]
-        pairs = compared.get(pt)
-        if pairs is None:
-            pairs = compared[pt] = tuple(dict.fromkeys(
-                (min(i, j) - 1, max(i, j) - 1)
-                for i, j in bp.compared(pt) if i != j))
-        return pairs
+        return () if state == _QA else observed(state[0])
 
     def delta(state, pi):
         if state == _QA:
@@ -737,16 +747,13 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
         acts = [state] if instrs[pt][0] in _ACTIONS else fold(pt, vals, pi)
         out = {}  # accept reached under several valuations is one transition
         for pt, vals in acts:
-            op = instrs[pt]
-            if op[0] == "accept":
+            nxt, pebble, move = action(pt, vals)
+            if nxt is None:
                 out[_QA, selfs] = None
                 continue
             moves = list(selfs)
-            if op[0] == "jump":
-                moves[op[1] - 1] = -op[2]
-            else:  # move
-                moves[op[1] - 1] = _eval_bound(op[2], vals)
-            out[(pt + 1, vals), tuple(moves)] = None
+            moves[pebble - 1] = move
+            out[nxt, tuple(moves)] = None
         return tuple(out)
 
     return NdJag(start_state=(0, bp.init_vals), accept_state=_QA,

@@ -378,24 +378,15 @@ def first_visits(parent: dict, config, curr_node: Callable) -> tuple:
     return tuple(dict.fromkeys(reversed(path)))
 
 
-def build_config_graph(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
-                       placements: Mapping[int, int] | None = None) -> ConfigGraph:
+def build_config_graph(jag: NdJag, g: LabelledGraph,
+                       limits: Limits = Limits()) -> ConfigGraph:
     """Breadth-first exhaustive expansion of the configuration space.
 
     The search is ``expand``'s, so the depth of a configuration is the run
     length that ``limits.max_run_len`` bounds.  Accept-state configurations
     are expanded too; the deciders ignore their successors.
-
-    ``placements`` (pebble index -> node) overrides individual start
-    pebbles; it is a test hook for exercising operation contracts, not part
-    of the model.
     """
     init = initial_config(jag, g)
-    if placements:
-        nodes = list(init.nodes)
-        for peb, node in placements.items():
-            nodes[peb - 1] = node
-        init = init._replace(nodes=tuple(nodes))
     cg = ConfigGraph(jag, g, init)
     cg.parent, cg.limit_hit = expand(init, successors(jag, g), limits,
                                      cg.adj.__setitem__)

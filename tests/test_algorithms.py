@@ -9,7 +9,8 @@ from jaglab.groups import (abelian_group, cayley_graph, element_order,
                            wreath_structure)
 from jaglab.lang import compile_program, interpret
 from jaglab.machine import (Limits, Verdict, build_config_graph,
-                            check_orderable, check_traversable)
+                            check_orderable, check_traversable, expand,
+                            initial_config, successors)
 from jaglab.algorithms import (CanonicalTower, TowerPosition,
                                abelian_canonical_exponents,
                                abelian_canonical_path, abelian_e_values,
@@ -51,6 +52,20 @@ def _pebble_index(prog, degree):
     return {name: i + 1 for i, name in enumerate(bp.pebble_names)}
 
 
+def _accepting_from(jag, g, placements):
+    """The accepting configurations reachable when the pebbles of
+    ``placements`` (pebble index -> node) start on the given nodes, and
+    the budget that stopped the search, or None."""
+    init = initial_config(jag, g)
+    nodes = list(init.nodes)
+    for peb, node in placements.items():
+        nodes[peb - 1] = node
+    adj = {}
+    _, limit_hit = expand(init._replace(nodes=tuple(nodes)),
+                          successors(jag, g), Limits(), adj.__setitem__)
+    return [c for c in adj if c.state == jag.accept_state], limit_hit
+
+
 def _z4():
     group, gens = abelian_group((4,))
     return group, gens, cayley_graph(group, gens)
@@ -62,13 +77,13 @@ def test_mult_program_z4_examples():
     jag = compile_program(prog, 1)
     idx = _pebble_index(prog, 1)
     for p, q in [((3,), (2,)), ((0,), (2,)), ((1,), (3,))]:
-        cg = build_config_graph(
+        accepting, limit_hit = _accepting_from(
             jag, cay.graph,
-            placements={idx["p"]: cay.node_of[p], idx["q"]: cay.node_of[q]})
-        assert not cg.limit_hit
+            {idx["p"]: cay.node_of[p], idx["q"]: cay.node_of[q]})
+        assert not limit_hit
         want = cay.node_of[group.multiply(p, q)]
-        assert cg.accepting
-        assert {c.nodes[idx["r"] - 1] for c in cg.accepting} == {want}
+        assert accepting
+        assert {c.nodes[idx["r"] - 1] for c in accepting} == {want}
 
 
 def test_mult_program_symmetric():
@@ -79,12 +94,12 @@ def test_mult_program_symmetric():
     idx = _pebble_index(prog, 2)
     for p in group.elements[:3]:
         for q in group.elements[:3]:
-            cg = build_config_graph(
+            accepting, limit_hit = _accepting_from(
                 jag, cay.graph,
-                placements={idx["p"]: cay.node_of[p], idx["q"]: cay.node_of[q]})
-            assert not cg.limit_hit
+                {idx["p"]: cay.node_of[p], idx["q"]: cay.node_of[q]})
+            assert not limit_hit
             want = cay.node_of[group.multiply(p, q)]
-            assert {c.nodes[idx["r"] - 1] for c in cg.accepting} == {want}
+            assert {c.nodes[idx["r"] - 1] for c in accepting} == {want}
 
 
 def test_inverse_program_z4():
@@ -93,11 +108,11 @@ def test_inverse_program_z4():
     jag = compile_program(prog, 1)
     idx = _pebble_index(prog, 1)
     for p in group.elements:
-        cg = build_config_graph(
-            jag, cay.graph, placements={idx["p"]: cay.node_of[p]})
-        assert not cg.limit_hit
+        accepting, limit_hit = _accepting_from(
+            jag, cay.graph, {idx["p"]: cay.node_of[p]})
+        assert not limit_hit
         want = cay.node_of[group.inverse(p)]
-        assert {c.nodes[idx["q"] - 1] for c in cg.accepting} == {want}
+        assert {c.nodes[idx["q"] - 1] for c in accepting} == {want}
 
 
 # -- grid ordering ------------------------------------------------------------

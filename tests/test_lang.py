@@ -465,8 +465,8 @@ def test_fold_reads_only_the_partition():
 
 
 def test_fold_reads_only_the_compared_pairs():
-    """Placements on which the pairs of ``compared(pt)`` share nodes alike
-    fold alike from ``pt``: ``interpret`` keys its fold cache on them."""
+    """Placements on which the pairs of ``observed(pt)`` share nodes alike
+    fold alike from ``pt``: both routes key their fold answers on them."""
     import random as _random
     rng = _random.Random(8)
     keyed = 0
@@ -479,14 +479,41 @@ def test_fold_reads_only_the_compared_pairs():
             if state == "qa" or bp.instrs[state[0]][0] in _ACTIONS:
                 continue
             pt, vals = state
-            pairs = bp.compared(pt)
+            pairs = bp.observed(pt)
             folds = {}
             for pi in partitions:
-                key = tuple(pi[i - 1] == pi[j - 1] for i, j in pairs)
+                key = tuple(pi[i] == pi[j] for i, j in pairs)
                 assert folds.setdefault(key, bp.fold(pt, vals, pi)) == \
                     bp.fold(pt, vals, pi)
             keyed += len(folds) > 1
     assert keyed >= 100
+
+
+def test_observed_pairs_are_0_based_and_distinct():
+    """``p == p``, ``q == p`` and ``p == q`` ahead of one action observe one
+    pair, 0-based with ``i < j``; an action point observes none.  The
+    compiled automaton observes the same, and both routes agree."""
+    prog = parse_program(
+        "pebble p\npebble q\nmove q along 1\nif p == p {\n"
+        "    if q == p {\n        fail\n    }\n"
+        "    if p == q {\n        fail\n    }\n    accept\n}")
+    bp = prog.bind(2)
+    assert bp.pebble_names[:2] == ("p", "q")
+    assert bp.instrs[1][:3] == ("ifeq", 1, 1)
+    assert bp.observed(1) == ((0, 1),)
+    actions = [pt for pt, op in enumerate(bp.instrs) if op[0] in _ACTIONS]
+    assert len(actions) == 2
+    assert all(bp.observed(pt) == () for pt in actions)
+    jag = compile_program(prog, 2)
+    assert jag.observes("qa") == ()
+    for state in reachable_states(jag) - {"qa"}:
+        assert jag.observes(state) == bp.observed(state[0])
+    # q steps off p on a cycle, and stays on the one node of a loop
+    for g, verdict in ((_cycle(5, 2), Verdict.ACCEPT),
+                       (LabelledGraph(1, 2, ((0, 0),), 0, 0), Verdict.REJECT)):
+        res = interpret(prog, g)
+        assert res.verdict is verdict
+        assert res == _compiled_run(prog, g, Limits())
 
 
 def test_budgets_mean_the_same_on_both_routes():
