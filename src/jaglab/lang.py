@@ -32,7 +32,8 @@ valuation, and pebble placement breadth-first with memoization, so cyclic
 nondeterminism terminates.  The compiler produces an automaton over states
 (program point, valuation) whose runs step through the same product; every
 pebble not being acted on jumps to itself.  Both take their steps from the
-one fold and the one ``BoundProgram.action``, and run the one search of
+one fold and the one ``BoundProgram.action``, reset the variables that are
+dead at a state's point (``BoundProgram.canon``), and run the one search of
 ``machine.expand``, so they count budgets alike.
 
 Pebbles named ``s`` and ``t`` are the designated ones and are added
@@ -323,8 +324,11 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
-    # observed(pt) per point, filled when asked so that binding stays cheap
+    # observed(pt) per point, and the variables dead at each point (filled
+    # for every point at the first canon), made when asked so that binding
+    # stays cheap
     _observed: dict = field(default_factory=dict, init=False, compare=False)
+    _dead: list = field(default_factory=list, init=False, compare=False)
 
     @property
     def num_pebbles(self) -> int:
@@ -428,6 +432,84 @@ class BoundProgram:
                     todo.append(r)
         pairs = self._observed[pt] = tuple(found)
         return pairs
+
+    def canon(self, pt: int, vals: tuple) -> tuple:
+        """The state ``(pt, vals)`` with every variable dead at ``pt`` reset
+        to its domain's first value.
+
+        A variable is live at ``pt`` if some path of instructions from
+        ``pt`` reads it before assigning it.  ``ifvar`` reads its variable,
+        a ``move`` its label variable, ``forstart`` its bounds and
+        ``fornext`` its counter and bound; ``guess`` assigns its variable,
+        and ``forstart`` its counter on the edge into the body only.
+
+        Why both routes may search canonical states.  Call ``(pt, v)`` and
+        ``(pt, w)`` alike when ``v`` and ``w`` agree on the variables live
+        at ``pt``.  Each instruction takes alike states to alike successors,
+        the same points in the same order: what it reads is live, and a
+        variable live after it is live before it unless it assigns the
+        variable, the same value on both sides.  So ``fold`` reaches alike
+        actions in the same order of first appearance: a state alike to one
+        it met before adds nothing that the earlier one did not add first.
+        ``action`` then gives alike next states, which ``canon`` makes
+        equal.  Configurations that differ only in dead variables therefore
+        have the same successors in the same order, and the breadth-first
+        search over canonical configurations meets each class of alike
+        configurations when the plain search meets its first member, at the
+        same depth and below the class of that member's parent.  Verdicts,
+        visit orders and the first accept configuration are the plain
+        search's; a configuration count counts the classes.
+        """
+        dead = (self._dead or self._fill_dead())[pt]
+        if dead:
+            vals = list(vals)
+            for i, first in dead:
+                vals[i] = first
+            vals = tuple(vals)
+        return pt, vals
+
+    def _fill_dead(self) -> list:
+        """``_dead[pt]``, the ``(variable, first value)`` pairs of the
+        variables dead at ``pt``, from a backward dataflow to a fixpoint."""
+        instrs = self.instrs
+        flow = []  # per point: (variables read, ((successor, assigned), ...))
+        for pt, op in enumerate(instrs):
+            kind = op[0]
+            if kind == "move":
+                flow.append((_var_bit(op[2]), ((pt + 1, 0),)))
+            elif kind == "jump":
+                flow.append((0, ((pt + 1, 0),)))
+            elif kind == "goto":
+                flow.append((0, ((op[1], 0),)))
+            elif kind == "ifvar":
+                flow.append((1 << op[1], ((op[2], 0), (op[3], 0))))
+            elif kind == "ifeq":
+                flow.append((0, ((op[3], 0), (op[4], 0))))
+            elif kind == "guess":
+                flow.append((0, ((pt + 1, 1 << op[1]),)))
+            elif kind == "forstart":
+                flow.append((_var_bit(op[2]) | _var_bit(op[3]),
+                             ((op[4], 1 << op[1]), (op[5], 0))))
+            elif kind == "fornext":
+                flow.append(((1 << op[1]) | _var_bit(op[2]),
+                             ((op[3], 0), (op[4], 0))))
+            else:  # accept and fail end every path
+                flow.append((0, ()))
+        live = [0] * len(instrs)  # bit i: variable i is live
+        changed = True
+        while changed:
+            changed = False
+            for pt in reversed(range(len(instrs))):
+                reads, succ = flow[pt]
+                for nxt, assigned in succ:
+                    reads |= live[nxt] & ~assigned
+                if reads != live[pt]:
+                    live[pt] = reads
+                    changed = True
+        init = self.init_vals
+        self._dead[:] = [tuple((i, v) for i, v in enumerate(init)
+                               if not mask >> i & 1) for mask in live]
+        return self._dead
 
 
 def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
@@ -556,6 +638,11 @@ def _eval_bound(expr, vals):
     return expr[1] if expr[0] == "lit" else vals[expr[1]]
 
 
+def _var_bit(expr):
+    """The variable a label or bound reads, as a bit; 0 for a literal."""
+    return 0 if expr[0] == "lit" else 1 << expr[1]
+
+
 def _assign(vals, vi, val):
     return vals[:vi] + (val,) + vals[vi + 1:]
 
@@ -588,7 +675,10 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
 
     A configuration is one int, ``sid * N + code``.  The state id ``sid``
     numbers the states ``(pt, vals)`` a configuration can sit at in the
-    order the search meets them; the accept point is 0.  The code
+    order the search meets them; the accept point is 0.  States are
+    canonical (``bp.canon``): configurations that differ only in variables
+    dead at their point share a sid, and ``configs_explored`` counts them
+    once, as the compiled route does.  The code
     ``sum(nodes[i] * n**i)`` writes the placement in radix ``n =
     g.num_nodes``, one digit per pebble, so ``0 <= code < N = n**p`` for p
     pebbles.  Since every digit ``nodes[i]`` lies in ``range(n)``,
@@ -609,6 +699,7 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     bp = prog.bind(g.degree)
     rho = g.rho
     instrs, fold, action, observed = bp.instrs, bp.fold, bp.action, bp.observed
+    canon = bp.canon
     n = g.num_nodes
     weights = [n ** i for i in range(bp.num_pebbles)]
     N = n ** bp.num_pebbles
@@ -620,6 +711,7 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     walks: dict = {}  # (pebble weight, label) -> digit changes
 
     def intern(state):
+        state = canon(*state)
         sid = sids.get(state)
         if sid is None:
             sid = sids[state] = len(states)
@@ -730,10 +822,13 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
 
     ``delta`` reads the partition only through the fold, so the automaton's
     ``observes`` is ``bp.observed``: no pair at an action point, and none at
-    the accept state.
+    the accept state.  Its states are canonical: ``delta`` passes each next
+    state through ``bp.canon``, and the start state, whose variables all
+    hold their domain's first value, is canonical already.
     """
     bp = prog.bind(degree)
     instrs, fold, action, observed = bp.instrs, bp.fold, bp.action, bp.observed
+    canon = bp.canon
     npeb = bp.num_pebbles
     selfs = tuple(-(i + 1) for i in range(npeb))
 
@@ -753,7 +848,7 @@ def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
                 continue
             moves = list(selfs)
             moves[pebble - 1] = move
-            out[nxt, tuple(moves)] = None
+            out[canon(*nxt), tuple(moves)] = None
         return tuple(out)
 
     return NdJag(start_state=(0, bp.init_vals), accept_state=_QA,
