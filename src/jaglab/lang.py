@@ -793,8 +793,8 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
             return True
         return False
 
-    parent, limit_hit = expand(intern((0, bp.init_vals)) * N + init_code,
-                               successors, limits, visit)
+    parent, _, limit_hit = expand(intern((0, bp.init_vals)) * N + init_code,
+                                  successors, limits, visit)
     if not accepted:
         verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
         return RunResult(verdict, None, len(parent))

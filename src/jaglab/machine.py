@@ -291,29 +291,60 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
 
 @dataclass
 class ConfigGraph:
-    """Explicit configuration graph: adjacency, parents, and bookkeeping.
+    """Explicit configuration graph: the BFS tree, the edges it leaves out,
+    and bookkeeping.
 
-    ``limit_hit`` names the budget that stopped the build (``"max_configs"``
-    or ``"max_run_len"``); it is None when the graph is complete.
-    ``configs_explored`` counts the configurations discovered, as
-    ``max_configs`` and ``lang.interpret`` do.
+    ``parent`` maps each configuration discovered to the one it was first
+    reached from (the initial one to None); ``merges`` lists, in BFS order,
+    every other edge ``(config, successor)`` the build followed, i.e. each
+    edge into a configuration already discovered.  Together they hold every
+    edge of the graph searched, so the deciders read no adjacency.
+    ``accepting`` lists the accept configurations the build expanded, in
+    BFS order.  ``limit_hit`` names the budget that stopped the build
+    (``"max_configs"`` or ``"max_run_len"``); it is None when the graph is
+    complete.  ``configs_explored`` counts the configurations discovered,
+    as ``max_configs`` and ``lang.interpret`` do.
     """
 
     jag: NdJag
     graph: LabelledGraph
     initial: Configuration
-    adj: dict = field(default_factory=dict)
-    parent: dict = field(default_factory=dict)
-    accepting: list = field(default_factory=list)
+    parent: dict
+    merges: list
+    accepting: list
     limit_hit: str | None = None
+    _adj: dict | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     @property
     def configs_explored(self) -> int:
         return len(self.parent)
 
+    @property
+    def adj(self) -> dict:
+        """Each configuration the build expanded, in BFS order, mapped to a
+        fresh ``successors(jag, g)`` list; derived on first read.
+
+        No decider reads it: it is a view for tools that count edges, and
+        will go once they count them from ``parent`` and ``merges``.  A
+        budget stops the build before it expands the last level discovered,
+        so that level is left out.
+        """
+        if self._adj is None:
+            expanded = self.parent
+            if self.limit_hit is not None:
+                depth = {}
+                for config, above in self.parent.items():
+                    depth[config] = 0 if above is None else depth[above] + 1
+                last = depth[config]  # the last configuration discovered
+                expanded = [c for c, d in depth.items() if d < last]
+            succs = successors(self.jag, self.graph)
+            self._adj = {c: succs(c) for c in expanded}
+        return self._adj
+
 
 def expand(initial, successors: Callable, limits: Limits,
-           visit: Callable) -> tuple[dict, str | None]:
+           visit: Callable) -> tuple[dict, list, str | None]:
     """Breadth-first search of a configuration space, one level at a time.
 
     The compiled machine's configuration graph and the interpreter are
@@ -331,33 +362,39 @@ def expand(initial, successors: Callable, limits: Limits,
     caller's collector state is restored however the search ends, by a
     return, a stop from ``visit`` or an exception.
 
-    Returns ``(parent, limit_hit)``: ``parent`` maps every configuration
-    discovered to the one it was first reached from (the initial one to
-    None), and ``limit_hit`` names the budget that ran out, or is None.
+    Returns ``(parent, merges, limit_hit)``: ``parent`` maps every
+    configuration discovered to the one it was first reached from (the
+    initial one to None); ``merges`` lists, in the order they were followed,
+    the edges ``(config, successor)`` into a configuration already
+    discovered, the only edges ``parent`` does not hold; and ``limit_hit``
+    names the budget that ran out, or is None.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         parent = {initial: None}
+        merges = []
         frontier = [initial]
         depth = 0
         while frontier:
             if len(parent) > limits.max_configs:
-                return parent, "max_configs"
+                return parent, merges, "max_configs"
             if limits.max_run_len is not None and depth > limits.max_run_len:
-                return parent, "max_run_len"
+                return parent, merges, "max_run_len"
             nxt = []
             for config in frontier:
                 succs = successors(config)
                 if visit(config, succs):
-                    return parent, None
+                    return parent, merges, None
                 for s in succs:
                     if s not in parent:
                         parent[s] = config
                         nxt.append(s)
+                    else:
+                        merges.append((config, s))
             frontier = nxt
             depth += 1
-        return parent, None
+        return parent, merges, None
     finally:
         if collecting:
             gc.enable()
@@ -384,14 +421,20 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
 
     The search is ``expand``'s, so the depth of a configuration is the run
     length that ``limits.max_run_len`` bounds.  Accept-state configurations
-    are expanded too; the deciders ignore their successors.
+    are expanded too; the deciders ignore their successors.  The graph is
+    kept as ``expand`` returns it, a BFS tree and the edges it leaves out;
+    no successor list outlives the search.
     """
     init = initial_config(jag, g)
-    cg = ConfigGraph(jag, g, init)
-    cg.parent, cg.limit_hit = expand(init, successors(jag, g), limits,
-                                     cg.adj.__setitem__)
-    cg.accepting = [c for c in cg.adj if c.state == jag.accept_state]
-    return cg
+    accept_state = jag.accept_state
+    accepting = []
+
+    def visit(config, succs):
+        if config.state == accept_state:
+            accepting.append(config)
+
+    parent, merges, limit_hit = expand(init, successors(jag, g), limits, visit)
+    return ConfigGraph(jag, g, init, parent, merges, accepting, limit_hit)
 
 
 def accepts(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
@@ -471,25 +514,92 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
 
     ``value`` belongs to the initial configuration; ``extend(value, config)``
     is the value of a run once it enters ``config``.  Each configuration
-    keeps one value, the ``join`` of the values of every run entering it,
-    and is re-expanded only when that value changes.  Runs end at their
-    first accept configuration, so none is expanded.  Exact when ``extend``
-    distributes over ``join``.  An accept configuration's value is yielded
-    again whenever it changes, and the last one is final; since a join only
-    moves a value one way, a caller may stop at the first value that
-    settles its answer.
+    keeps one value, the ``join`` of the values of every run entering it;
+    this is exact when ``extend`` distributes over ``join``.  Runs end at
+    their first accept configuration, so an edge out of one belongs to no
+    run, and an accept configuration that only such edges reach yields
+    nothing.  An accept configuration's value is yielded again whenever it
+    changes, and the last one is final; since a join only moves a value
+    one way, a caller may stop at the first value that settles its answer.
+
+    Along the BFS tree a configuration's value is ``extend`` folded down
+    its one path from the initial configuration.  A graph without merges
+    is that tree: only the paths up from the accept configurations are
+    walked, and each configuration walked keeps its value, so the work is
+    at most one step per configuration.  With merges, one sweep in
+    discovery order, where a parent comes before its children, gives every
+    configuration that runs reach along the tree its tree value; then
+    ``_carried_values`` carries the value of each merge's source on along
+    the merge and wherever a value changes.
     """
     accept_state = cg.jag.accept_state
-    adj = cg.adj
+    parent = cg.parent
     values = {cg.initial: value}
-    work = deque([cg.initial])
+    if cg.initial.state == accept_state:  # every run ends where it starts
+        yield value
+    elif not cg.merges:
+        for config in cg.accepting:
+            path = []
+            above = parent[config]
+            while above not in values and above.state != accept_state:
+                path.append(above)
+                above = parent[above]
+            # None: an accept configuration, or one reached only through one
+            v = values.get(above)
+            for c in reversed(path):
+                if v is not None:
+                    v = extend(v, c)
+                values[c] = v
+            if v is not None:
+                yield extend(v, config)
+    else:
+        # a configuration's children are discovered one after another, so
+        # each run of them reads its parent's value once
+        above_was = v = None  # the initial configuration has no parent
+        for config, above in parent.items():
+            if above is not above_was:
+                above_was = above
+                v = values.get(above)
+                if v is not None and above.state == accept_state:
+                    v = None
+            if v is not None:
+                values[config] = new = extend(v, config)
+                if config.state == accept_state:
+                    yield new
+        work = [config for config, _ in cg.merges
+                if config in values and config.state != accept_state]
+        if work:
+            yield from _carried_values(cg, values, work, extend, join)
+
+
+def _carried_values(cg: ConfigGraph, values: dict, work: list,
+                    extend: Callable, join: Callable):
+    """The worklist of ``_accept_values``: carry the value of each
+    configuration in ``work`` along every edge out of it, the tree's
+    (``parent`` inverted) and the merges, and on from each configuration
+    whose value changes, until none does.  ``values`` maps configurations
+    to their values so far, each the value of a run or a join of such.
+    An accept configuration passes nothing on; its value is yielded each
+    time it is taken from the worklist.
+    """
+    accept_state = cg.jag.accept_state
+    out = {}
+    above_was, kids = None, []  # the initial configuration has no parent
+    for config, above in cg.parent.items():
+        if above is not above_was:
+            above_was = above
+            kids = out[above] = []
+        kids.append(config)
+    for config, s in cg.merges:
+        out.setdefault(config, []).append(s)
+    work = deque(work)
     while work:
         config = work.popleft()
         value = values[config]
         if config.state == accept_state:
             yield value
             continue
-        for s in adj[config]:
+        for s in out.get(config, ()):
             old = values.get(s)
             new = extend(value, s)
             if old is not None:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from jaglab.groups import abelian_group, cayley_graph, grid_group
@@ -42,19 +44,31 @@ def abelian_corpus():
     return out
 
 
+def oracle_successors(jag, g, config):
+    """The successors of ``config`` by the oracle's step, ``apply_moves``,
+    in ``jag.transitions`` order."""
+    return [Configuration(nxt, apply_moves(g, config.nodes, moves))
+            for nxt, moves in jag.transitions(config.state,
+                                              partition_of(config.nodes))]
+
+
 def assert_steps_match_oracle(jag, g, cg=None):
     """Every configuration of a complete build ``cg`` (made here if not
     given) steps as the oracle's ``apply_moves`` says, successors in
-    ``jag.transitions`` order.  Returns the number of configurations
-    checked."""
+    ``jag.transitions`` order, and the build's tree and merges hold each of
+    those edges once.  Returns the number of configurations checked."""
     if cg is None:
         cg = build_config_graph(jag, g)
     assert cg.limit_hit is None
     succs = successors(jag, g)
-    for c in cg.adj:
-        want = [Configuration(nxt, apply_moves(g, c.nodes, moves))
-                for nxt, moves in jag.transitions(c.state, partition_of(c.nodes))]
+    edges = Counter((above, c) for c, above in cg.parent.items()
+                    if above is not None) + Counter(cg.merges)
+    for c in cg.parent:
+        want = oracle_successors(jag, g, c)
         got = succs(c)
-        assert got == want == cg.adj[c]
+        assert got == want
         assert all(type(s) is Configuration for s in got)
-    return len(cg.adj)
+        for s in got:
+            edges[c, s] -= 1
+    assert set(edges.values()) <= {0}
+    return len(cg.parent)

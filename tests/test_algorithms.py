@@ -60,10 +60,10 @@ def _accepting_from(jag, g, placements):
     nodes = list(init.nodes)
     for peb, node in placements.items():
         nodes[peb - 1] = node
-    adj = {}
-    _, limit_hit = expand(init._replace(nodes=tuple(nodes)),
-                          successors(jag, g), Limits(), adj.__setitem__)
-    return [c for c in adj if c.state == jag.accept_state], limit_hit
+    expanded = {}
+    _, _, limit_hit = expand(init._replace(nodes=tuple(nodes)),
+                             successors(jag, g), Limits(), expanded.__setitem__)
+    return [c for c in expanded if c.state == jag.accept_state], limit_hit
 
 
 def _z4():

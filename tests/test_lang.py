@@ -418,17 +418,33 @@ def test_dead_variables_merge_the_tower_states():
 
 
 def _random_program(rng):
-    lines = ["pebble curr", "pebble a", "dir x : 1..d"]
+    lines = ["pebble curr", "pebble a", "dir x : 1..d", "dir c : 1..d"]
 
     def stmt(depth, pad):
         kind = rng.choice(
             ["move", "jump", "guessx", "guessb", "iff", "whileb", "fail",
-             "assign"] if depth < 2 else ["move", "jump", "guessx", "fail"])
+             "assign", "ifb", "for"] if depth < 2
+            else ["move", "jump", "guessx", "fail"])
         p = rng.choice(["curr", "a"])
         q = rng.choice(["curr", "a", "s", "t"])
         if kind == "move":
             e = rng.choice(["1", "x", "d"])
             return [f"{pad}move {p} along {e}"]
+        if kind in ("ifb", "for"):
+            action = rng.choice([f"move {p} along 1", f"jump {p} to {q}"])
+            if kind == "ifb":  # a bool read after a pebble action
+                return [pad + line for line in (
+                    "guess b : bool", action, "if b {", "    accept", "}")]
+            # loop bounds and a counter read after a pebble action
+            head = ["guess x", action]
+            if rng.random() < 0.5:
+                head += ["for c = 1 to x {", "    move curr along c"]
+                return ([pad + line for line in head]
+                        + stmt(depth + 1, pad + "    ") + [pad + "}"])
+            # a loop from d runs iff x is d when it starts, and as its body
+            # guesses x, only the start reads that x
+            head += ["for c = d to x {", "    guess x", "    accept", "}"]
+            return [pad + line for line in head]
         if kind == "jump":
             return [f"{pad}jump {p} to {q}"]
         if kind == "assign":
@@ -506,8 +522,8 @@ def test_dead_variable_reset_changes_no_answer(monkeypatch):
     """Both routes search canonical states: against the unreduced search,
     made by a ``canon`` that resets nothing, every verdict, visit order and
     ``verify`` flag is the same and no count is larger; some are smaller.
-    The random programs read no variable past a pebble action but ``x``, so
-    tower programs and the every-form program join them."""
+    The random programs read bools, loop bounds and counters past pebble
+    actions; tower programs and the every-form program join them."""
     import random as _random
     from jaglab.spotcheck import random_graph
     rng = _random.Random(23)
@@ -554,7 +570,7 @@ def test_fold_reads_only_the_partition():
         bp = prog.bind(g.degree)
         cg = build_config_graph(compile_program(prog, g.degree), g,
                                 Limits(max_configs=20_000))
-        for state, nodes in cg.adj:
+        for state, nodes in cg.parent:
             if state == "qa" or bp.instrs[state[0]][0] in _ACTIONS:
                 continue
             pt, vals = state
@@ -667,8 +683,8 @@ def _compiled_run(prog, g, limits):
             return True
         return False
 
-    parent, limit_hit = expand(initial_config(jag, g), successors(jag, g),
-                               limits, visit)
+    parent, _, limit_hit = expand(initial_config(jag, g), successors(jag, g),
+                                  limits, visit)
     if not accepted:
         verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
         return RunResult(verdict, None, len(parent))

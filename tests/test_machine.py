@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from jaglab import machine
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.graph import LabelledGraph, disjoint_union, reachable_set
 from jaglab.groups import abelian_group, cayley_graph, symmetric_group
@@ -15,12 +16,13 @@ from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             expand, initial_config, parse_jag, partition_of,
                             replay_curr_visits, serialize_jag, successors,
                             verify)
+from jaglab.families import parse_family
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
                               random_jag, run_tree_nodes)
 
-from conftest import assert_steps_match_oracle
+from conftest import assert_steps_match_oracle, oracle_successors
 from test_lang import _random_program
 
 
@@ -158,8 +160,10 @@ def test_unobserved_co_located_jump_is_kept():
                 delta=lambda state, pi: (("q", (-2, 1)),) if state == "q" else (),
                 observes=lambda state: ())
     cg = build_config_graph(jag, g)
-    assert list(cg.adj) == [Configuration("q", (0, 0)), Configuration("q", (0, 1)),
-                            Configuration("q", (1, 2)), Configuration("q", (2, 0))]
+    assert list(cg.parent) == [Configuration("q", (0, 0)),
+                               Configuration("q", (0, 1)),
+                               Configuration("q", (1, 2)),
+                               Configuration("q", (2, 0))]
     assert assert_steps_match_oracle(jag, g, cg) == 4
 
 
@@ -194,10 +198,10 @@ def test_build_asks_delta_once_per_key(grid_cayleys):
     for _ in range(2):  # the table lives for one build only
         calls.clear()
         cg = build_config_graph(jag, g)
-        keys = {(c.state, partition_of(c.nodes)) for c in cg.adj}
+        keys = {(c.state, partition_of(c.nodes)) for c in cg.parent}
         assert len(calls) == len(keys) == len(set(calls))
         assert set(calls) == keys
-        assert len(cg.adj) > len(keys)  # keys are shared by configurations
+        assert len(cg.parent) > len(keys)  # keys are shared by configurations
 
     # the compiled automaton's key is its state and the co-location of the
     # pairs it observes there, a coarser key than the partition
@@ -209,7 +213,7 @@ def test_build_asks_delta_once_per_key(grid_cayleys):
     for _ in range(2):
         calls.clear()
         cg = build_config_graph(jag, g)
-        observed_keys = {observed(*c) for c in cg.adj}
+        observed_keys = {observed(*c) for c in cg.parent}
         assert len(calls) == len(observed_keys)
         assert {observed(state, pi) for state, pi in calls} == observed_keys
         assert len(observed_keys) < len(keys)
@@ -224,11 +228,16 @@ def _wrapper(jag, delta, observes=None):
 
 def _assert_builds_match(jag, g, limits):
     """The build of ``jag`` is that of a wrapper which observes every pair:
-    same successors in the same order, parents, accepting and limit hit."""
+    same successors in the same order, as the oracle steps them, parents,
+    merges, accepting and limit hit."""
+    every = _wrapper(jag, jag.transitions)
     got = build_config_graph(jag, g, limits)
-    want = build_config_graph(_wrapper(jag, jag.transitions), g, limits)
-    assert list(got.adj.items()) == list(want.adj.items())
+    want = build_config_graph(every, g, limits)
+    got_succs, want_succs = successors(jag, g), successors(every, g)
+    for c in got.parent:
+        assert got_succs(c) == want_succs(c) == oracle_successors(jag, g, c)
     assert list(got.parent.items()) == list(want.parent.items())
+    assert got.merges == want.merges
     assert got.accepting == want.accepting
     assert got.limit_hit == want.limit_hit
     return got
@@ -355,9 +364,19 @@ def test_expand_pauses_the_collector():
         return [n + 1] if n < 3 else []
 
     assert gc.isenabled()
-    parent, limit_hit = expand(0, succs, Limits(), lambda c, s: False)
+    parent, _, limit_hit = expand(0, succs, Limits(), lambda c, s: False)
     assert (len(parent), limit_hit) == (4, None)
     assert during == [False] * 4 and gc.isenabled()
+
+
+def test_expand_records_every_edge_off_the_tree():
+    # 0 -> 1 -> 2 -> 3 -> 0, each successor listed twice: the second copy
+    # of each edge, and the edge back to 0, reach configurations already
+    # discovered
+    parent, merges, limit_hit = expand(
+        0, lambda n: [(n + 1) % 4] * 2, Limits(), lambda c, s: False)
+    assert parent == {0: None, 1: 0, 2: 1, 3: 2} and limit_hit is None
+    assert merges == [(0, 1), (1, 2), (2, 3), (3, 0), (3, 0)]
 
 
 def test_parse_and_bind_leave_no_cyclic_garbage():
@@ -512,7 +531,7 @@ def avoidance_traversable(cg) -> bool:
             config = frontier.pop()
             if config.state == jag.accept_state:
                 return True
-            for s in cg.adj[config]:
+            for s in oracle_successors(jag, g, config):
                 if s not in seen and s.nodes[curr] != v:
                     seen.add(s)
                     frontier.append(s)
@@ -616,6 +635,137 @@ def test_orderable_when_a_configuration_merges_prefix_tags():
     assert expected(jag, g, 1000).orders == {(0, 1, 2), (0, 2, 1)}
     assert check_traversable(jag, g)[0]
     assert check_orderable(jag, g) == (False, (0, 1, 2))
+
+
+def _cycle4_jag(rules):
+    """A three-pebble rule table on the 4-cycle 0 -> 1 -> 2 -> 3 -> 0, from
+    startnode 0 to targetnode 2, with s = 1, t = 2 and curr = 3."""
+    g = LabelledGraph(4, 1, ((1,), (2,), (3,), (0,)), 0, 2)
+    return NdJag("q0", "acc", 3, s=1, t=2, curr=3, delta=rules), g
+
+
+def test_accept_below_an_accept_yields_nothing():
+    # a tree: curr steps to 1 and accepts; moves out of that accept
+    # configuration reach a second one, past the targetnode, that no run
+    # enters
+    walk = (-1, -2, 1)
+    jag, g = _cycle4_jag({("q0", (1, 2, 1)): (("acc", walk),),
+                          ("acc", (1, 2, 3)): (("q1", walk),),
+                          ("q1", (1, 2, 2)): (("acc", walk),)})
+    cg = build_config_graph(jag, g)
+    assert cg.merges == []
+    assert cg.accepting == [Configuration("acc", (0, 2, 1)),
+                            Configuration("acc", (0, 2, 3))]
+    # one value, of the one run of one step
+    assert list(machine._accept_values(cg, 0, lambda v, c: v + 1, max)) == [1]
+    assert decide_co_st_connectivity(jag, g) == "disconnected"
+    assert disagreement(jag, g, cg, expected(jag, g, 1000)) is None
+
+
+def test_merge_out_of_an_accept_configuration_is_no_run_edge(monkeypatch):
+    # curr steps to 1 and accepts; the accept configuration's move jumps
+    # curr back to s, into the initial configuration, the build's only
+    # merge.  No run follows it, so no value is carried along it.
+    jag, g = _cycle4_jag({("q0", (1, 2, 1)): (("acc", (-1, -2, 1)),),
+                          ("acc", (1, 2, 3)): (("q0", (-1, -2, -1)),)})
+    cg = build_config_graph(jag, g)
+    assert cg.merges == [(Configuration("acc", (0, 2, 1)), cg.initial)]
+
+    def no_worklist(*args):
+        raise AssertionError("the worklist ran")
+
+    monkeypatch.setattr(machine, "_carried_values", no_worklist)
+    assert check_orderable(jag, g, config_graph=cg) == (True, (0, 1))
+    assert disagreement(jag, g, cg, expected(jag, g, 1000)) is None
+
+
+def test_value_pass_follows_a_cycle():
+    # curr walks the cycle and may accept each time it meets t on node 2:
+    # after one lap of 0, 1, 2 or after more, which visit 3 as well.  The
+    # walk from 3 back into the initial configuration is a merge on a run.
+    walk, stay = (-1, -2, 1), (-1, -2, -3)
+    jag, g = _cycle4_jag({("q0", (1, 2, 1)): (("q0", walk),),
+                          ("q0", (1, 2, 3)): (("q0", walk),),
+                          ("q0", (1, 2, 2)): (("acc", stay), ("q0", walk))})
+    cg = build_config_graph(jag, g)
+    assert cg.merges == [(Configuration("q0", (0, 2, 3)), cg.initial)]
+    exp = expected(jag, g, 1000)
+    assert exp.orders == {(0, 1, 2), (0, 1, 2, 3)}
+    # the runs along the tree alone share one order; the cycle breaks it
+    assert check_orderable(jag, g, config_graph=cg) == (False, (0, 1, 2))
+    assert decide_co_st_connectivity(jag, g, config_graph=cg) == "connected"
+    assert disagreement(jag, g, cg, exp) is None
+
+
+def _worklist_only(cg, value, extend, join):
+    """The value pass as one worklist from the initial configuration over
+    every edge, the tree's and the merges, whatever the graph's shape."""
+    return machine._carried_values(cg, {cg.initial: value}, [cg.initial],
+                                   extend, join)
+
+
+def _decider_answers(jag, g, limits):
+    """The traversability and orderability flags, the visit order and the
+    co-st answer for ``jag`` on ``g``, read off one build, and whether the
+    build merges; None if it has no curr pebble or runs out of budget."""
+    cg = build_config_graph(jag, g, limits)
+    if cg.limit_hit or jag.curr is None:
+        return None
+    trav, order = check_traversable(jag, g, config_graph=cg)
+    try:
+        co_st = decide_co_st_connectivity(jag, g, config_graph=cg)
+    except DiagnosticError:
+        co_st = "DiagnosticError"
+    return (trav, check_orderable(jag, g, config_graph=cg), order, co_st,
+            bool(cg.merges))
+
+
+def test_tree_walk_and_sweep_match_the_worklist(monkeypatch):
+    """The walk up from the accept configurations of a tree, and the sweep
+    of a graph with merges, answer as the worklist over every edge does:
+    on ladder programs, with connected and disjoint-union inputs, and on
+    random automata, whose graphs merge and cycle."""
+    cases = []
+    for spec, program in (("grid:d=2,l=3", "grid"), ("sym:n=4", "tower"),
+                          ("abelian:mod=4,4", "tower"),
+                          ("wreath(grid:d=1,l=2, grid:d=1,l=3)", "tower")):
+        family = parse_family(spec)
+        g = family.graph
+        prog = grid_traversal_program(g.degree) if program == "grid" \
+            else tower_program(family.tower)
+        jag = compile_program(prog, g.degree)
+        target = max(reachable_set(g, g.startnode))
+        cases += [(jag, dataclasses.replace(g, targetnode=target), Limits()),
+                  (jag, disjoint_union(g, g), Limits())]
+    rng = random.Random(17)
+    for _ in range(600):
+        g = random_graph(rng)
+        cases.append((random_jag(rng, g.degree), g, Limits(max_configs=2000)))
+    walked = [_decider_answers(*case) for case in cases]
+    monkeypatch.setattr(machine, "_accept_values", _worklist_only)
+    assert [_decider_answers(*case) for case in cases] == walked
+    merges = [answers[-1] for answers in walked if answers]
+    assert all(walked[:8]) and merges.count(False) >= 50 \
+        and merges.count(True) >= 100
+
+
+def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
+    g = grid_cayleys[(2, 3)].graph
+    jag = compile_program(grid_traversal_program(), g.degree)
+    succs = successors(jag, g)
+    full = build_config_graph(jag, g)
+    assert list(full.adj) == list(full.parent)
+    assert all(full.adj[c] == succs(c) for c in full.parent)
+    # a budget stops the build before it expands the last level it found
+    for limits in (Limits(max_configs=40), Limits(max_run_len=6)):
+        cut = build_config_graph(jag, g, limits)
+        assert cut.limit_hit
+        depth = {}
+        for config, above in cut.parent.items():
+            depth[config] = 0 if above is None else depth[above] + 1
+        last = max(depth.values())
+        assert list(cut.adj) == [c for c in cut.parent if depth[c] < last]
+        assert list(cut.adj) == list(full.parent)[:len(cut.adj)]
 
 
 def test_complete_graph_needs_no_further_budget():
