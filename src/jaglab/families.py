@@ -103,7 +103,7 @@ def _int(text: str, key: str) -> int:
                          f"got {text!r}") from None
 
 
-def parse_family(spec: str, targetnode=None) -> Family:
+def parse_family(spec: str) -> Family:
     spec = spec.strip()
     m = re.match(r"^(grid|abelian|sym|gl|wreath|direct)\b", spec)
     if not m:
@@ -126,7 +126,7 @@ def parse_family(spec: str, targetnode=None) -> Family:
             if left.tower is not None and right.tower is not None:
                 tower = alg.direct_tower(left.tower, right.tower,
                                          len(left.gens))
-            cay = cayley_graph(group, gens, targetnode)
+            cay = cayley_graph(group, gens)
             return Family(kind, f"direct({left.name},{right.name})", group,
                           gens, cay, tower)
         ws = groups.wreath_structure(left.group, left.gens,
@@ -134,7 +134,7 @@ def parse_family(spec: str, targetnode=None) -> Family:
         tower = None
         if left.tower is not None and right.tower is not None:
             tower = alg.wreath_tower(ws, left.tower, right.tower)
-        cay = cayley_graph(ws.group, ws.gens, targetnode)
+        cay = cayley_graph(ws.group, ws.gens)
         return Family(kind, f"wreath({left.name},{right.name})", ws.group,
                       ws.gens, cay, tower, wreath=ws)
 
@@ -145,7 +145,7 @@ def parse_family(spec: str, targetnode=None) -> Family:
     if kind == "grid":
         p = _params(body, ("d", "l"))
         group, gens = groups.grid_group(_int(p["d"], "d"), _int(p["l"], "l"))
-        cay = cayley_graph(group, gens, targetnode)
+        cay = cayley_graph(group, gens)
         return Family(kind, spec, group, gens, cay, alg.abelian_tower(cay))
 
     if kind == "abelian":
@@ -159,20 +159,20 @@ def parse_family(spec: str, targetnode=None) -> Family:
             gens_arg = [tuple(_int(x, "gens") for x in t.split(","))
                         for t in tuples]
         group, gens = groups.abelian_group(moduli, gens_arg)
-        cay = cayley_graph(group, gens, targetnode)
+        cay = cayley_graph(group, gens)
         return Family(kind, spec, group, gens, cay, alg.abelian_tower(cay))
 
     if kind == "sym":
         p = _params(body, ("n",))
         n = _int(p["n"], "n")
         group, gens = groups.symmetric_group(n)
-        cay = cayley_graph(group, gens, targetnode)
+        cay = cayley_graph(group, gens)
         return Family(kind, spec, group, gens, cay, alg.symmetric_tower(n))
 
     if kind == "gl":
         p = _params(body, ("n", "p"))
         group, gens = groups.gl_group(_int(p["n"], "n"), _int(p["p"], "p"))
-        cay = cayley_graph(group, gens, targetnode)
+        cay = cayley_graph(group, gens)
         return Family(kind, spec, group, gens, cay, None)
 
     raise AssertionError(kind)  # pragma: no cover

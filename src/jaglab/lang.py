@@ -787,7 +787,7 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
 
     accepted = []
 
-    def visit(c, succs):
+    def visit(c):
         if c < N:  # sid 0, the accept point
             accepted.append(c)
             return True

@@ -298,7 +298,7 @@ class ConfigGraph:
     reached from (the initial one to None); ``merges`` lists, in BFS order,
     every other edge ``(config, successor)`` the build followed, i.e. each
     edge into a configuration already discovered.  Together they hold every
-    edge of the graph searched, so the deciders read no adjacency.
+    edge of the graph searched; ``adj`` is the forward view of them.
     ``accepting`` lists the accept configurations the build expanded, in
     BFS order.  ``limit_hit`` names the budget that stopped the build
     (``"max_configs"`` or ``"max_run_len"``); it is None when the graph is
@@ -322,13 +322,15 @@ class ConfigGraph:
 
     @property
     def adj(self) -> dict:
-        """Each configuration the build expanded, in BFS order, mapped to a
-        fresh ``successors(jag, g)`` list; derived on first read.
+        """Each configuration the build expanded, in BFS order, mapped to
+        the list of its successors: its children in ``parent``, in
+        discovery order, then the targets of its merges, in BFS order.
+        That is the multiset ``successors(jag, g)`` gives it, read off the
+        build instead of stepped again; derived on first read.
 
-        No decider reads it: it is a view for tools that count edges, and
-        will go once they count them from ``parent`` and ``merges``.  A
-        budget stops the build before it expands the last level discovered,
-        so that level is left out.
+        The value pass's worklist reads it, and so do tools that count
+        edges.  A budget stops the build before it expands the last level
+        discovered, so that level is left out.
         """
         if self._adj is None:
             expanded = self.parent
@@ -338,8 +340,12 @@ class ConfigGraph:
                     depth[config] = 0 if above is None else depth[above] + 1
                 last = depth[config]  # the last configuration discovered
                 expanded = [c for c, d in depth.items() if d < last]
-            succs = successors(self.jag, self.graph)
-            self._adj = {c: succs(c) for c in expanded}
+            adj = self._adj = {c: [] for c in expanded}
+            for config, above in self.parent.items():
+                if above is not None:
+                    adj[above].append(config)
+            for config, s in self.merges:
+                adj[config].append(s)
         return self._adj
 
 
@@ -352,9 +358,9 @@ def expand(initial, successors: Callable, limits: Limits,
     Before each level the search stops with a limit hit if more than
     ``limits.max_configs`` configurations have been discovered
     (``"max_configs"``) or if the level lies deeper than
-    ``limits.max_run_len`` steps (``"max_run_len"``).  ``visit(config,
-    succs)`` sees each expanded configuration in BFS order together with
-    its successors; a true result ends the search with no limit hit.
+    ``limits.max_run_len`` steps (``"max_run_len"``).  ``visit(config)``
+    sees each expanded configuration in BFS order, once its successors are
+    known; a true result ends the search with no limit hit.
 
     The cyclic garbage collector is paused for the search: configurations,
     placements and successor lists hold no reference cycles, so its
@@ -384,7 +390,7 @@ def expand(initial, successors: Callable, limits: Limits,
             nxt = []
             for config in frontier:
                 succs = successors(config)
-                if visit(config, succs):
+                if visit(config):
                     return parent, merges, None
                 for s in succs:
                     if s not in parent:
@@ -423,13 +429,14 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
     length that ``limits.max_run_len`` bounds.  Accept-state configurations
     are expanded too; the deciders ignore their successors.  The graph is
     kept as ``expand`` returns it, a BFS tree and the edges it leaves out;
-    no successor list outlives the search.
+    no successor list outlives the search (``ConfigGraph.adj`` derives
+    them from the two when it is read).
     """
     init = initial_config(jag, g)
     accept_state = jag.accept_state
     accepting = []
 
-    def visit(config, succs):
+    def visit(config):
         if config.state == accept_state:
             accepting.append(config)
 
@@ -522,76 +529,58 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
     changes, and the last one is final; since a join only moves a value
     one way, a caller may stop at the first value that settles its answer.
 
-    Along the BFS tree a configuration's value is ``extend`` folded down
-    its one path from the initial configuration.  A graph without merges
-    is that tree: only the paths up from the accept configurations are
-    walked, and each configuration walked keeps its value, so the work is
-    at most one step per configuration.  With merges, one sweep in
-    discovery order, where a parent comes before its children, gives every
-    configuration that runs reach along the tree its tree value; then
-    ``_carried_values`` carries the value of each merge's source on along
-    the merge and wherever a value changes.
+    A configuration's tree value is ``extend`` folded down its one path in
+    the BFS tree from the initial configuration, None if that path passes
+    through an accept configuration.  ``tree_value`` walks up ``parent``
+    and keeps each value it finds, so the work is at most one step per
+    configuration.  Each accept configuration yields its tree value, in BFS
+    order; a graph without merges is that tree, and that is all.  With
+    merges, ``_carried_values`` starts from the merge sources that runs
+    reach along the tree and carries their values on along every edge.
     """
     accept_state = cg.jag.accept_state
     parent = cg.parent
-    values = {cg.initial: value}
-    if cg.initial.state == accept_state:  # every run ends where it starts
-        yield value
-    elif not cg.merges:
-        for config in cg.accepting:
-            path = []
-            above = parent[config]
-            while above not in values and above.state != accept_state:
-                path.append(above)
-                above = parent[above]
-            # None: an accept configuration, or one reached only through one
-            v = values.get(above)
-            for c in reversed(path):
-                if v is not None:
-                    v = extend(v, c)
-                values[c] = v
-            if v is not None:
-                yield extend(v, config)
-    else:
-        # a configuration's children are discovered one after another, so
-        # each run of them reads its parent's value once
-        above_was = v = None  # the initial configuration has no parent
-        for config, above in parent.items():
-            if above is not above_was:
-                above_was = above
-                v = values.get(above)
-                if v is not None and above.state == accept_state:
-                    v = None
-            if v is not None:
-                values[config] = new = extend(v, config)
-                if config.state == accept_state:
-                    yield new
+    tree = {cg.initial: value}
+
+    def tree_value(config):
+        path = []
+        while config not in tree:
+            path.append(config)
+            config = parent[config]
+        v = tree[config]
+        for c in reversed(path):
+            if v is not None:  # None: the run along the tree ended above
+                v = None if config.state == accept_state else extend(v, c)
+            tree[c] = v
+            config = c
+        return v
+
+    for config in cg.accepting:
+        v = tree_value(config)
+        if v is not None:
+            yield v
+    if cg.merges:
         work = [config for config, _ in cg.merges
-                if config in values and config.state != accept_state]
+                if config.state != accept_state
+                and tree_value(config) is not None]
         if work:
-            yield from _carried_values(cg, values, work, extend, join)
+            yield from _carried_values(cg, work, tree_value, extend, join)
 
 
-def _carried_values(cg: ConfigGraph, values: dict, work: list,
+def _carried_values(cg: ConfigGraph, work: list, tree_value: Callable,
                     extend: Callable, join: Callable):
     """The worklist of ``_accept_values``: carry the value of each
-    configuration in ``work`` along every edge out of it, the tree's
-    (``parent`` inverted) and the merges, and on from each configuration
-    whose value changes, until none does.  ``values`` maps configurations
-    to their values so far, each the value of a run or a join of such.
-    An accept configuration passes nothing on; its value is yielded each
-    time it is taken from the worklist.
+    configuration in ``work``, at first its ``tree_value``, along every
+    edge out of it in ``cg.adj``, and on from each configuration whose
+    value changes, until none does.  A configuration's value so far is
+    the join of the values of the runs carried into it and of its tree
+    value (None: no run along the tree enters it).  An accept
+    configuration passes nothing on; its value is yielded each time it is
+    taken from the worklist.
     """
     accept_state = cg.jag.accept_state
-    out = {}
-    above_was, kids = None, []  # the initial configuration has no parent
-    for config, above in cg.parent.items():
-        if above is not above_was:
-            above_was = above
-            kids = out[above] = []
-        kids.append(config)
-    for config, s in cg.merges:
-        out.setdefault(config, []).append(s)
+    adj = cg.adj
+    values = {config: tree_value(config) for config in work}
     work = deque(work)
     while work:
         config = work.popleft()
@@ -599,8 +588,8 @@ def _carried_values(cg: ConfigGraph, values: dict, work: list,
         if config.state == accept_state:
             yield value
             continue
-        for s in out.get(config, ()):
-            old = values.get(s)
+        for s in adj[config]:
+            old = values[s] if s in values else tree_value(s)
             new = extend(value, s)
             if old is not None:
                 new = join(old, new)

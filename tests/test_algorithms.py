@@ -60,9 +60,9 @@ def _accepting_from(jag, g, placements):
     nodes = list(init.nodes)
     for peb, node in placements.items():
         nodes[peb - 1] = node
-    expanded = {}
+    expanded = []
     _, _, limit_hit = expand(init._replace(nodes=tuple(nodes)),
-                             successors(jag, g), Limits(), expanded.__setitem__)
+                             successors(jag, g), Limits(), expanded.append)
     return [c for c in expanded if c.state == jag.accept_state], limit_hit
 
 

@@ -5,6 +5,7 @@ import pytest
 from jaglab.errors import InputError
 from jaglab.families import max_generator_order, parse_family
 from jaglab.graph import serialize_graph
+from jaglab.groups import cayley_graph
 
 
 @pytest.mark.parametrize("spec,nodes,degree", [
@@ -40,8 +41,9 @@ def test_towers_exist_where_expected():
 
 
 def test_targetnode_override():
-    fam = parse_family("grid:d=2,l=2", targetnode=(1, 1))
-    assert fam.graph.targetnode == fam.cayley.node_of[(1, 1)]
+    fam = parse_family("grid:d=2,l=2")
+    cay = cayley_graph(fam.group, fam.gens, targetnode=(1, 1))
+    assert cay.graph.targetnode == cay.node_of[(1, 1)] != fam.graph.targetnode
 
 
 def test_max_generator_order():

@@ -677,7 +677,7 @@ def _compiled_run(prog, g, limits):
     jag = compile_program(prog, g.degree)
     accepted = []
 
-    def visit(config, succs):
+    def visit(config):
         if config.state == jag.accept_state:
             accepted.append(config)
             return True

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import operator
 import random
+from collections import Counter
 
 import pytest
 
@@ -364,7 +366,7 @@ def test_expand_pauses_the_collector():
         return [n + 1] if n < 3 else []
 
     assert gc.isenabled()
-    parent, _, limit_hit = expand(0, succs, Limits(), lambda c, s: False)
+    parent, _, limit_hit = expand(0, succs, Limits(), lambda c: False)
     assert (len(parent), limit_hit) == (4, None)
     assert during == [False] * 4 and gc.isenabled()
 
@@ -374,7 +376,7 @@ def test_expand_records_every_edge_off_the_tree():
     # of each edge, and the edge back to 0, reach configurations already
     # discovered
     parent, merges, limit_hit = expand(
-        0, lambda n: [(n + 1) % 4] * 2, Limits(), lambda c, s: False)
+        0, lambda n: [(n + 1) % 4] * 2, Limits(), lambda c: False)
     assert parent == {0: None, 1: 0, 2: 1, 3: 2} and limit_hit is None
     assert merges == [(0, 1), (1, 2), (2, 3), (3, 0), (3, 0)]
 
@@ -697,10 +699,69 @@ def test_value_pass_follows_a_cycle():
     assert disagreement(jag, g, cg, exp) is None
 
 
+def _runs_into(jag, g):
+    """Every run of ``jag`` on ``g``, as its tuple of configurations, under
+    the accept configuration it ends at; the graph must have no cycle."""
+    succs = successors(jag, g)
+    runs = {}
+    stack = [(initial_config(jag, g),)]
+    while stack:
+        run = stack.pop()
+        if run[-1].state == jag.accept_state:
+            runs.setdefault(run[-1], set()).add(run)
+        else:
+            stack.extend(run + (s,) for s in succs(run[-1]))
+    return runs
+
+
+def test_merge_target_off_the_tree_paths_joins_its_tree_value():
+    # on the 3-cycle 0 -> 1 -> 2 -> 0, curr either walks to 1 (a) or jumps
+    # to t on 2 (b), then is jumped back to s on 0 in x: the tree reaches
+    # x from a, the merge from b.  No tree path to the one accept
+    # configuration passes x: it lies below c.  From x, y and a merge lead
+    # on to it, so the run through b, which misses node 1 and leaves the
+    # canonical order (0, 1, 2), reaches it only through the worklist.
+    walk, stay = (-1, -2, 1), (-1, -2, -3)
+    to_s, to_t = (-1, -2, -1), (-1, -2, -2)
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 2)
+    jag = NdJag("q0", "acc", 3, s=1, t=2, curr=3, delta={
+        ("q0", (1, 2, 1)): (("a", walk), ("b", to_t)),
+        ("a", (1, 2, 3)): (("x", to_s), ("c", walk)),
+        ("b", (1, 2, 2)): (("x", to_s),),
+        ("c", (1, 2, 2)): (("acc", stay),),
+        ("x", (1, 2, 1)): (("y", to_t),),
+        ("y", (1, 2, 2)): (("acc", stay),)})
+    cg = build_config_graph(jag, g)
+    x, acc = Configuration("x", (0, 2, 0)), Configuration("acc", (0, 2, 2))
+    assert cg.parent[x] == Configuration("a", (0, 2, 1))
+    assert cg.merges == [(Configuration("b", (0, 2, 2)), x),
+                         (Configuration("y", (0, 2, 2)), acc)]
+    assert cg.accepting == [acc] and cg.parent[acc].state == "c"
+    exp = expected(jag, g, 1000)
+    assert exp.orders == {(0, 1, 2), (0, 2)}
+    assert check_traversable(jag, g, config_graph=cg) == (False, (0, 1, 2))
+    assert check_orderable(jag, g, config_graph=cg) == (False, (0, 1, 2))
+    assert decide_co_st_connectivity(jag, g, config_graph=cg) == "connected"
+    assert disagreement(jag, g, cg, exp) is None
+    # with every run as a value, the last value the pass yields for the
+    # accept configuration holds all three runs: the one along the tree,
+    # and the two through x
+    runs = _runs_into(jag, g)
+    assert len(runs[acc]) == 3
+    last = {}
+    for paths in machine._accept_values(
+            cg, frozenset({(cg.initial,)}),
+            lambda paths, c: frozenset(p + (c,) for p in paths),
+            operator.or_):
+        last[next(iter(paths))[-1]] = paths
+    assert last == runs
+
+
 def _worklist_only(cg, value, extend, join):
     """The value pass as one worklist from the initial configuration over
-    every edge, the tree's and the merges, whatever the graph's shape."""
-    return machine._carried_values(cg, {cg.initial: value}, [cg.initial],
+    every edge, the tree's and the merges, whatever the graph's shape: no
+    other configuration starts with a tree value."""
+    return machine._carried_values(cg, [cg.initial], {cg.initial: value}.get,
                                    extend, join)
 
 
@@ -720,11 +781,12 @@ def _decider_answers(jag, g, limits):
             bool(cg.merges))
 
 
-def test_tree_walk_and_sweep_match_the_worklist(monkeypatch):
-    """The walk up from the accept configurations of a tree, and the sweep
-    of a graph with merges, answer as the worklist over every edge does:
-    on ladder programs, with connected and disjoint-union inputs, and on
-    random automata, whose graphs merge and cycle."""
+def test_tree_values_and_merges_match_the_worklist(monkeypatch):
+    """The tree values of the accept configurations, and on a graph with
+    merges the worklist from the merge sources, answer as the worklist
+    from the initial configuration over every edge does: on ladder
+    programs, with connected and disjoint-union inputs, and on random
+    automata, whose graphs merge and cycle."""
     cases = []
     for spec, program in (("grid:d=2,l=3", "grid"), ("sym:n=4", "tower"),
                           ("abelian:mod=4,4", "tower"),
@@ -749,6 +811,17 @@ def test_tree_walk_and_sweep_match_the_worklist(monkeypatch):
         and merges.count(True) >= 100
 
 
+def _above(parent, config, below):
+    """Whether ``config`` lies on the tree path from the initial
+    configuration to ``below``: a merge from ``below`` into it closes a
+    cycle."""
+    while below is not None:
+        if below == config:
+            return True
+        below = parent[below]
+    return False
+
+
 def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
     g = grid_cayleys[(2, 3)].graph
     jag = compile_program(grid_traversal_program(), g.degree)
@@ -766,6 +839,28 @@ def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
         last = max(depth.values())
         assert list(cut.adj) == [c for c in cut.parent if depth[c] < last]
         assert list(cut.adj) == list(full.parent)[:len(cut.adj)]
+    # on random automata, whose builds merge and cycle, each list is the
+    # multiset of the configuration's successors, complete or cut
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(300):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        succs = successors(jag, g)
+        for limits in (Limits(max_configs=2000), Limits(max_configs=6),
+                       Limits(max_run_len=3)):
+            cg = build_config_graph(jag, g, limits)
+            expanded = []
+            expand(cg.initial, succs, limits, expanded.append)
+            assert list(cg.adj) == expanded
+            assert all(Counter(cg.adj[c]) == Counter(succs(c))
+                       for c in expanded)
+            seen["merges"] += bool(cg.merges)
+            seen["cycles"] += any(_above(cg.parent, s, c)
+                                  for c, s in cg.merges)
+            seen[cg.limit_hit] += 1
+            seen["cut merges"] += bool(cg.limit_hit and cg.merges)
+    assert min(seen.values()) >= 30
 
 
 def test_complete_graph_needs_no_further_budget():
