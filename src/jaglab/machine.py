@@ -20,6 +20,12 @@ decided by exact reachability over the finite configuration graph, subject
 to an explicit configuration budget.  A run is an accepting computation as
 soon as it reaches the accept state; traces are cut there, and the deciders
 never follow a transition out of an accept configuration.
+
+The build searches configurations packed into ints, one per configuration
+(``PackedSpace``), and the deciders read only those ints.  The
+``Configuration`` fields of a ``ConfigGraph`` (``parent``, ``merges``,
+``accepting``, ``initial``, ``adj``) are views decoded on first read, and
+``successors`` steps ``Configuration``s through the same packed step.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import gc
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DiagnosticError, InputError, ResourceLimitExceeded
@@ -88,6 +94,14 @@ def _every_pair(p: int) -> tuple:
     """Every pebble pair ``(i, j)`` of p pebbles, 0-based with i < j: what
     a control that reads the whole partition observes."""
     return tuple(itertools.combinations(range(p), 2))
+
+
+@functools.cache
+def _radix(n: int, p: int) -> tuple:
+    """The digit weights ``n**i`` of p pebbles' nodes in radix n, and the
+    weight pairs of ``_every_pair(p)``."""
+    weights = tuple([n ** i for i in range(p)])
+    return weights, tuple([(weights[i], weights[j]) for i, j in _every_pair(p)])
 
 
 def _checked_pairs(state, pairs, num_pebbles: int) -> tuple:
@@ -168,7 +182,7 @@ def initial_config(jag: NdJag, g: LabelledGraph) -> Configuration:
 def _check_moves(moves: tuple, num_pebbles: int, degree: int | None = None):
     """Raise ``InputError`` unless ``moves`` has one move per pebble, each a
     jump to a pebble or a label of at most ``degree`` (None: not checked).
-    ``successors`` has a copy inline, in the loop that fills its sparse
+    ``PackedSpace`` has a copy inline, in the loop that fills its sparse
     plans, which is cheaper per key."""
     if len(moves) != num_pebbles:
         raise InputError("move vector length != pebble count")
@@ -184,107 +198,188 @@ def apply_moves(g: LabelledGraph, nodes: tuple, moves: tuple) -> tuple:
 
     The checked step of the run-tree oracle (``enumerate_runs``,
     ``replay_curr_visits``); the configuration-graph build has its own, in
-    ``successors``.
+    ``PackedSpace``.
     """
     _check_moves(moves, len(nodes), g.degree)
     return tuple(g.rho[v][mv - 1] if mv > 0 else nodes[-mv - 1]
                  for v, mv in zip(nodes, moves))
 
 
-def successors(jag: NdJag, g: LabelledGraph) -> Callable:
-    """The successor function of one configuration-graph build.
+class PackedSpace:
+    """The configurations of one automaton on one graph, packed into ints,
+    and the one successor function of a configuration-graph build.
 
-    It maps a configuration to the list of its successors (empty: dead).
-    In a state the control sees only which of the pairs
-    ``jag.observes(state)`` share a node (every pair when ``observes`` is
-    None), so the table that lives as long as the returned function holds
-    ``table[state] = (pairs, plans)``: ``pairs`` is that answer, checked
-    when the state is first met, and ``plans`` maps a key ``bits``, with
-    bit k set when the k-th pair shares a node, to the state's plans.
+    A configuration is one int, ``sid * N + code``, as in
+    ``lang.interpret``.  The state id ``sid`` numbers the automaton's states
+    in the order the space meets them: 0 is ``jag.accept_state``, so ``c``
+    is an accept configuration iff ``c < N``; the start state comes next,
+    then each next state of a transition when its key enters the table.
+    States are told apart as dict keys are.  The code ``sum(nodes[i] *
+    n**i)`` writes the placement in radix ``n = g.num_nodes``, one digit per
+    pebble, so ``0 <= code < N = n**p`` for p pebbles, and pebble i + 1 sits
+    on ``c // weights[i] % n``: ``N`` is a multiple of ``n * weights[i]``.
+    ``encode`` and ``decode`` are the bijection with ``Configuration``s.
+    (On a one-node graph every code is 0 and ``c`` is the sid.)
+
+    ``step(c)`` lists the successors of ``c`` (empty: dead), in the order
+    ``jag.transitions`` gives them.  In a state the control sees only which
+    of the pairs ``jag.observes(state)`` share a node (every pair when
+    ``observes`` is None), so the table that lives as long as the space
+    holds, per sid, ``(pairs, weight pairs, plans)``: ``pairs`` is that
+    answer, checked when a configuration of the state is first stepped, and
+    ``plans`` maps a key ``bits``, with bit k set when the k-th pair shares
+    a node, read off the digits of ``c``, to the state's plans.
     ``jag.transitions`` is asked once per ``(state, bits)``, with the
-    partition of the first configuration that has it, and
-    ``partition_of`` runs only then.  Each move vector is checked when its
-    key enters the table, i.e. at the first configuration that would apply
-    it: its labels against the degree and, since a callable ``delta`` is
-    not checked when the automaton is made, its length and encoding.
+    partition of the first configuration that has it, and ``partition_of``
+    runs only then.  Each move vector is checked when its key enters the
+    table, i.e. at the first configuration that would apply it: its labels
+    against the degree and, since a callable ``delta`` is not checked when
+    the automaton is made, its length and encoding.
 
-    The table holds a sparse plan per transition, ``(next_state, steps)``:
-    ``steps`` lists only the pebbles that can move, by 0-based index i, as
-    ``(i, label - 1)`` for an edge-walk and ``(i, -j)`` for a jump to
-    pebble j.  A jump to the pebble itself, or to one that the key shows
-    on the same node (the pair is observed and its bit set), cannot change
-    the placement, so it is dropped when the entry is filled; a transition
-    with no steps keeps the placement tuple as it is.  A jump between two
-    pebbles of an unobserved pair is kept even where they share a node:
-    another configuration with the same key may hold them apart.
+    The table holds a sparse plan per transition, ``(shift, steps)``:
+    ``shift`` is the change of sid times N, and ``steps`` lists only the
+    pebbles that can move, by weight w, as ``(w, label - 1)`` for an
+    edge-walk and ``(w, ~w_j)`` for a jump to pebble j; each adds the
+    change of w's digit, read off the old placement.  A jump to the pebble
+    itself, or to one that the key shows on the same node (the pair is
+    observed and its bit set), cannot change the placement, so it is
+    dropped when the entry is filled.  A jump between two pebbles of an
+    unobserved pair is kept even where they share a node: another
+    configuration with the same key may hold them apart.
     """
-    table: dict = {}
-    transitions = jag.transitions
-    observes = jag.observes
-    p = jag.num_pebbles
-    every = _every_pair(p) if observes is None else None
-    rho = g.rho
-    degree = g.degree
+
+    def __init__(self, jag: NdJag, g: LabelledGraph):
+        p = jag.num_pebbles
+        n = self.n = g.num_nodes
+        weights, every_w = _radix(n, p)
+        self.weights = weights
+        N = self.N = n ** p
+        states = self.states = [jag.accept_state]  # sid -> state
+        sids = {jag.accept_state: 0}
+        table = [None]  # sid -> (pairs, their weight pairs, plans by bits)
+        transitions = jag.transitions
+        observes = jag.observes
+        every = _every_pair(p) if observes is None else None
+        rho = g.rho
+        degree = g.degree
+
+        def intern(state):
+            sid = sids.get(state)
+            if sid is None:
+                sid = sids[state] = len(states)
+                states.append(state)
+                table.append(None)
+            return sid
+
+        def fill(sid):
+            if observes is None:
+                entry = table[sid] = (every, every_w, {})
+                return entry
+            pairs = observes(states[sid])
+            if pairs != ():  # () needs no check: most program states have it
+                pairs = _checked_pairs(states[sid], pairs, p)
+            entry = table[sid] = (pairs, tuple([(weights[i], weights[j])
+                                                for i, j in pairs]), {})
+            return entry
+
+        def plan(sid, c, pairs):
+            nodes = tuple([c // w % n for w in weights])
+            outs = []
+            for nxt, moves in transitions(states[sid], partition_of(nodes)):
+                if len(moves) != p:
+                    raise InputError("move vector length != pebble count")
+                steps = []
+                i = 0
+                for mv in moves:
+                    if mv > 0:
+                        if mv > degree:
+                            raise InputError(
+                                f"move label {mv} exceeds degree {degree}")
+                        steps.append((weights[i], mv - 1))
+                    elif mv == 0 or mv < -p:
+                        raise InputError(f"bad move encoding {mv}")
+                    elif nodes[~mv] != nodes[i]:
+                        steps.append((weights[i], ~weights[~mv]))
+                    # co-located: the key shows it only if the pair is
+                    # observed, as every pair is under the default
+                    elif ~mv != i and pairs is not every and \
+                            ((i, ~mv) if i < ~mv else (~mv, i)) not in pairs:
+                        steps.append((weights[i], ~weights[~mv]))
+                    i += 1
+                to = sids.get(nxt)
+                if to is None:
+                    to = intern(nxt)
+                outs.append(((to - sid) * N, tuple(steps)))
+            return tuple(outs)
+
+        def step(c):
+            sid = c // N
+            pairs, wpairs, by_bits = table[sid] or fill(sid)
+            bits = 0
+            bit = 1
+            for wi, wj in wpairs:
+                if c // wi % n == c // wj % n:
+                    bits += bit
+                bit += bit
+            plans = by_bits.get(bits)
+            if plans is None:
+                plans = by_bits[bits] = plan(sid, c, pairs)
+            out = []
+            for shift, steps in plans:
+                s = c + shift
+                for w, m in steps:
+                    v = c // w % n
+                    s += ((rho[v][m] if m >= 0 else c // ~m % n) - v) * w
+                out.append(s)
+            return out
+
+        self.step = step
+        self._intern = intern
+        # initial_config: pebble t on the targetnode, all others on the
+        # startnode
+        start = g.startnode
+        self.initial = intern(jag.start_state) * N + start * sum(weights) \
+            + (g.targetnode - start) * weights[jag.t - 1]
+
+    def encode(self, config: Configuration) -> int:
+        """The int of ``config``; ``InputError`` unless it places every
+        pebble on a node of the graph, since any other placement would pack
+        into the int of another configuration."""
+        nodes = config.nodes
+        if len(nodes) != len(self.weights) or \
+                not all(type(v) is int and 0 <= v < self.n for v in nodes):
+            raise InputError(f"{nodes!r} places {len(self.weights)} pebbles "
+                             f"on no nodes of a {self.n}-node graph")
+        return self._intern(config.state) * self.N + sum(
+            v * w for v, w in zip(nodes, self.weights))
+
+    def decode(self, c: int) -> Configuration:
+        sid, code = divmod(c, self.N)
+        n = self.n
+        # tuple.__new__ skips the Python-level NamedTuple constructor
+        return tuple.__new__(Configuration, (
+            self.states[sid], tuple([code // w % n for w in self.weights])))
+
+
+def successors(jag: NdJag, g: LabelledGraph) -> Callable:
+    """The successor function of one configuration-graph build, on
+    ``Configuration``s, for tests and tools.
+
+    It maps a configuration to the list of its successors (empty: dead):
+    the configuration is encoded, stepped by ``PackedSpace.step`` and each
+    successor decoded, so the step, its table and its move checks are the
+    build's.  A successor whose placement did not change keeps the
+    placement tuple as it is.
+    """
+    space = PackedSpace(jag, g)
+    N, states, step, decode = space.N, space.states, space.step, space.decode
     new = tuple.__new__
 
-    def plan(state, nodes, pairs):
-        outs = []
-        for nxt, moves in transitions(state, partition_of(nodes)):
-            if len(moves) != p:
-                raise InputError("move vector length != pebble count")
-            steps = []
-            i = 0
-            for mv in moves:
-                if mv > 0:
-                    if mv > degree:
-                        raise InputError(
-                            f"move label {mv} exceeds degree {degree}")
-                    steps.append((i, mv - 1))
-                elif mv == 0 or mv < -p:
-                    raise InputError(f"bad move encoding {mv}")
-                elif nodes[~mv] != nodes[i]:
-                    steps.append((i, mv))
-                # co-located: the key shows it only if the pair is observed,
-                # as every pair is under the default
-                elif ~mv != i and pairs is not every and \
-                        ((i, ~mv) if i < ~mv else (~mv, i)) not in pairs:
-                    steps.append((i, mv))
-                i += 1
-            outs.append((nxt, tuple(steps)))
-        return tuple(outs)
-
     def succs(config):
-        state, nodes = config
-        entry = table.get(state)
-        if entry is None:
-            if observes is None:
-                pairs = every
-            else:  # () needs no check: most states of a program observe it
-                pairs = observes(state)
-                if pairs != ():
-                    pairs = _checked_pairs(state, pairs, p)
-            entry = table[state] = (pairs, {})
-        pairs, by_bits = entry
-        bits = 0
-        bit = 1
-        for i, j in pairs:
-            if nodes[i] == nodes[j]:
-                bits += bit
-            bit += bit
-        plans = by_bits.get(bits)
-        if plans is None:
-            plans = by_bits[bits] = plan(state, nodes, pairs)
-        result = []
-        for nxt, steps in plans:
-            if steps:
-                out = list(nodes)
-                for i, m in steps:
-                    out[i] = rho[nodes[i]][m] if m >= 0 else nodes[~m]
-                # tuple.__new__ skips the Python-level NamedTuple constructor
-                result.append(new(Configuration, (nxt, tuple(out))))
-            else:
-                result.append(new(Configuration, (nxt, nodes)))
-        return result
+        c = space.encode(config)
+        code = c % N
+        return [new(Configuration, (states[s // N], config.nodes))
+                if s % N == code else decode(s) for s in step(c)]
 
     return succs
 
@@ -292,61 +387,99 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
 @dataclass
 class ConfigGraph:
     """Explicit configuration graph: the BFS tree, the edges it leaves out,
-    and bookkeeping.
+    and bookkeeping, over the packed configurations of ``space``.
 
-    ``parent`` maps each configuration discovered to the one it was first
-    reached from (the initial one to None); ``merges`` lists, in BFS order,
-    every other edge ``(config, successor)`` the build followed, i.e. each
-    edge into a configuration already discovered.  Together they hold every
-    edge of the graph searched; ``adj`` is the forward view of them.
-    ``accepting`` lists the accept configurations the build expanded, in
-    BFS order.  ``limit_hit`` names the budget that stopped the build
-    (``"max_configs"`` or ``"max_run_len"``); it is None when the graph is
-    complete.  ``configs_explored`` counts the configurations discovered,
-    as ``max_configs`` and ``lang.interpret`` do.
+    ``packed_parent`` maps each configuration discovered to the one it was
+    first reached from (``space.initial`` to None); ``packed_merges``
+    lists, in BFS order, every other edge ``(config, successor)`` the build
+    followed, i.e. each edge into a configuration already discovered.
+    Together they hold every edge of the graph searched; ``packed_adj`` is
+    the forward view of them.  ``packed_accepting`` lists the accept
+    configurations the build expanded, in BFS order.  ``limit_hit`` names
+    the budget that stopped the build (``"max_configs"`` or
+    ``"max_run_len"``); it is None when the graph is complete.
+    ``configs_explored`` counts the configurations discovered, as
+    ``max_configs`` and ``lang.interpret`` do.
+
+    The deciders read only these ints.  ``parent``, ``merges``,
+    ``accepting``, ``initial`` and ``adj`` are the same data as
+    ``Configuration``s, for tests and tools; each is decoded on first read
+    and kept.
     """
 
     jag: NdJag
     graph: LabelledGraph
-    initial: Configuration
-    parent: dict
-    merges: list
-    accepting: list
+    space: PackedSpace
+    packed_parent: dict
+    packed_merges: list
+    packed_accepting: list
     limit_hit: str | None = None
-    _adj: dict | None = field(default=None, init=False, repr=False,
-                              compare=False)
 
     @property
     def configs_explored(self) -> int:
-        return len(self.parent)
+        return len(self.packed_parent)
 
-    @property
-    def adj(self) -> dict:
+    @functools.cached_property
+    def packed_adj(self) -> dict:
         """Each configuration the build expanded, in BFS order, mapped to
-        the list of its successors: its children in ``parent``, in
+        the list of its successors: its children in ``packed_parent``, in
         discovery order, then the targets of its merges, in BFS order.
-        That is the multiset ``successors(jag, g)`` gives it, read off the
-        build instead of stepped again; derived on first read.
+        That is the multiset ``space.step`` gives it, read off the build
+        instead of stepped again; derived on first read.
 
-        The value pass's worklist reads it, and so do tools that count
-        edges.  A budget stops the build before it expands the last level
-        discovered, so that level is left out.
+        The value pass's worklist reads it.  A budget stops the build
+        before it expands the last level discovered, so that level is left
+        out.
         """
-        if self._adj is None:
-            expanded = self.parent
-            if self.limit_hit is not None:
-                depth = {}
-                for config, above in self.parent.items():
-                    depth[config] = 0 if above is None else depth[above] + 1
-                last = depth[config]  # the last configuration discovered
-                expanded = [c for c, d in depth.items() if d < last]
-            adj = self._adj = {c: [] for c in expanded}
-            for config, above in self.parent.items():
-                if above is not None:
-                    adj[above].append(config)
-            for config, s in self.merges:
-                adj[config].append(s)
-        return self._adj
+        parent = self.packed_parent
+        expanded = parent
+        if self.limit_hit is not None:
+            depth = {}
+            for config, above in parent.items():
+                depth[config] = 0 if above is None else depth[above] + 1
+            last = depth[config]  # the last configuration discovered
+            expanded = [c for c, d in depth.items() if d < last]
+        adj = {c: [] for c in expanded}
+        for config, above in parent.items():
+            if above is not None:
+                adj[above].append(config)
+        for config, s in self.packed_merges:
+            adj[config].append(s)
+        return adj
+
+    @functools.cached_property
+    def _decoded(self) -> dict:
+        decode = self.space.decode
+        out = {c: decode(c) for c in self.packed_parent}
+        out[None] = None
+        return out
+
+    @functools.cached_property
+    def initial(self) -> Configuration:
+        return self.space.decode(self.space.initial)
+
+    @functools.cached_property
+    def parent(self) -> dict:
+        conf = self._decoded
+        return {conf[c]: conf[above]
+                for c, above in self.packed_parent.items()}
+
+    @functools.cached_property
+    def merges(self) -> list:
+        conf = self._decoded
+        return [(conf[c], conf[s]) for c, s in self.packed_merges]
+
+    @functools.cached_property
+    def accepting(self) -> list:
+        conf = self._decoded
+        return [conf[c] for c in self.packed_accepting]
+
+    @functools.cached_property
+    def adj(self) -> dict:
+        """``packed_adj`` decoded."""
+        conf = self._decoded
+        return {conf[c]: [conf[s] for s in succs]
+                for c, succs in self.packed_adj.items()}
 
 
 def expand(initial, successors: Callable, limits: Limits,
@@ -411,8 +544,8 @@ def first_visits(parent: dict, config, curr_node: Callable) -> tuple:
     the initial configuration to ``config``.
 
     ``parent`` is the map ``expand`` returns, and ``curr_node(config)`` is
-    curr's node in a configuration of the space searched: a
-    ``Configuration`` here, a packed int in ``lang.interpret``.
+    curr's node in a configuration of the space searched: a packed int,
+    here and in ``lang.interpret``.
     """
     path = []
     while config is not None:
@@ -425,30 +558,43 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
                        limits: Limits = Limits()) -> ConfigGraph:
     """Breadth-first exhaustive expansion of the configuration space.
 
-    The search is ``expand``'s, so the depth of a configuration is the run
-    length that ``limits.max_run_len`` bounds.  Accept-state configurations
-    are expanded too; the deciders ignore their successors.  The graph is
-    kept as ``expand`` returns it, a BFS tree and the edges it leaves out;
-    no successor list outlives the search (``ConfigGraph.adj`` derives
-    them from the two when it is read).
+    The search is ``expand``'s over the ints of a ``PackedSpace``, so the
+    depth of a configuration is the run length that ``limits.max_run_len``
+    bounds.  Accept-state configurations are expanded too; the deciders
+    ignore their successors.  The graph is kept as ``expand`` returns it, a
+    BFS tree and the edges it leaves out; no successor list outlives the
+    search (``ConfigGraph.packed_adj`` derives them from the two when it is
+    read).
     """
-    init = initial_config(jag, g)
-    accept_state = jag.accept_state
+    space = PackedSpace(jag, g)
+    N = space.N
     accepting = []
 
-    def visit(config):
-        if config.state == accept_state:
-            accepting.append(config)
+    def visit(c):
+        if c < N:  # sid 0, the accept state
+            accepting.append(c)
 
-    parent, merges, limit_hit = expand(init, successors(jag, g), limits, visit)
-    return ConfigGraph(jag, g, init, parent, merges, accepting, limit_hit)
+    parent, merges, limit_hit = expand(space.initial, space.step, limits,
+                                       visit)
+    return ConfigGraph(jag, g, space, parent, merges, accepting, limit_hit)
+
+
+def _graph_for(jag: NdJag, g: LabelledGraph, limits: Limits,
+               config_graph: ConfigGraph | None) -> ConfigGraph:
+    """The configuration graph a decider reads: the one passed in, which
+    must belong to ``jag`` and ``g``, or a new one."""
+    if config_graph is None:
+        return build_config_graph(jag, g, limits)
+    if config_graph.jag is not jag or config_graph.graph != g:
+        raise InputError("config_graph was built for another automaton or graph")
+    return config_graph
 
 
 def accepts(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
             config_graph: ConfigGraph | None = None) -> Verdict:
     """Accept iff some configuration with the accept state is reachable."""
-    cg = config_graph or build_config_graph(jag, g, limits)
-    if cg.accepting:
+    cg = _graph_for(jag, g, limits, config_graph)
+    if cg.packed_accepting:
         return Verdict.ACCEPT
     return Verdict.RESOURCE_LIMIT if cg.limit_hit else Verdict.REJECT
 
@@ -495,21 +641,19 @@ def replay_curr_visits(jag: NdJag, g: LabelledGraph,
 
 def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
     """First-visit order of curr along the BFS-shortest accepting run."""
-    if not cg.accepting:
+    if not cg.packed_accepting:
         return None
-    curr = cg.jag.curr - 1
-    return first_visits(cg.parent, cg.accepting[0], lambda c: c.nodes[curr])
+    n, w = cg.space.n, cg.space.weights[cg.jag.curr - 1]
+    return first_visits(cg.packed_parent, cg.packed_accepting[0],
+                        lambda c: c // w % n)
 
 
 def _complete_graph(jag: NdJag, g: LabelledGraph, limits: Limits,
                     config_graph: ConfigGraph | None, what: str) -> ConfigGraph:
-    """The complete configuration graph a curr decider reads: the one passed
-    in, which must belong to ``jag`` and ``g``, or a new one."""
+    """The complete configuration graph a curr decider reads (``_graph_for``)."""
     if jag.curr is None:
         raise InputError(f"{what} needs a designated curr pebble")
-    cg = config_graph or build_config_graph(jag, g, limits)
-    if cg.jag is not jag or cg.graph != g:
-        raise InputError("config_graph was built for another automaton or graph")
+    cg = _graph_for(jag, g, limits, config_graph)
     if cg.limit_hit:
         raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
     return cg
@@ -519,8 +663,9 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
     """Yield the values that runs of a complete configuration graph carry
     into accept configurations.
 
-    ``value`` belongs to the initial configuration; ``extend(value, config)``
-    is the value of a run once it enters ``config``.  Each configuration
+    Configurations are the packed ints of ``cg``.  ``value`` belongs to the
+    initial configuration; ``extend(value, config)`` is the value of a run
+    once it enters ``config``.  Each configuration
     keeps one value, the ``join`` of the values of every run entering it;
     this is exact when ``extend`` distributes over ``join``.  Runs end at
     their first accept configuration, so an edge out of one belongs to no
@@ -538,9 +683,9 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
     merges, ``_carried_values`` starts from the merge sources that runs
     reach along the tree and carries their values on along every edge.
     """
-    accept_state = cg.jag.accept_state
-    parent = cg.parent
-    tree = {cg.initial: value}
+    N = cg.space.N  # below it: an accept configuration
+    parent = cg.packed_parent
+    tree = {cg.space.initial: value}
 
     def tree_value(config):
         path = []
@@ -550,19 +695,18 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
         v = tree[config]
         for c in reversed(path):
             if v is not None:  # None: the run along the tree ended above
-                v = None if config.state == accept_state else extend(v, c)
+                v = None if config < N else extend(v, c)
             tree[c] = v
             config = c
         return v
 
-    for config in cg.accepting:
+    for config in cg.packed_accepting:
         v = tree_value(config)
         if v is not None:
             yield v
-    if cg.merges:
-        work = [config for config, _ in cg.merges
-                if config.state != accept_state
-                and tree_value(config) is not None]
+    if cg.packed_merges:
+        work = [config for config, _ in cg.packed_merges
+                if config >= N and tree_value(config) is not None]
         if work:
             yield from _carried_values(cg, work, tree_value, extend, join)
 
@@ -571,21 +715,21 @@ def _carried_values(cg: ConfigGraph, work: list, tree_value: Callable,
                     extend: Callable, join: Callable):
     """The worklist of ``_accept_values``: carry the value of each
     configuration in ``work``, at first its ``tree_value``, along every
-    edge out of it in ``cg.adj``, and on from each configuration whose
+    edge out of it in ``cg.packed_adj``, and on from each configuration whose
     value changes, until none does.  A configuration's value so far is
     the join of the values of the runs carried into it and of its tree
     value (None: no run along the tree enters it).  An accept
     configuration passes nothing on; its value is yielded each time it is
     taken from the worklist.
     """
-    accept_state = cg.jag.accept_state
-    adj = cg.adj
+    N = cg.space.N
+    adj = cg.packed_adj
     values = {config: tree_value(config) for config in work}
     work = deque(work)
     while work:
         config = work.popleft()
         value = values[config]
-        if config.state == accept_state:
+        if config < N:
             yield value
             continue
         for s in adj[config]:
@@ -615,7 +759,7 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
     all of it.  Neither comes back once false.
     """
     g = cg.graph
-    curr = cg.jag.curr - 1
+    n, w = cg.space.n, cg.space.weights[cg.jag.curr - 1]
     on = 1 << g.num_nodes
     need = sum(1 << v for v in reachable_set(g, g.startnode))
     # nexts[k]: the bit of the node after a prefix of length k (0: none)
@@ -623,7 +767,7 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
     complete = on | sum(nexts)
 
     def extend(value, config):
-        bit = 1 << config.nodes[curr]
+        bit = 1 << config // w % n
         if value & bit:
             return value
         if value & on and bit != nexts[value.bit_count() - 1]:
@@ -631,8 +775,8 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
         return value | bit
 
     # the canonical order starts at curr's initial node by construction
-    for value in _accept_values(cg, on | 1 << cg.initial.nodes[curr], extend,
-                                operator.and_):
+    for value in _accept_values(cg, on | 1 << cg.space.initial // w % n,
+                                extend, operator.and_):
         yield value & need == need, value == complete
 
 
@@ -677,12 +821,12 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
     raised rather than guessing.
     """
     cg = _complete_graph(jag, g, limits, config_graph, "co-st-connectivity")
-    if not cg.accepting:
+    if not cg.packed_accepting:
         raise DiagnosticError("supplied automaton rejects: traversability violated")
-    curr = jag.curr - 1
+    n, w = cg.space.n, cg.space.weights[jag.curr - 1]
     tgt = g.targetnode
-    touched = _accept_values(cg, cg.initial.nodes[curr] == tgt,
-                             lambda t, c: t or c.nodes[curr] == tgt,
+    touched = _accept_values(cg, cg.space.initial // w % n == tgt,
+                             lambda t, c: t or c // w % n == tgt,
                              operator.or_)
     return "connected" if any(touched) else "disconnected"
 
@@ -723,7 +867,7 @@ def verify(jag: NdJag, g: LabelledGraph,
     if cg.limit_hit:
         return VerificationReport(Verdict.RESOURCE_LIMIT, None, None, None,
                                   cg.configs_explored, (cg.limit_hit,))
-    verdict = Verdict.ACCEPT if cg.accepting else Verdict.REJECT
+    verdict = Verdict.ACCEPT if cg.packed_accepting else Verdict.REJECT
     traversable = orderable = None
     visit_order = None
     if jag.curr is not None:

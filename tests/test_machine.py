@@ -98,6 +98,15 @@ def test_step_dead_configuration(grid_cayleys):
     assert successors(jag, g)(Configuration("q0", (0, 0))) == []
 
 
+@pytest.mark.parametrize("nodes", [(0, 4), (0, -1), (0,), (0, 1, 2), (0, 1.0)])
+def test_successors_reject_a_placement_off_the_graph(grid_cayleys, nodes):
+    # a placement off the 4-node graph would pack into another
+    # configuration's int
+    jag = NdJag("q0", "qa", 2, delta={})
+    with pytest.raises(InputError, match="places 2 pebbles"):
+        successors(jag, grid_cayleys[(2, 2)].graph)(Configuration("q0", nodes))
+
+
 def test_step_move_along(grid_cayleys):
     g = grid_cayleys[(1, 5)].graph  # a single cycle
     rules = {("q0", (1,)): (("q0", (1,)),)}
@@ -750,19 +759,21 @@ def test_merge_target_off_the_tree_paths_joins_its_tree_value():
     assert len(runs[acc]) == 3
     last = {}
     for paths in machine._accept_values(
-            cg, frozenset({(cg.initial,)}),
+            cg, frozenset({(cg.space.initial,)}),
             lambda paths, c: frozenset(p + (c,) for p in paths),
             operator.or_):
         last[next(iter(paths))[-1]] = paths
-    assert last == runs
+    decode = cg.space.decode
+    assert {decode(c): {tuple(map(decode, p)) for p in paths}
+            for c, paths in last.items()} == runs
 
 
 def _worklist_only(cg, value, extend, join):
     """The value pass as one worklist from the initial configuration over
     every edge, the tree's and the merges, whatever the graph's shape: no
     other configuration starts with a tree value."""
-    return machine._carried_values(cg, [cg.initial], {cg.initial: value}.get,
-                                   extend, join)
+    init = cg.space.initial
+    return machine._carried_values(cg, [init], {init: value}.get, extend, join)
 
 
 def _decider_answers(jag, g, limits):
@@ -863,6 +874,96 @@ def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
     assert min(seen.values()) >= 30
 
 
+def _plain_bfs(jag, g, limits):
+    """The configuration graph by a breadth-first search over
+    ``Configuration``s, stepped by the oracle's ``apply_moves``, under
+    ``expand``'s budget rules: ``(parent, merges, accepting, limit_hit,
+    adj)``, with ``adj`` keyed by the configurations expanded."""
+    init = initial_config(jag, g)
+    parent, merges, accepting, adj = {init: None}, [], [], {}
+    frontier, depth = [init], 0
+    while frontier:
+        if len(parent) > limits.max_configs:
+            return parent, merges, accepting, "max_configs", adj
+        if limits.max_run_len is not None and depth > limits.max_run_len:
+            return parent, merges, accepting, "max_run_len", adj
+        nxt = []
+        for config in frontier:
+            adj[config] = oracle_successors(jag, g, config)
+            if config.state == jag.accept_state:
+                accepting.append(config)
+            for s in adj[config]:
+                if s in parent:
+                    merges.append((config, s))
+                else:
+                    parent[s] = config
+                    nxt.append(s)
+        frontier, depth = nxt, depth + 1
+    return parent, merges, accepting, None, adj
+
+
+def _padded(g, extra):
+    """``g`` with ``extra`` more nodes, each a self-loop no walk reaches."""
+    loops = tuple((v,) * g.degree for v in range(g.num_nodes,
+                                                 g.num_nodes + extra))
+    return dataclasses.replace(g, num_nodes=g.num_nodes + extra,
+                               rho=g.rho + loops)
+
+
+def test_packed_build_matches_a_plain_bfs():
+    """The build steps and stores packed ints; decoded, its ``parent`` (in
+    order), ``merges``, ``accepting``, ``limit_hit`` and ``adj`` are those
+    of a plain breadth-first search over ``Configuration``s.  On random
+    automata and graphs, with and without budgets, and on the packing's
+    edge cases: a one-node graph, where N is 1 and a configuration is its
+    sid; a start state that is the accept state; and a disjoint union
+    whose placement codes exceed 2**30."""
+    rng = random.Random(41)
+    seen = Counter()
+    for k in range(240):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        case = ("random", "one node", "start accepts", "codes > 2**30")[k % 4]
+        if case == "one node":
+            g = LabelledGraph(1, g.degree, ((0,) * g.degree,), 0, 0)
+        elif case == "start accepts":
+            jag = NdJag(jag.accept_state, jag.accept_state, jag.num_pebbles,
+                        s=jag.s, t=jag.t, curr=jag.curr, delta=jag.rules)
+        elif case == "codes > 2**30":
+            # t starts on the second copy's targetnode, past 806 nodes; a
+            # pebble that jumps to it has a digit of weight n**2 > 1610**2
+            g = _padded(g, 800)
+            g = disjoint_union(g, g)
+        for limits in (Limits(), Limits(max_configs=6), Limits(max_run_len=3)):
+            cg = build_config_graph(jag, g, limits)
+            parent, merges, accepting, limit_hit, adj = _plain_bfs(jag, g,
+                                                                   limits)
+            assert list(cg.parent.items()) == list(parent.items())
+            assert cg.merges == merges
+            assert cg.accepting == accepting
+            assert cg.limit_hit == limit_hit
+            assert cg.initial == initial_config(jag, g)
+            assert list(cg.adj) == list(adj)
+            assert all(Counter(cg.adj[c]) == Counter(adj[c]) for c in adj)
+            space = cg.space
+            assert [space.encode(c) for c in cg.parent] == \
+                list(cg.packed_parent)
+            assert all((c < space.N) == (config.state == jag.accept_state)
+                       for c, config in zip(cg.packed_parent, cg.parent))
+            seen[case] += 1
+            seen["N == 1"] += space.N == 1
+            seen["accept first"] += space.initial < space.N
+            seen["codes > 2**30"] += max(c % space.N
+                                         for c in cg.packed_parent) > 2 ** 30
+            seen[limit_hit] += 1
+            seen["merges"] += bool(merges)
+    assert seen["N == 1"] == seen["one node"] == 180
+    assert seen["accept first"] >= seen["start accepts"]
+    assert seen["codes > 2**30"] >= 30
+    assert min(seen[hit] for hit in (None, "max_configs", "max_run_len",
+                                     "merges")) >= 30
+
+
 def test_complete_graph_needs_no_further_budget():
     """On a complete configuration graph no decider runs out of budget: a
     configuration budget equal to the graph's size gives the same report as
@@ -895,10 +996,15 @@ def test_deciders_reject_a_config_graph_of_another_input(grid_cayleys):
     other = compile_program(grid_traversal_program(), 2)
     for cg in (build_config_graph(jag, disjoint_union(g, g)),
                build_config_graph(other, g)):
-        for decide in (check_traversable, check_orderable,
+        for decide in (accepts, check_traversable, check_orderable,
                        decide_co_st_connectivity):
             with pytest.raises(InputError, match="another automaton or graph"):
                 decide(jag, g, config_graph=cg)
+    # the graph of an automaton that accepts, given with one that has no
+    # transitions
+    dead = _wrapper(jag, {})
+    with pytest.raises(InputError, match="another automaton or graph"):
+        accepts(dead, g, config_graph=build_config_graph(jag, g))
 
 
 def test_co_st_diagnostic_on_rejecting_automaton(grid_cayleys):
