@@ -19,9 +19,9 @@ from .errors import (CapExceeded, DiagnosticError, InputError,
 from .families import Family, max_generator_order, parse_family
 from .graph import (is_undirected, parse_graph, reachable_set, reduce_degree,
                     serialize_graph, validate_components)
-from .lang import compile_program, interpret, parse_program
-from .machine import Limits, Verdict, verify as machine_verify, accepts, \
-    accepting_run_visits, build_config_graph, decide_co_st_connectivity
+from .lang import compile_program, parse_program
+from .machine import Limits, Verdict, decide_co_st_connectivity, run, \
+    verify as machine_verify
 from .spotcheck import run_spotcheck
 
 EXIT_ACCEPT = 0
@@ -107,20 +107,14 @@ def cmd_run(args) -> int:
     prog = _resolve_program(args, g)
     if args.program == "co-st-conn":
         return _connect(args, g, prog)
-    if args.compiled:
-        jag = compile_program(prog, g.degree)
-        cg = build_config_graph(jag, g, _limits(args))
-        verdict = accepts(jag, g, config_graph=cg)
-        order = accepting_run_visits(cg) if jag.curr is not None else None
-    else:
-        result = interpret(prog, g, _limits(args))
-        verdict, order = result.verdict, result.visit_order
-    print(f"verdict: {verdict.value}")
-    if verdict is Verdict.RESOURCE_LIMIT:
+    searched = compile_program(prog, g.degree) if args.compiled else prog
+    result = run(searched.space(g), _limits(args))
+    print(f"verdict: {result.verdict.value}")
+    if result.verdict is Verdict.RESOURCE_LIMIT:
         return EXIT_LIMIT
-    if verdict is Verdict.REJECT:
+    if result.verdict is Verdict.REJECT:
         return EXIT_REJECT
-    for v in order or ():
+    for v in result.visit_order or ():
         print(v)
     return EXIT_ACCEPT
 
@@ -128,8 +122,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     g = _load_graph(args)
     prog = _resolve_program(args, g)
-    jag = compile_program(prog, g.degree)
-    report = machine_verify(jag, g, _limits(args))
+    report = machine_verify(prog, g, _limits(args))
     sys.stdout.write(report.to_text())
     if report.verdict is Verdict.RESOURCE_LIMIT:
         return EXIT_LIMIT
@@ -137,8 +130,7 @@ def cmd_verify(args) -> int:
 
 
 def _connect(args, g, prog) -> int:
-    jag = compile_program(prog, g.degree)
-    verdict = decide_co_st_connectivity(jag, g, _limits(args))
+    verdict = decide_co_st_connectivity(prog, g, _limits(args))
     print(verdict)
     return EXIT_ACCEPT if verdict == "connected" else EXIT_REJECT
 
@@ -206,7 +198,9 @@ def cmd_wreath_count(args) -> int:
     print("count: 0")
     for k in range(1, ws.H.order + 1):
         y = alg.wreath_increment(ws, x)
-        assert alg.wreath_successor(ws, x, y)
+        if not alg.wreath_successor(ws, x, y):
+            raise DiagnosticError(f"step {k} of the count is not a wreath "
+                                  "successor")
         x = y
         print(f"count: {alg.wreath_value(ws, x)}")
     try:
@@ -275,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", help="pebble source file or builtin name")
     _add_common(p)
     p.add_argument("--compiled", action="store_true",
-                   help="compile and model-check instead of interpreting")
+                   help="search the compiled automaton's configurations "
+                        "instead of the program's own")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("verify", help="traversability/orderability report")

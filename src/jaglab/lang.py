@@ -26,14 +26,20 @@ falling off the end, like ``fail``, kills the run.
 Acceptance is angelic: a program accepts when some resolution of its guesses
 reaches ``accept``.  A step is one pebble action (``move``, ``jump``, or
 ``accept`` into an accept configuration); control instructions move no
-pebble and fold into the actions they reach (``BoundProgram.fold``).  The
-interpreter explores the finite product of program point, variable
-valuation, and pebble placement breadth-first with memoization, so cyclic
-nondeterminism terminates.  The compiler produces an automaton over states
-(program point, valuation) whose runs step through the same product; every
-pebble not being acted on jumps to itself.  Both take their steps from the
-one fold and the one ``BoundProgram.action``, reset the variables that are
-dead at a state's point (``BoundProgram.canon``), and run the one search of
+pebble and fold into the actions they reach (``BoundProgram.fold``).  A
+program's configurations are the finite product of program point,
+variable valuation and pebble placement.  ``ProgramSpace`` packs them into
+ints and steps them; ``PebbleProgram.space`` hands it to the searches of
+``machine``, so ``interpret`` (``machine.run``), ``verify``,
+``check_traversable``, ``check_orderable`` and
+``decide_co_st_connectivity`` take a program as they take an automaton,
+and cyclic nondeterminism terminates.  The compiler produces an automaton
+over states (program point, valuation) whose configuration graph is the
+same; every pebble not being acted on jumps to itself.  It serves ``run
+--compiled``, the interchange format and the cross-check of the program's
+space.  Both take their steps from the one fold and the one
+``BoundProgram.action``, reset the variables that are dead at a state's
+point (``BoundProgram.canon``), and are searched by the one
 ``machine.expand``, so they count budgets alike.
 
 Pebbles named ``s`` and ``t`` are the designated ones and are added
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
-from .machine import Limits, NdJag, Verdict, expand, first_visits
+from .machine import Limits, NdJag, PackedSpace, RunResult, run
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -88,6 +94,10 @@ class PebbleProgram:
 
     def bind(self, degree: int) -> "BoundProgram":
         return _bind(self, degree)
+
+    def space(self, g: LabelledGraph) -> "ProgramSpace":
+        """The configurations a search of this program on ``g`` visits."""
+        return ProgramSpace(self, g)
 
 
 def parse_program(text: str) -> PebbleProgram:
@@ -648,167 +658,166 @@ def _assign(vals, vi, val):
 
 
 # ---------------------------------------------------------------------------
-# Interpreter
+# The program's configuration space and the interpreter
 
-# the kinds of an interpreter step plan
+# the kinds of a step plan
 _END, _FOLD, _SHIFT, _JUMP, _WALK = range(5)
 
+_QA = "qa"  # the accept state, in the program's space and its automaton
 
-@dataclass(frozen=True)
-class RunResult:
-    verdict: Verdict
-    visit_order: tuple | None
-    configs_explored: int
+
+class ProgramSpace:
+    """The configurations of one pebble program on one graph, packed into
+    ints, and their successor function: what ``interpret`` and the
+    deciders search for a program.
+
+    It has what a search and the deciders read of ``machine.PackedSpace``:
+    ``initial``, ``step``, ``N``, ``n``, ``weights``, ``curr`` (the curr
+    pebble, 1-based, or None) and ``decode``.  Its configurations and
+    their successors are those of the program's compiled automaton
+    (``compile_program``): a state is a canonical ``(pt, vals)`` or the
+    accept state ``"qa"``, a step is one pebble action of
+    ``BoundProgram.fold`` and ``accept`` steps into the accept state.  The
+    compiled automaton's space only numbers the states in another order.
+
+    A configuration is one int, ``sid * N + code``.  The state id ``sid``
+    numbers the states ``(pt, vals)`` a configuration can sit at in the
+    order the space meets them; the accept state is 0.  States are
+    canonical (``bp.canon``): configurations that differ only in variables
+    dead at their point share a sid, and a search counts them once.  The
+    code ``sum(nodes[i] * n**i)`` writes the placement in radix ``n =
+    g.num_nodes``, one digit per pebble, so ``0 <= code < N = n**p`` for p
+    pebbles.  Since every digit ``nodes[i]`` lies in ``range(n)``,
+    ``divmod(c, N)`` gives back ``sid`` and ``code``, and the radix-n digits
+    of ``code`` the placement: the ints are in bijection with the ``(pt,
+    vals, nodes)`` triples, and a search, its budgets and its answers are
+    those over the triples.  (On a one-node graph every code is 0 and ``c``
+    is the sid.)
+
+    Each sid gets a step plan the first time it is stepped.  A pebble
+    action is arithmetic on the int: it adds the change of sid times N and
+    the change of the acting pebble's digit.  At a control point the fold
+    reads the placement only through which of the pairs ``bp.observed(pt)``
+    share a node, so its actions are kept per sid and that pattern, reused
+    as the same list, for as long as the space lives; the placement is
+    decoded only to fill that cache.  Actions that step to the same
+    configuration are kept once, as the compiled ``delta`` keeps each
+    transition once, so both spaces have the same edges.
+    """
+
+    decode = PackedSpace.decode  # reads N, n, weights and states alone
+
+    def __init__(self, prog: PebbleProgram, g: LabelledGraph):
+        bp = prog.bind(g.degree)
+        rho = g.rho
+        instrs, fold, action = bp.instrs, bp.fold, bp.action
+        observed, canon = bp.observed, bp.canon
+        n = self.n = g.num_nodes
+        weights = self.weights = tuple([n ** i for i in range(bp.num_pebbles)])
+        N = self.N = n ** bp.num_pebbles
+        self.curr = bp.curr_idx
+        states = self.states = [_QA]  # sid -> (pt, vals), or the accept state
+        sids = {_QA: 0}
+        plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
+        walks: dict = {}  # (pebble weight, label) -> digit changes
+
+        def intern(state):
+            state = canon(*state)
+            sid = sids.get(state)
+            if sid is None:
+                sid = sids[state] = len(states)
+                states.append(state)
+                plans.append(None)
+            return sid
+
+        def act(nxt, pebble, move, base=0):
+            """``bp.action``'s answer as ``(kind, to, wp, x)``: ``to`` is the
+            next sid times N less ``base``, ``wp`` the acting pebble's weight,
+            and ``x`` the jump target's weight or the digit's change per node
+            walked from.  ``accept`` goes to sid 0 and moves no pebble."""
+            if nxt is None:
+                return _SHIFT, -base, 0, None
+            to = intern(nxt) * N - base
+            wp = weights[pebble - 1]
+            if move < 0:
+                return _JUMP, to, wp, weights[-move - 1]
+            walk = walks.get((wp, move))
+            if walk is None:
+                walk = walks[wp, move] = tuple([(row[move - 1] - v) * wp
+                                                for v, row in enumerate(rho)])
+            return _WALK, to, wp, walk
+
+        def plan(sid):
+            """The step plan of a sid, ``(kind, shift, wp, x)``: at an action,
+            ``act``'s from base ``sid * N``, so ``c + shift`` has the next sid;
+            at a control point, ``wp`` holds the weight pairs of
+            ``bp.observed(pt)`` and ``x`` the fold's ``act``s from base 0 by
+            which of them share a node."""
+            pt, vals = states[sid]
+            if instrs[pt][0] in _ACTIONS:
+                nxt, pebble, move = action(pt, vals)
+                out = act(nxt, pebble, move, sid * N)
+            else:
+                out = (_FOLD, 0, tuple((weights[i], weights[j])
+                                       for i, j in observed(pt)), {})
+            plans[sid] = out
+            return out
+
+        def step(c):
+            sid = c // N
+            kind, shift, wp, x = plans[sid] or plan(sid)
+            # a digit of c is the digit of its code: N is a multiple of n * wp
+            if kind == _WALK:
+                return (c + shift + x[c // wp % n],)
+            if kind == _JUMP:
+                return (c + shift + (c // x % n - c // wp % n) * wp,)
+            if kind != _FOLD:
+                return (c + shift,) if kind == _SHIFT else ()
+            code = c - sid * N
+            together = 0  # bit k: the k-th observed pair shares a node
+            bit = 1
+            for wi, wj in wp:
+                if code // wi % n == code // wj % n:
+                    together += bit
+                bit += bit
+            acts = x.get(together)
+            if acts is None:
+                pt, vals = states[sid]
+                nodes = [code // w % n for w in weights]
+                acts = x[together] = list(dict.fromkeys(
+                    [act(*action(*a)) for a in fold(pt, vals, nodes)]))
+            out = []
+            for kind, to, wp, wx in acts:
+                if kind == _WALK:
+                    out.append(to + code + wx[code // wp % n])
+                elif kind == _JUMP:
+                    out.append(to + code + (code // wx % n - code // wp % n) * wp)
+                else:
+                    out.append(to + code)
+            return out
+
+        self.step = step
+        self.initial = intern((0, bp.init_vals)) * N + sum(
+            w * (g.targetnode if i + 1 == bp.t_idx else g.startnode)
+            for i, w in enumerate(weights))
 
 
 def interpret(prog: PebbleProgram, g: LabelledGraph,
               limits: Limits = Limits()) -> RunResult:
     """Angelic execution: accept iff some resolution of guesses reaches accept.
 
-    Searches the product (program point, valuation, placement) with
-    ``machine.expand``, the search and the budgets of the compiled
-    machine, and stops at the first accept configuration.  As in the
-    compiled automaton, a step is one pebble action of ``BoundProgram.fold``
-    and ``accept`` steps into the accept point ``len(instrs)`` with no
-    valuation.  On accept, reports the first-visit order of the curr pebble
-    along the accepting run found (None without a curr pebble).
-
-    A configuration is one int, ``sid * N + code``.  The state id ``sid``
-    numbers the states ``(pt, vals)`` a configuration can sit at in the
-    order the search meets them; the accept point is 0.  States are
-    canonical (``bp.canon``): configurations that differ only in variables
-    dead at their point share a sid, and ``configs_explored`` counts them
-    once, as the compiled route does.  The code
-    ``sum(nodes[i] * n**i)`` writes the placement in radix ``n =
-    g.num_nodes``, one digit per pebble, so ``0 <= code < N = n**p`` for p
-    pebbles.  Since every digit ``nodes[i]`` lies in ``range(n)``,
-    ``divmod(c, N)`` gives back ``sid`` and ``code``, and the radix-n digits
-    of ``code`` the placement: the ints are in bijection with the ``(pt,
-    vals, nodes)`` triples, and the search, its budgets and its answers are
-    those over the triples.  (On a one-node graph every code is 0 and ``c``
-    is the sid.)
-
-    Each sid gets a step plan the first time it is expanded.  A pebble
-    action is arithmetic on the int: it adds the change of sid times N and
-    the change of the acting pebble's digit.  At a control point the fold
-    reads the placement only through which of the pairs ``bp.observed(pt)``
-    share a node, so its actions are kept per sid and that pattern, reused
-    as the same list, for the length of the call; the placement is decoded
-    only to fill that cache.
+    ``machine.run`` over the program's own space (``ProgramSpace``): the
+    search and the budgets of every decider, stopped at the first accept
+    configuration.  On accept, reports the first-visit order of the curr
+    pebble along the accepting run found (None without a curr pebble).
+    ``configs_explored`` counts the configurations discovered, each class
+    of configurations that differ only in dead variables once.
     """
-    bp = prog.bind(g.degree)
-    rho = g.rho
-    instrs, fold, action, observed = bp.instrs, bp.fold, bp.action, bp.observed
-    canon = bp.canon
-    n = g.num_nodes
-    weights = [n ** i for i in range(bp.num_pebbles)]
-    N = n ** bp.num_pebbles
-    init_code = sum(w * (g.targetnode if i + 1 == bp.t_idx else g.startnode)
-                    for i, w in enumerate(weights))
-    states = [(len(instrs), ())]  # sid -> (pt, vals)
-    sids = {states[0]: 0}
-    plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
-    walks: dict = {}  # (pebble weight, label) -> digit changes
-
-    def intern(state):
-        state = canon(*state)
-        sid = sids.get(state)
-        if sid is None:
-            sid = sids[state] = len(states)
-            states.append(state)
-            plans.append(None)
-        return sid
-
-    def act(nxt, pebble, move, base=0):
-        """``bp.action``'s answer as ``(kind, to, wp, x)``: ``to`` is the
-        next sid times N less ``base``, ``wp`` the acting pebble's weight,
-        and ``x`` the jump target's weight or the digit's change per node
-        walked from.  ``accept`` goes to sid 0 and moves no pebble."""
-        if nxt is None:
-            return _SHIFT, -base, 0, None
-        to = intern(nxt) * N - base
-        wp = weights[pebble - 1]
-        if move < 0:
-            return _JUMP, to, wp, weights[-move - 1]
-        walk = walks.get((wp, move))
-        if walk is None:
-            walk = walks[wp, move] = [(row[move - 1] - v) * wp
-                                      for v, row in enumerate(rho)]
-        return _WALK, to, wp, walk
-
-    def plan(sid):
-        """The step plan of a sid, ``(kind, shift, wp, x)``: at an action,
-        ``act``'s from base ``sid * N``, so ``c + shift`` has the next sid;
-        at a control point, ``wp`` holds the weight pairs of
-        ``bp.observed(pt)`` and ``x`` the fold's ``act``s from base 0 by
-        which of them share a node."""
-        pt, vals = states[sid]
-        if instrs[pt][0] in _ACTIONS:
-            nxt, pebble, move = action(pt, vals)
-            out = act(nxt, pebble, move, sid * N)
-        else:
-            out = (_FOLD, 0, tuple((weights[i], weights[j])
-                                   for i, j in observed(pt)), {})
-        plans[sid] = out
-        return out
-
-    def successors(c):
-        sid = c // N
-        kind, shift, wp, x = plans[sid] or plan(sid)
-        # a digit of c is the digit of its code: N is a multiple of n * wp
-        if kind == _WALK:
-            return (c + shift + x[c // wp % n],)
-        if kind == _JUMP:
-            return (c + shift + (c // x % n - c // wp % n) * wp,)
-        if kind != _FOLD:
-            return (c + shift,) if kind == _SHIFT else ()
-        code = c - sid * N
-        together = 0  # bit k: the k-th observed pair shares a node
-        bit = 1
-        for wi, wj in wp:
-            if code // wi % n == code // wj % n:
-                together += bit
-            bit += bit
-        acts = x.get(together)
-        if acts is None:
-            pt, vals = states[sid]
-            nodes = [code // w % n for w in weights]
-            acts = x[together] = [act(*action(*a))
-                                  for a in fold(pt, vals, nodes)]
-        out = []
-        for kind, to, wp, wx in acts:
-            if kind == _WALK:
-                out.append(to + code + wx[code // wp % n])
-            elif kind == _JUMP:
-                out.append(to + code + (code // wx % n - code // wp % n) * wp)
-            else:
-                out.append(to + code)
-        return out
-
-    accepted = []
-
-    def visit(c):
-        if c < N:  # sid 0, the accept point
-            accepted.append(c)
-            return True
-        return False
-
-    parent, _, limit_hit = expand(intern((0, bp.init_vals)) * N + init_code,
-                                  successors, limits, visit)
-    if not accepted:
-        verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
-        return RunResult(verdict, None, len(parent))
-    visit_order = None
-    if bp.curr_idx is not None:
-        w = weights[bp.curr_idx - 1]
-        visit_order = first_visits(parent, accepted[0], lambda c: c // w % n)
-    return RunResult(Verdict.ACCEPT, visit_order, len(parent))
+    return run(ProgramSpace(prog, g), limits)
 
 
 # ---------------------------------------------------------------------------
 # Compiler
-
-_QA = "qa"
 
 
 def compile_program(prog: PebbleProgram, degree: int) -> NdJag:

@@ -21,11 +21,15 @@ to an explicit configuration budget.  A run is an accepting computation as
 soon as it reaches the accept state; traces are cut there, and the deciders
 never follow a transition out of an accept configuration.
 
-The build searches configurations packed into ints, one per configuration
-(``PackedSpace``), and the deciders read only those ints.  The
-``Configuration`` fields of a ``ConfigGraph`` (``parent``, ``merges``,
+The searches run over configurations packed into ints, one per
+configuration, and the deciders read only those ints.  An automaton's
+space is ``PackedSpace``; a pebble program has its own,
+``lang.ProgramSpace``, whose configurations are those of its compiled
+automaton.  Every search and decider takes the automaton or program and
+asks it for its space, ``space(g)``, so this module names no program type.
+The ``Configuration`` fields of a ``ConfigGraph`` (``parent``, ``merges``,
 ``accepting``, ``initial``, ``adj``) are views decoded on first read, and
-``successors`` steps ``Configuration``s through the same packed step.
+``successors`` steps ``Configuration``s through the packed step.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ class Configuration(NamedTuple):
 class Limits:
     """Search budgets: total configurations and (optionally) run length.
 
-    ``expand`` checks both before each BFS level, for the interpreter and
-    the compiled machine alike: ``max_configs`` bounds the configurations
+    ``expand`` checks both before each BFS level, in a program's space and
+    in an automaton's alike: ``max_configs`` bounds the configurations
     discovered, ``max_run_len`` the depth of the level, i.e. the steps of
     the runs explored.  A pebble program's step is one pebble action
     (``move``, ``jump``, or ``accept`` into an accept configuration); its
@@ -171,6 +175,10 @@ class NdJag:
     def transitions(self, state, pi):
         return self._fn(state, pi)
 
+    def space(self, g: LabelledGraph) -> "PackedSpace":
+        """The configurations a search of this automaton on ``g`` visits."""
+        return PackedSpace(self, g)
+
 
 def initial_config(jag: NdJag, g: LabelledGraph) -> Configuration:
     """Pebble t starts on the targetnode, all others on the startnode."""
@@ -207,10 +215,11 @@ def apply_moves(g: LabelledGraph, nodes: tuple, moves: tuple) -> tuple:
 
 class PackedSpace:
     """The configurations of one automaton on one graph, packed into ints,
-    and the one successor function of a configuration-graph build.
+    and their successor function: what a search of the automaton visits
+    (``NdJag.space``).
 
     A configuration is one int, ``sid * N + code``, as in
-    ``lang.interpret``.  The state id ``sid`` numbers the automaton's states
+    ``lang.ProgramSpace``.  The state id ``sid`` numbers the automaton's states
     in the order the space meets them: 0 is ``jag.accept_state``, so ``c``
     is an accept configuration iff ``c < N``; the start state comes next,
     then each next state of a transition when its key enters the table.
@@ -219,7 +228,8 @@ class PackedSpace:
     pebble, so ``0 <= code < N = n**p`` for p pebbles, and pebble i + 1 sits
     on ``c // weights[i] % n``: ``N`` is a multiple of ``n * weights[i]``.
     ``encode`` and ``decode`` are the bijection with ``Configuration``s.
-    (On a one-node graph every code is 0 and ``c`` is the sid.)
+    (On a one-node graph every code is 0 and ``c`` is the sid.)  ``curr``
+    is the automaton's curr pebble, 1-based, or None.
 
     ``step(c)`` lists the successors of ``c`` (empty: dead), in the order
     ``jag.transitions`` gives them.  In a state the control sees only which
@@ -254,6 +264,7 @@ class PackedSpace:
         weights, every_w = _radix(n, p)
         self.weights = weights
         N = self.N = n ** p
+        self.curr = jag.curr
         states = self.states = [jag.accept_state]  # sid -> state
         sids = {jag.accept_state: 0}
         table = [None]  # sid -> (pairs, their weight pairs, plans by bits)
@@ -387,7 +398,9 @@ def successors(jag: NdJag, g: LabelledGraph) -> Callable:
 @dataclass
 class ConfigGraph:
     """Explicit configuration graph: the BFS tree, the edges it leaves out,
-    and bookkeeping, over the packed configurations of ``space``.
+    and bookkeeping, over the packed configurations of ``space``.  ``jag``
+    is the automaton or pebble program whose space was searched, and the
+    deciders take the graph only with that same object.
 
     ``packed_parent`` maps each configuration discovered to the one it was
     first reached from (``space.initial`` to None); ``packed_merges``
@@ -399,7 +412,7 @@ class ConfigGraph:
     the budget that stopped the build (``"max_configs"`` or
     ``"max_run_len"``); it is None when the graph is complete.
     ``configs_explored`` counts the configurations discovered, as
-    ``max_configs`` and ``lang.interpret`` do.
+    ``max_configs`` and ``run`` do.
 
     The deciders read only these ints.  ``parent``, ``merges``,
     ``accepting``, ``initial`` and ``adj`` are the same data as
@@ -407,9 +420,9 @@ class ConfigGraph:
     and kept.
     """
 
-    jag: NdJag
+    jag: object  # an NdJag or a lang.PebbleProgram
     graph: LabelledGraph
-    space: PackedSpace
+    space: object  # jag.space(graph)
     packed_parent: dict
     packed_merges: list
     packed_accepting: list
@@ -486,8 +499,8 @@ def expand(initial, successors: Callable, limits: Limits,
            visit: Callable) -> tuple[dict, list, str | None]:
     """Breadth-first search of a configuration space, one level at a time.
 
-    The compiled machine's configuration graph and the interpreter are
-    both searched by it, so a budget means the same thing to every caller.
+    Every configuration graph and every run are searched by it, so a
+    budget means the same thing to every caller.
     Before each level the search stops with a limit hit if more than
     ``limits.max_configs`` configurations have been discovered
     (``"max_configs"``) or if the level lies deeper than
@@ -544,8 +557,7 @@ def first_visits(parent: dict, config, curr_node: Callable) -> tuple:
     the initial configuration to ``config``.
 
     ``parent`` is the map ``expand`` returns, and ``curr_node(config)`` is
-    curr's node in a configuration of the space searched: a packed int,
-    here and in ``lang.interpret``.
+    curr's node in a configuration of the space searched.
     """
     path = []
     while config is not None:
@@ -554,19 +566,67 @@ def first_visits(parent: dict, config, curr_node: Callable) -> tuple:
     return tuple(dict.fromkeys(reversed(path)))
 
 
+@dataclass(frozen=True)
+class RunResult:
+    verdict: Verdict
+    visit_order: tuple | None
+    configs_explored: int
+
+
+def _curr_node(space) -> Callable:
+    """curr's node in a packed configuration of ``space``."""
+    n, w = space.n, space.weights[space.curr - 1]
+    return lambda c: c // w % n
+
+
+def run(space, limits: Limits = Limits()) -> RunResult:
+    """One run of ``space``'s automaton or program: ``expand`` from
+    ``space.initial``, stopped at the first accept configuration it expands.
+
+    On accept, reports the first-visit order of the curr pebble along the
+    BFS-shortest accepting run (None without a curr pebble).  ``expand``
+    checks both budgets before each level, so that configuration is the
+    first one a whole build lists in ``ConfigGraph.packed_accepting``, under
+    every budget: stopping there changes no verdict and no order.
+    ``configs_explored`` counts the configurations discovered.
+    """
+    N = space.N
+    accepted = []
+
+    def visit(c):
+        if c < N:  # sid 0, the accept state
+            accepted.append(c)
+            return True
+        return False
+
+    parent, _, limit_hit = expand(space.initial, space.step, limits, visit)
+    if not accepted:
+        verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
+        return RunResult(verdict, None, len(parent))
+    order = None
+    if space.curr is not None:
+        order = first_visits(parent, accepted[0], _curr_node(space))
+    return RunResult(Verdict.ACCEPT, order, len(parent))
+
+
 def build_config_graph(jag: NdJag, g: LabelledGraph,
                        limits: Limits = Limits()) -> ConfigGraph:
     """Breadth-first exhaustive expansion of the configuration space.
 
-    The search is ``expand``'s over the ints of a ``PackedSpace``, so the
-    depth of a configuration is the run length that ``limits.max_run_len``
+    ``jag`` is an automaton or a pebble program; the search is
+    ``expand``'s over the ints of its space, ``jag.space(g)``, so the depth
+    of a configuration is the run length that ``limits.max_run_len``
     bounds.  Accept-state configurations are expanded too; the deciders
     ignore their successors.  The graph is kept as ``expand`` returns it, a
     BFS tree and the edges it leaves out; no successor list outlives the
     search (``ConfigGraph.packed_adj`` derives them from the two when it is
     read).
     """
-    space = PackedSpace(jag, g)
+    return _build(jag, g, jag.space(g), limits)
+
+
+def _build(jag, g: LabelledGraph, space, limits: Limits) -> ConfigGraph:
+    """``build_config_graph`` over ``space``, made already."""
     N = space.N
     accepting = []
 
@@ -579,15 +639,27 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
     return ConfigGraph(jag, g, space, parent, merges, accepting, limit_hit)
 
 
-def _graph_for(jag: NdJag, g: LabelledGraph, limits: Limits,
-               config_graph: ConfigGraph | None) -> ConfigGraph:
+def _graph_for(jag, g: LabelledGraph, limits: Limits,
+               config_graph: ConfigGraph | None,
+               what: str | None = None) -> ConfigGraph:
     """The configuration graph a decider reads: the one passed in, which
-    must belong to ``jag`` and ``g``, or a new one."""
+    must belong to ``jag`` and ``g``, or a new one.  A curr decider names
+    itself in ``what``: the space must designate curr, which is checked
+    before any build, and the graph must be complete."""
     if config_graph is None:
-        return build_config_graph(jag, g, limits)
-    if config_graph.jag is not jag or config_graph.graph != g:
+        space = jag.space(g)
+    elif config_graph.jag is not jag or config_graph.graph != g:
         raise InputError("config_graph was built for another automaton or graph")
-    return config_graph
+    else:
+        space = config_graph.space
+    if what is not None and space.curr is None:
+        raise InputError(f"{what} needs a designated curr pebble")
+    cg = config_graph
+    if cg is None:
+        cg = _build(jag, g, space, limits)
+    if what is not None and cg.limit_hit:
+        raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
+    return cg
 
 
 def accepts(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
@@ -643,20 +715,8 @@ def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
     """First-visit order of curr along the BFS-shortest accepting run."""
     if not cg.packed_accepting:
         return None
-    n, w = cg.space.n, cg.space.weights[cg.jag.curr - 1]
     return first_visits(cg.packed_parent, cg.packed_accepting[0],
-                        lambda c: c // w % n)
-
-
-def _complete_graph(jag: NdJag, g: LabelledGraph, limits: Limits,
-                    config_graph: ConfigGraph | None, what: str) -> ConfigGraph:
-    """The complete configuration graph a curr decider reads (``_graph_for``)."""
-    if jag.curr is None:
-        raise InputError(f"{what} needs a designated curr pebble")
-    cg = _graph_for(jag, g, limits, config_graph)
-    if cg.limit_hit:
-        raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
-    return cg
+                        _curr_node(cg.space))
 
 
 def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
@@ -759,7 +819,7 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
     all of it.  Neither comes back once false.
     """
     g = cg.graph
-    n, w = cg.space.n, cg.space.weights[cg.jag.curr - 1]
+    n, w = cg.space.n, cg.space.weights[cg.space.curr - 1]
     on = 1 << g.num_nodes
     need = sum(1 << v for v in reachable_set(g, g.startnode))
     # nexts[k]: the bit of the node after a prefix of length k (0: none)
@@ -787,7 +847,7 @@ def check_traversable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     True iff the automaton accepts and every accepting run places curr on
     every node reachable from the startnode.
     """
-    cg = _complete_graph(jag, g, limits, config_graph, "traversability")
+    cg = _graph_for(jag, g, limits, config_graph, "traversability")
     order = accepting_run_visits(cg)
     return (order is not None
             and all(covers for covers, _ in _curr_pass(cg, order))), order
@@ -805,7 +865,7 @@ def check_orderable(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
     shared, so an automaton that jumps ``curr`` straight to the targetnode
     gets a true flag here and ``orderable: false`` from ``verify``.
     """
-    cg = _complete_graph(jag, g, limits, config_graph, "orderability")
+    cg = _graph_for(jag, g, limits, config_graph, "orderability")
     order = accepting_run_visits(cg)
     return (order is not None
             and all(follows for _, follows in _curr_pass(cg, order))), order
@@ -820,10 +880,10 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
     does not even accept, that assumption is broken and a DiagnosticError is
     raised rather than guessing.
     """
-    cg = _complete_graph(jag, g, limits, config_graph, "co-st-connectivity")
+    cg = _graph_for(jag, g, limits, config_graph, "co-st-connectivity")
     if not cg.packed_accepting:
         raise DiagnosticError("supplied automaton rejects: traversability violated")
-    n, w = cg.space.n, cg.space.weights[jag.curr - 1]
+    n, w = cg.space.n, cg.space.weights[cg.space.curr - 1]
     tgt = g.targetnode
     touched = _accept_values(cg, cg.space.initial // w % n == tgt,
                              lambda t, c: t or c // w % n == tgt,
@@ -870,7 +930,7 @@ def verify(jag: NdJag, g: LabelledGraph,
     verdict = Verdict.ACCEPT if cg.packed_accepting else Verdict.REJECT
     traversable = orderable = None
     visit_order = None
-    if jag.curr is not None:
+    if cg.space.curr is not None:
         visit_order = accepting_run_visits(cg)
         traversable = orderable = visit_order is not None
         for covers, follows in _curr_pass(cg, visit_order) if visit_order else ():

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from jaglab.groups import abelian_group, cayley_graph, grid_group
+from jaglab.lang import parse_program
 from jaglab.machine import (Configuration, apply_moves, build_config_graph,
                             partition_of, successors)
 
@@ -72,3 +73,68 @@ def assert_steps_match_oracle(jag, g, cg=None):
             edges[c, s] -= 1
     assert set(edges.values()) <= {0}
     return len(cg.parent)
+
+
+def random_program(rng):
+    """A random pebble program over pebbles curr, a, s and t, with dir
+    variables x and c and a bool b: moves, jumps, guesses, branches, loops
+    and fail, some of them reading a variable after a pebble action; four
+    in five end with accept."""
+    lines = ["pebble curr", "pebble a", "dir x : 1..d", "dir c : 1..d"]
+
+    def stmt(depth, pad):
+        kind = rng.choice(
+            ["move", "jump", "guessx", "guessb", "iff", "whileb", "fail",
+             "assign", "ifb", "for"] if depth < 2
+            else ["move", "jump", "guessx", "fail"])
+        p = rng.choice(["curr", "a"])
+        q = rng.choice(["curr", "a", "s", "t"])
+        if kind == "move":
+            e = rng.choice(["1", "x", "d"])
+            return [f"{pad}move {p} along {e}"]
+        if kind in ("ifb", "for"):
+            action = rng.choice([f"move {p} along 1", f"jump {p} to {q}"])
+            if kind == "ifb":  # a bool read after a pebble action
+                return [pad + line for line in (
+                    "guess b : bool", action, "if b {", "    accept", "}")]
+            # loop bounds and a counter read after a pebble action
+            head = ["guess x", action]
+            if rng.random() < 0.5:
+                head += ["for c = 1 to x {", "    move curr along c"]
+                return ([pad + line for line in head]
+                        + stmt(depth + 1, pad + "    ") + [pad + "}"])
+            # a loop from d runs iff x is d when it starts, and as its body
+            # guesses x, only the start reads that x
+            head += ["for c = d to x {", "    guess x", "    accept", "}"]
+            return [pad + line for line in head]
+        if kind == "jump":
+            return [f"{pad}jump {p} to {q}"]
+        if kind == "assign":
+            return [f"{pad}{p} := {q}.1"]
+        if kind == "guessx":
+            return [f"{pad}guess x"]
+        if kind == "guessb":
+            return [f"{pad}guess b : bool"]
+        if kind == "fail":
+            return [f"{pad}fail"]
+        if kind == "iff":
+            cond = rng.choice([f"{p} == {q}", f"{p} != {q}"])
+            out = [f"{pad}if {cond} {{"]
+            out += stmt(depth + 1, pad + "    ")
+            if rng.random() < 0.5:
+                out.append(pad + "} else {")
+                out += stmt(depth + 1, pad + "    ")
+            out.append(pad + "}")
+            return out
+        # bounded loop body: guess the guard again inside
+        out = [f"{pad}guess b : bool", f"{pad}while b {{"]
+        out += stmt(depth + 1, pad + "    ")
+        out.append(f"{pad}    guess b : bool")
+        out.append(pad + "}")
+        return out
+
+    for _ in range(rng.randint(1, 5)):
+        lines += stmt(0, "")
+    if rng.random() < 0.8:
+        lines.append("accept")
+    return parse_program("\n".join(lines))

@@ -272,6 +272,18 @@ def test_wreath_count_cli():
     assert "count: 2" in out and "overflow: true" in out
 
 
+def test_wreath_count_step_that_is_no_successor_exit3(monkeypatch):
+    """The check of each counting step is a raise, so ``python -O`` keeps
+    it."""
+    from jaglab import algorithms
+    monkeypatch.setattr(algorithms, "wreath_successor", lambda ws, x, y: False)
+    code, out, err = run_cli(["wreath-count", "--family",
+                              "wreath(grid:d=1,l=2, grid:d=1,l=2)"])
+    assert code == 3
+    assert out == "count: 0\n"
+    assert err.startswith("diagnostic: step 1 ")
+
+
 def test_spotcheck_cli():
     code, out, _ = run_cli(["spotcheck", "--pairs", "10", "--seed", "1"])
     assert code == 0

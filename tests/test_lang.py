@@ -1,14 +1,18 @@
 import pytest
 
-from jaglab.errors import ProgramError
+from jaglab.errors import (DiagnosticError, ProgramError,
+                           ResourceLimitExceeded)
 from jaglab.families import parse_family
 from jaglab.graph import LabelledGraph
 from jaglab.lang import (_ACTIONS, BoundProgram, RunResult, compile_program,
                         interpret, parse_program)
 from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             build_config_graph, check_orderable,
+                            check_traversable, decide_co_st_connectivity,
                             enumerate_runs, partition_of, verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
+
+from conftest import random_program
 
 
 def reachable_states(jag):
@@ -417,67 +421,6 @@ def test_dead_variables_merge_the_tower_states():
     assert len({config.state for config in cg.parent}) == 368
 
 
-def _random_program(rng):
-    lines = ["pebble curr", "pebble a", "dir x : 1..d", "dir c : 1..d"]
-
-    def stmt(depth, pad):
-        kind = rng.choice(
-            ["move", "jump", "guessx", "guessb", "iff", "whileb", "fail",
-             "assign", "ifb", "for"] if depth < 2
-            else ["move", "jump", "guessx", "fail"])
-        p = rng.choice(["curr", "a"])
-        q = rng.choice(["curr", "a", "s", "t"])
-        if kind == "move":
-            e = rng.choice(["1", "x", "d"])
-            return [f"{pad}move {p} along {e}"]
-        if kind in ("ifb", "for"):
-            action = rng.choice([f"move {p} along 1", f"jump {p} to {q}"])
-            if kind == "ifb":  # a bool read after a pebble action
-                return [pad + line for line in (
-                    "guess b : bool", action, "if b {", "    accept", "}")]
-            # loop bounds and a counter read after a pebble action
-            head = ["guess x", action]
-            if rng.random() < 0.5:
-                head += ["for c = 1 to x {", "    move curr along c"]
-                return ([pad + line for line in head]
-                        + stmt(depth + 1, pad + "    ") + [pad + "}"])
-            # a loop from d runs iff x is d when it starts, and as its body
-            # guesses x, only the start reads that x
-            head += ["for c = d to x {", "    guess x", "    accept", "}"]
-            return [pad + line for line in head]
-        if kind == "jump":
-            return [f"{pad}jump {p} to {q}"]
-        if kind == "assign":
-            return [f"{pad}{p} := {q}.1"]
-        if kind == "guessx":
-            return [f"{pad}guess x"]
-        if kind == "guessb":
-            return [f"{pad}guess b : bool"]
-        if kind == "fail":
-            return [f"{pad}fail"]
-        if kind == "iff":
-            cond = rng.choice([f"{p} == {q}", f"{p} != {q}"])
-            out = [f"{pad}if {cond} {{"]
-            out += stmt(depth + 1, pad + "    ")
-            if rng.random() < 0.5:
-                out.append(pad + "} else {")
-                out += stmt(depth + 1, pad + "    ")
-            out.append(pad + "}")
-            return out
-        # bounded loop body: guess the guard again inside
-        out = [f"{pad}guess b : bool", f"{pad}while b {{"]
-        out += stmt(depth + 1, pad + "    ")
-        out.append(f"{pad}    guess b : bool")
-        out.append(pad + "}")
-        return out
-
-    for _ in range(rng.randint(1, 5)):
-        lines += stmt(0, "")
-    if rng.random() < 0.8:
-        lines.append("accept")
-    return parse_program("\n".join(lines))
-
-
 def test_random_program_bisimulation():
     import random as _random
     from jaglab.spotcheck import random_graph
@@ -486,7 +429,7 @@ def test_random_program_bisimulation():
     checked = 0
     while checked < 40:
         g = random_graph(rng, max_nodes=5, max_degree=2)
-        prog = _random_program(rng)
+        prog = random_program(rng)
         limits = Limits(max_configs=60_000)
         res = interpret(prog, g, limits)
         if res.verdict is Verdict.RESOURCE_LIMIT:
@@ -528,7 +471,7 @@ def test_dead_variable_reset_changes_no_answer(monkeypatch):
     from jaglab.spotcheck import random_graph
     rng = _random.Random(23)
     cases = [(random_graph(rng, max_nodes=5, max_degree=2),
-              _random_program(rng)) for _ in range(300)]
+              random_program(rng)) for _ in range(300)]
     for spec in ("abelian:mod=4,4", "sym:n=3"):
         family = parse_family(spec)
         cases.append((family.graph, tower_program(family.tower)))
@@ -566,7 +509,7 @@ def test_fold_reads_only_the_partition():
     checked = 0
     for _ in range(200):
         g = random_graph(rng, max_nodes=5, max_degree=2)
-        prog = _random_program(rng)
+        prog = random_program(rng)
         bp = prog.bind(g.degree)
         cg = build_config_graph(compile_program(prog, g.degree), g,
                                 Limits(max_configs=20_000))
@@ -589,7 +532,7 @@ def test_fold_reads_only_the_compared_pairs():
     while keyed < 100:  # a coverage floor: draw until it is met
         draws += 1
         assert draws <= 1000, f"{keyed} keyed states in 1000 programs"
-        prog = _random_program(rng)
+        prog = random_program(rng)
         bp = prog.bind(2)
         partitions = list(all_partitions(bp.num_pebbles))
         jag = compile_program(prog, 2)
@@ -633,6 +576,58 @@ def test_observed_pairs_are_0_based_and_distinct():
         assert res == _compiled_run(prog, g, Limits())
 
 
+def _decider_answers(machine, g, limits):
+    """The configuration graph ``machine``, an automaton or a program,
+    builds on ``g`` (decoded), ``verify``'s whole report, and the answers
+    of ``accepts``, ``check_traversable``, ``check_orderable`` and
+    ``decide_co_st_connectivity`` on that graph; an error a decider raises
+    is its answer."""
+    cg = build_config_graph(machine, g, limits)
+    out = [verify(machine, g, limits), list(cg.parent.items()), cg.merges,
+           cg.accepting, cg.limit_hit]
+    for decide in (accepts, check_traversable, check_orderable,
+                   decide_co_st_connectivity):
+        try:
+            out.append(decide(machine, g, limits, config_graph=cg))
+        except (DiagnosticError, ResourceLimitExceeded) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_program_space_decides_as_its_compiled_automaton():
+    """A program searched in its own space (``ProgramSpace``) builds the
+    configuration graph of its compiled automaton, and every decider gives
+    the same answer on the two, ``configs_explored`` and ``limits_hit``
+    included: on the five small ladder rungs, and on 1 000 random programs
+    with no budget and under budgets that stop some of the searches."""
+    import random as _random
+    from collections import Counter
+    from jaglab.spotcheck import random_graph
+    cases = []
+    for spec in ("grid:d=2,l=5", "grid:d=3,l=3", "sym:n=4", "abelian:mod=8,8",
+                 "wreath(grid:d=1,l=2, grid:d=1,l=3)"):
+        family = parse_family(spec)
+        g = family.graph
+        prog = grid_traversal_program(g.degree) if spec.startswith("grid") \
+            else tower_program(family.tower)
+        cases.append((prog, g, Limits()))
+    rng = _random.Random(5)
+    for _ in range(1000):
+        g = random_graph(rng, max_nodes=5, max_degree=2)
+        prog = random_program(rng)
+        cases += [(prog, g, limits) for limits in (
+            Limits(), Limits(max_configs=5), Limits(max_run_len=2))]
+    outcomes = Counter()
+    for prog, g, limits in cases:
+        got = _decider_answers(prog, g, limits)
+        assert got == _decider_answers(compile_program(prog, g.degree), g,
+                                       limits)
+        outcomes[got[0].verdict, got[0].limits_hit] += 1
+    assert all(outcomes[v, ()] >= 100 for v in (Verdict.ACCEPT, Verdict.REJECT))
+    for hit in ("max_configs", "max_run_len"):
+        assert outcomes[Verdict.RESOURCE_LIMIT, (hit,)] >= 100
+
+
 def test_budgets_mean_the_same_on_both_routes():
     """Every run-length bound up to the first accept configuration's depth,
     and a configuration budget at (and one below) each level boundary,
@@ -645,7 +640,7 @@ def test_budgets_mean_the_same_on_both_routes():
     outcomes = Counter()
     for _ in range(40):
         g = random_graph(rng, max_nodes=4, max_degree=2)
-        prog = _random_program(rng)
+        prog = random_program(rng)
         jag = compile_program(prog, g.degree)
         cg = build_config_graph(jag, g, Limits(max_configs=20_000))
         if cg.limit_hit:

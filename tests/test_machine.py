@@ -24,8 +24,8 @@ from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
 from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
                               random_jag, run_tree_nodes)
 
-from conftest import assert_steps_match_oracle, oracle_successors
-from test_lang import _random_program
+from conftest import (assert_steps_match_oracle, oracle_successors,
+                      random_program)
 
 
 def _selfs(p):
@@ -259,7 +259,7 @@ def test_observed_keys_build_what_every_pair_builds():
     hits = set()
     for _ in range(500):
         g = random_graph(rng, max_nodes=5, max_degree=2)
-        jag = compile_program(_random_program(rng), g.degree)
+        jag = compile_program(random_program(rng), g.degree)
         for limits in (Limits(), Limits(max_configs=8), Limits(max_run_len=3)):
             hits.add(_assert_builds_match(jag, g, limits).limit_hit)
     assert hits == {None, "max_configs", "max_run_len"}
@@ -305,7 +305,7 @@ def test_successors_match_apply_moves_on_compiled_programs():
     checked = 0
     for _ in range(300):
         g = random_graph(rng, max_nodes=5, max_degree=2)
-        jag = compile_program(_random_program(rng), g.degree)
+        jag = compile_program(random_program(rng), g.degree)
         checked += assert_steps_match_oracle(jag, g)
     assert checked > 500
 
@@ -992,14 +992,18 @@ def test_complete_graph_needs_no_further_budget():
 
 def test_deciders_reject_a_config_graph_of_another_input(grid_cayleys):
     g = grid_cayleys[(2, 2)].graph
-    jag = compile_program(grid_traversal_program(), 2)
-    other = compile_program(grid_traversal_program(), 2)
-    for cg in (build_config_graph(jag, disjoint_union(g, g)),
-               build_config_graph(other, g)):
+    prog = grid_traversal_program()
+    jag = compile_program(prog, 2)
+    other = compile_program(prog, 2)
+    # a program and its compiled automaton search spaces of their own
+    for given, cg in ((jag, build_config_graph(jag, disjoint_union(g, g))),
+                      (jag, build_config_graph(other, g)),
+                      (prog, build_config_graph(jag, g)),
+                      (jag, build_config_graph(prog, g))):
         for decide in (accepts, check_traversable, check_orderable,
                        decide_co_st_connectivity):
             with pytest.raises(InputError, match="another automaton or graph"):
-                decide(jag, g, config_graph=cg)
+                decide(given, g, config_graph=cg)
     # the graph of an automaton that accepts, given with one that has no
     # transitions
     dead = _wrapper(jag, {})
