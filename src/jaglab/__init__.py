@@ -17,7 +17,7 @@ from .machine import (Configuration, Limits, NdJag, Verdict,
                       check_orderable, check_traversable,
                       decide_co_st_connectivity, enumerate_runs,
                       initial_config, parse_jag, partition_of,
-                      serialize_jag, successors, verify)
+                      serialize_jag, verify)
 from .algorithms import (CanonicalTower, RegisterMachine, TowerPosition,
                          abelian_canonical_exponents, abelian_canonical_path,
                          abelian_e_values, abelian_ordering_run,

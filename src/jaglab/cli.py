@@ -105,9 +105,9 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     g = _load_graph(args)
     prog = _resolve_program(args, g)
-    if args.program == "co-st-conn":
-        return _connect(args, g, prog)
     searched = compile_program(prog, g.degree) if args.compiled else prog
+    if args.program == "co-st-conn":
+        return _connect(args, g, searched)
     result = run(searched.space(g), _limits(args))
     print(f"verdict: {result.verdict.value}")
     if result.verdict is Verdict.RESOURCE_LIMIT:

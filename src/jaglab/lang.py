@@ -36,8 +36,9 @@ ints and steps them; ``PebbleProgram.space`` hands it to the searches of
 and cyclic nondeterminism terminates.  The compiler produces an automaton
 over states (program point, valuation) whose configuration graph is the
 same; every pebble not being acted on jumps to itself.  It serves ``run
---compiled``, the interchange format and the cross-check of the program's
-space.  Both take their steps from the one fold and the one
+--compiled`` and the cross-check of the program's space; its ``delta`` is
+a function, not a rule table, so ``serialize_jag`` does not take it.  Both
+take their steps from the one fold and the one
 ``BoundProgram.action``, reset the variables that are dead at a state's
 point (``BoundProgram.canon``), and are searched by the one
 ``machine.expand``, so they count budgets alike.

@@ -27,9 +27,8 @@ space is ``PackedSpace``; a pebble program has its own,
 ``lang.ProgramSpace``, whose configurations are those of its compiled
 automaton.  Every search and decider takes the automaton or program and
 asks it for its space, ``space(g)``, so this module names no program type.
-The ``Configuration`` fields of a ``ConfigGraph`` (``parent``, ``merges``,
-``accepting``, ``initial``, ``adj``) are views decoded on first read, and
-``successors`` steps ``Configuration``s through the packed step.
+A ``ConfigGraph`` keeps what the search found, and a configuration's
+successors are always those ``space.step`` gives it.
 """
 
 from __future__ import annotations
@@ -372,52 +371,31 @@ class PackedSpace:
             self.states[sid], tuple([code // w % n for w in self.weights])))
 
 
-def successors(jag: NdJag, g: LabelledGraph) -> Callable:
-    """The successor function of one configuration-graph build, on
-    ``Configuration``s, for tests and tools.
-
-    It maps a configuration to the list of its successors (empty: dead):
-    the configuration is encoded, stepped by ``PackedSpace.step`` and each
-    successor decoded, so the step, its table and its move checks are the
-    build's.  A successor whose placement did not change keeps the
-    placement tuple as it is.
-    """
-    space = PackedSpace(jag, g)
-    N, states, step, decode = space.N, space.states, space.step, space.decode
-    new = tuple.__new__
-
-    def succs(config):
-        c = space.encode(config)
-        code = c % N
-        return [new(Configuration, (states[s // N], config.nodes))
-                if s % N == code else decode(s) for s in step(c)]
-
-    return succs
-
-
 @dataclass
 class ConfigGraph:
-    """Explicit configuration graph: the BFS tree, the edges it leaves out,
-    and bookkeeping, over the packed configurations of ``space``.  ``jag``
-    is the automaton or pebble program whose space was searched, and the
-    deciders take the graph only with that same object.
+    """Explicit configuration graph: what ``expand`` found over the packed
+    configurations of ``space``, the BFS tree and the edges it leaves out.
+    ``jag`` is the automaton or pebble program whose space was searched,
+    and the deciders take the graph only with that same object.
 
     ``packed_parent`` maps each configuration discovered to the one it was
     first reached from (``space.initial`` to None); ``packed_merges``
     lists, in BFS order, every other edge ``(config, successor)`` the build
     followed, i.e. each edge into a configuration already discovered.
-    Together they hold every edge of the graph searched; ``packed_adj`` is
-    the forward view of them.  ``packed_accepting`` lists the accept
-    configurations the build expanded, in BFS order.  ``limit_hit`` names
-    the budget that stopped the build (``"max_configs"`` or
+    Together they hold every edge of the graph searched; the edges out of
+    one configuration are those ``space.step`` gives it, whose table
+    outlives the build, so stepping a configuration the build expanded
+    again asks the automaton nothing.  ``packed_accepting`` lists the
+    accept configurations the build expanded, in BFS order.  ``limit_hit``
+    names the budget that stopped the build (``"max_configs"`` or
     ``"max_run_len"``); it is None when the graph is complete.
     ``configs_explored`` counts the configurations discovered, as
     ``max_configs`` and ``run`` do.
 
-    The deciders read only these ints.  ``parent``, ``merges``,
-    ``accepting``, ``initial`` and ``adj`` are the same data as
-    ``Configuration``s, for tests and tools; each is decoded on first read
-    and kept.
+    The deciders read only these ints and ``space.step``.  ``initial`` and
+    ``adj`` decode them to ``Configuration``s for the benchmark harness's
+    build counts (``perfbench/bench.py::_graph_counts``); both go when
+    ROADMAP item F moves those counts to the packed data.
     """
 
     jag: object  # an NdJag or a lang.PebbleProgram
@@ -432,17 +410,19 @@ class ConfigGraph:
     def configs_explored(self) -> int:
         return len(self.packed_parent)
 
-    @functools.cached_property
-    def packed_adj(self) -> dict:
-        """Each configuration the build expanded, in BFS order, mapped to
-        the list of its successors: its children in ``packed_parent``, in
-        discovery order, then the targets of its merges, in BFS order.
-        That is the multiset ``space.step`` gives it, read off the build
-        instead of stepped again; derived on first read.
+    @property
+    def initial(self) -> Configuration:
+        """``space.initial`` decoded; goes with ``adj``."""
+        return self.space.decode(self.space.initial)
 
-        The value pass's worklist reads it.  A budget stops the build
-        before it expands the last level discovered, so that level is left
-        out.
+    @functools.cached_property
+    def adj(self) -> dict:
+        """Each configuration the build expanded, in BFS order, mapped to
+        the list of its ``space.step`` successors, all decoded; kept once
+        read.  On a complete graph every configuration discovered was
+        expanded.  A budget stops the build before it expands the last
+        level discovered, so that level is left out.  Goes when ROADMAP
+        item F counts the build from the packed data.
         """
         parent = self.packed_parent
         expanded = parent
@@ -452,47 +432,9 @@ class ConfigGraph:
                 depth[config] = 0 if above is None else depth[above] + 1
             last = depth[config]  # the last configuration discovered
             expanded = [c for c, d in depth.items() if d < last]
-        adj = {c: [] for c in expanded}
-        for config, above in parent.items():
-            if above is not None:
-                adj[above].append(config)
-        for config, s in self.packed_merges:
-            adj[config].append(s)
-        return adj
-
-    @functools.cached_property
-    def _decoded(self) -> dict:
-        decode = self.space.decode
-        out = {c: decode(c) for c in self.packed_parent}
-        out[None] = None
-        return out
-
-    @functools.cached_property
-    def initial(self) -> Configuration:
-        return self.space.decode(self.space.initial)
-
-    @functools.cached_property
-    def parent(self) -> dict:
-        conf = self._decoded
-        return {conf[c]: conf[above]
-                for c, above in self.packed_parent.items()}
-
-    @functools.cached_property
-    def merges(self) -> list:
-        conf = self._decoded
-        return [(conf[c], conf[s]) for c, s in self.packed_merges]
-
-    @functools.cached_property
-    def accepting(self) -> list:
-        conf = self._decoded
-        return [conf[c] for c in self.packed_accepting]
-
-    @functools.cached_property
-    def adj(self) -> dict:
-        """``packed_adj`` decoded."""
-        conf = self._decoded
-        return {conf[c]: [conf[s] for s in succs]
-                for c, succs in self.packed_adj.items()}
+        decode, step = self.space.decode, self.space.step
+        conf = {c: decode(c) for c in parent}  # every successor is in parent
+        return {conf[c]: [conf[s] for s in step(c)] for c in expanded}
 
 
 def expand(initial, successors: Callable, limits: Limits,
@@ -619,8 +561,8 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
     bounds.  Accept-state configurations are expanded too; the deciders
     ignore their successors.  The graph is kept as ``expand`` returns it, a
     BFS tree and the edges it leaves out; no successor list outlives the
-    search (``ConfigGraph.packed_adj`` derives them from the two when it is
-    read).
+    search, and a decider that needs a configuration's successors steps it
+    again through the space's table.
     """
     return _build(jag, g, jag.space(g), limits)
 
@@ -775,15 +717,19 @@ def _carried_values(cg: ConfigGraph, work: list, tree_value: Callable,
                     extend: Callable, join: Callable):
     """The worklist of ``_accept_values``: carry the value of each
     configuration in ``work``, at first its ``tree_value``, along every
-    edge out of it in ``cg.packed_adj``, and on from each configuration whose
-    value changes, until none does.  A configuration's value so far is
-    the join of the values of the runs carried into it and of its tree
-    value (None: no run along the tree enters it).  An accept
-    configuration passes nothing on; its value is yielded each time it is
-    taken from the worklist.
+    edge out of it, and on from each configuration whose value changes,
+    until none does.  A configuration's value so far is the join of the
+    values of the runs carried into it and of its tree value (None: no run
+    along the tree enters it).  An accept configuration passes nothing on;
+    its value is yielded each time it is taken from the worklist.
+
+    The edges out of a configuration are ``cg.space.step``'s.  The graph
+    is complete, so the build stepped every configuration the worklist
+    takes; the step's table outlives it, so a step again asks the
+    automaton nothing and gives the edges the build followed.
     """
     N = cg.space.N
-    adj = cg.packed_adj
+    step = cg.space.step
     values = {config: tree_value(config) for config in work}
     work = deque(work)
     while work:
@@ -792,7 +738,7 @@ def _carried_values(cg: ConfigGraph, work: list, tree_value: Callable,
         if config < N:
             yield value
             continue
-        for s in adj[config]:
+        for s in step(config):
             old = values[s] if s in values else tree_value(s)
             new = extend(value, s)
             if old is not None:

@@ -4,8 +4,8 @@ import pytest
 
 from jaglab.groups import abelian_group, cayley_graph, grid_group
 from jaglab.lang import parse_program
-from jaglab.machine import (Configuration, apply_moves, build_config_graph,
-                            partition_of, successors)
+from jaglab.machine import (Configuration, PackedSpace, apply_moves,
+                            build_config_graph, partition_of)
 
 GRID_CASES = [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)]
 
@@ -45,6 +45,39 @@ def abelian_corpus():
     return out
 
 
+def decoded(cg):
+    """``(parent, merges, accepting)`` of a configuration graph as
+    ``Configuration``s: ``cg.packed_parent`` (in its order, the initial
+    configuration mapped to None), ``cg.packed_merges`` and
+    ``cg.packed_accepting``, each decoded with ``cg.space.decode``."""
+    decode = cg.space.decode
+    conf = {c: decode(c) for c in cg.packed_parent}
+    conf[None] = None
+    return ({conf[c]: conf[above] for c, above in cg.packed_parent.items()},
+            [(conf[c], conf[s]) for c, s in cg.packed_merges],
+            [conf[c] for c in cg.packed_accepting])
+
+
+def successors(jag, g):
+    """The successor function of one configuration-graph build, on
+    ``Configuration``s: a configuration is encoded, stepped by
+    ``PackedSpace.step`` and each successor decoded, so the step, its table
+    and its move checks are the build's.  It maps a configuration to the
+    list of its successors (empty: dead); a successor whose placement did
+    not change keeps the placement tuple as it is."""
+    space = PackedSpace(jag, g)
+    N, states, step, decode = space.N, space.states, space.step, space.decode
+    new = tuple.__new__
+
+    def succs(config):
+        c = space.encode(config)
+        code = c % N
+        return [new(Configuration, (states[s // N], config.nodes))
+                if s % N == code else decode(s) for s in step(c)]
+
+    return succs
+
+
 def oracle_successors(jag, g, config):
     """The successors of ``config`` by the oracle's step, ``apply_moves``,
     in ``jag.transitions`` order."""
@@ -62,9 +95,10 @@ def assert_steps_match_oracle(jag, g, cg=None):
         cg = build_config_graph(jag, g)
     assert cg.limit_hit is None
     succs = successors(jag, g)
-    edges = Counter((above, c) for c, above in cg.parent.items()
-                    if above is not None) + Counter(cg.merges)
-    for c in cg.parent:
+    parent, merges, _ = decoded(cg)
+    edges = Counter((above, c) for c, above in parent.items()
+                    if above is not None) + Counter(merges)
+    for c in parent:
         want = oracle_successors(jag, g, c)
         got = succs(c)
         assert got == want
@@ -72,7 +106,7 @@ def assert_steps_match_oracle(jag, g, cg=None):
         for s in got:
             edges[c, s] -= 1
     assert set(edges.values()) <= {0}
-    return len(cg.parent)
+    return len(parent)
 
 
 def random_program(rng):

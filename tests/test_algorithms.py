@@ -10,7 +10,7 @@ from jaglab.groups import (abelian_group, cayley_graph, element_order,
 from jaglab.lang import compile_program, interpret
 from jaglab.machine import (Limits, Verdict, build_config_graph,
                             check_orderable, check_traversable, expand,
-                            initial_config, successors)
+                            initial_config)
 from jaglab.algorithms import (CanonicalTower, TowerPosition,
                                abelian_canonical_exponents,
                                abelian_canonical_path, abelian_e_values,
@@ -32,6 +32,8 @@ from jaglab.algorithms import (CanonicalTower, TowerPosition,
                                wreath_tower, wreath_value, wreath_zero,
                                RegisterMachine)
 from jaglab.graph import reduce_degree
+
+from conftest import successors
 
 
 # -- successor rule ---------------------------------------------------------

@@ -5,9 +5,12 @@ import pytest
 
 from jaglab.algorithms import grid_traversal_program
 from jaglab.cli import main
-from jaglab.graph import parse_graph
+from jaglab.families import parse_family
+from jaglab.graph import disjoint_union, parse_graph, serialize_graph
 from jaglab.lang import compile_program
 from jaglab.machine import Limits, build_config_graph
+
+from conftest import decoded
 
 
 def run_cli(argv):
@@ -85,14 +88,14 @@ def test_run_compiled_matches_interpreted(grid22_file):
     # runs out one level after the build reaches it: still an accept
     g = parse_graph(grid22_file.read_text())
     jag = compile_program(grid_traversal_program(g.degree), g.degree)
-    cg = build_config_graph(jag, g)
+    parents, _, accepting = decoded(build_config_graph(jag, g))
     depth = {}
-    for config, parent in cg.parent.items():  # parents come first
+    for config, parent in parents.items():  # parents come first
         depth[config] = 0 if parent is None else depth[parent] + 1
-    accept_depth = depth[cg.accepting[0]]
+    accept_depth = depth[accepting[0]]
     budget = sum(d <= accept_depth for d in depth.values())
     short = build_config_graph(jag, g, Limits(max_configs=budget))
-    assert short.limit_hit and short.accepting
+    assert short.limit_hit and decoded(short)[2]
     # a run-length bound one short of that depth runs out in both
     cases = [(["--limits-configs", str(budget)], 0, "accept"),
              (["--max-run-len", str(accept_depth - 1)], 2, "resource-limit"),
@@ -263,6 +266,32 @@ def test_connect_co_st_conn(tmp_path):
     code, out, _ = run_cli(["connect", "co-st-conn", str(path),
                             "--family", "sym:n=3"])
     assert code == 0 and out.strip() == "connected"
+
+
+@pytest.mark.parametrize("apart, want", [(False, (0, "connected\n")),
+                                         (True, (1, "disconnected\n"))])
+def test_run_co_st_conn_compiled_decides_on_the_compiled_automaton(
+        tmp_path, monkeypatch, apart, want):
+    """``run co-st-conn --compiled`` compiles the program once and decides
+    on the automaton, with the output and exit code of the route without
+    the flag: on sym:n=4 and on two disjoint copies of it."""
+    from jaglab import cli
+    g = parse_family("sym:n=4").graph
+    if apart:
+        g = disjoint_union(g, g)
+    path = tmp_path / "g.graph"
+    path.write_text(serialize_graph(g))
+    calls = []
+
+    def counting(prog, degree):
+        calls.append(degree)
+        return compile_program(prog, degree)
+
+    monkeypatch.setattr(cli, "compile_program", counting)
+    argv = ["run", "co-st-conn", str(path), "--family", "sym:n=4"]
+    assert run_cli(argv)[:2] == want and calls == []
+    assert run_cli(argv + ["--compiled"])[:2] == want
+    assert calls == [g.degree]
 
 
 def test_wreath_count_cli():

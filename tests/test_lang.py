@@ -12,7 +12,7 @@ from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             enumerate_runs, partition_of, verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
 
-from conftest import random_program
+from conftest import decoded, random_program, successors
 
 
 def reachable_states(jag):
@@ -201,11 +201,11 @@ def test_run_and_verify_count_the_same_configurations():
     g = LabelledGraph(4, 2, ((2, 1), (3, 0), (0, 3), (1, 2)), 0, 3)
     prog = grid_traversal_program(g.degree)
     jag = compile_program(prog, g.degree)
-    cg = build_config_graph(jag, g)
+    parents, _, accepting = decoded(build_config_graph(jag, g))
     depth = {}
-    for config, parent in cg.parent.items():  # parents come first
+    for config, parent in parents.items():  # parents come first
         depth[config] = 0 if parent is None else depth[parent] + 1
-    half = depth[cg.accepting[0]] // 2
+    half = depth[accepting[0]] // 2
     # one below the configurations of depth <= half: the search stops
     # before it expands level half
     budget = sum(d <= half for d in depth.values()) - 1
@@ -417,8 +417,8 @@ def test_dead_variables_merge_the_tower_states():
     family = parse_family("sym:n=4")
     g = family.graph
     jag = compile_program(tower_program(family.tower), g.degree)
-    cg = build_config_graph(jag, g)
-    assert len({config.state for config in cg.parent}) == 368
+    parent, _, _ = decoded(build_config_graph(jag, g))
+    assert len({config.state for config in parent}) == 368
 
 
 def test_random_program_bisimulation():
@@ -445,9 +445,10 @@ def test_random_program_bisimulation():
             # both searches count run length alike: a bound one short of
             # the first accept configuration's depth runs out, its depth
             # accepts along the same run
-            depth, config = 0, cg.accepting[0]
-            while cg.parent[config] is not None:
-                depth, config = depth + 1, cg.parent[config]
+            parent, _, accepting = decoded(cg)
+            depth, config = 0, accepting[0]
+            while parent[config] is not None:
+                depth, config = depth + 1, parent[config]
             short = Limits(max_run_len=depth - 1)
             assert interpret(prog, g, short).verdict is Verdict.RESOURCE_LIMIT
             assert accepts(jag, g, short) is Verdict.RESOURCE_LIMIT
@@ -513,7 +514,7 @@ def test_fold_reads_only_the_partition():
         bp = prog.bind(g.degree)
         cg = build_config_graph(compile_program(prog, g.degree), g,
                                 Limits(max_configs=20_000))
-        for state, nodes in cg.parent:
+        for state, nodes in decoded(cg)[0]:
             if state == "qa" or bp.instrs[state[0]][0] in _ACTIONS:
                 continue
             pt, vals = state
@@ -583,8 +584,9 @@ def _decider_answers(machine, g, limits):
     ``decide_co_st_connectivity`` on that graph; an error a decider raises
     is its answer."""
     cg = build_config_graph(machine, g, limits)
-    out = [verify(machine, g, limits), list(cg.parent.items()), cg.merges,
-           cg.accepting, cg.limit_hit]
+    parent, merges, accepting = decoded(cg)
+    out = [verify(machine, g, limits), list(parent.items()), merges,
+           accepting, cg.limit_hit]
     for decide in (accepts, check_traversable, check_orderable,
                    decide_co_st_connectivity):
         try:
@@ -645,10 +647,11 @@ def test_budgets_mean_the_same_on_both_routes():
         cg = build_config_graph(jag, g, Limits(max_configs=20_000))
         if cg.limit_hit:
             continue
+        parents, _, accepting = decoded(cg)
         depth = {}
-        for config, parent in cg.parent.items():  # parents come first
+        for config, parent in parents.items():  # parents come first
             depth[config] = 0 if parent is None else depth[parent] + 1
-        top = depth[cg.accepting[0]] if cg.accepting else max(depth.values())
+        top = depth[accepting[0]] if accepting else max(depth.values())
         budgets = [Limits(max_run_len=k) for k in range(top + 1)]
         for k in range(top + 1):
             level_end = sum(d <= k for d in depth.values())
@@ -666,9 +669,9 @@ def test_budgets_mean_the_same_on_both_routes():
 
 def _compiled_run(prog, g, limits):
     """The compiled automaton searched as ``interpret`` searches its
-    packed configurations: ``expand`` over ``machine.successors``, stopped
+    packed configurations: ``expand`` over ``conftest.successors``, stopped
     at the first accept configuration it expands."""
-    from jaglab.machine import expand, first_visits, initial_config, successors
+    from jaglab.machine import expand, first_visits, initial_config
     jag = compile_program(prog, g.degree)
     accepted = []
 

@@ -10,22 +10,21 @@ from jaglab import machine
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.graph import LabelledGraph, disjoint_union, reachable_set
 from jaglab.groups import abelian_group, cayley_graph, symmetric_group
-from jaglab.lang import compile_program, interpret, parse_program
+from jaglab.lang import ProgramSpace, compile_program, interpret, parse_program
 from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
                             all_partitions, apply_moves, build_config_graph,
                             check_orderable, check_traversable,
                             decide_co_st_connectivity, enumerate_runs,
                             expand, initial_config, parse_jag, partition_of,
-                            replay_curr_visits, serialize_jag, successors,
-                            verify)
+                            replay_curr_visits, serialize_jag, verify)
 from jaglab.families import parse_family
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
                               random_jag, run_tree_nodes)
 
-from conftest import (assert_steps_match_oracle, oracle_successors,
-                      random_program)
+from conftest import (assert_steps_match_oracle, decoded, oracle_successors,
+                      random_program, successors)
 
 
 def _selfs(p):
@@ -171,7 +170,7 @@ def test_unobserved_co_located_jump_is_kept():
                 delta=lambda state, pi: (("q", (-2, 1)),) if state == "q" else (),
                 observes=lambda state: ())
     cg = build_config_graph(jag, g)
-    assert list(cg.parent) == [Configuration("q", (0, 0)),
+    assert list(decoded(cg)[0]) == [Configuration("q", (0, 0)),
                                Configuration("q", (0, 1)),
                                Configuration("q", (1, 2)),
                                Configuration("q", (2, 0))]
@@ -208,11 +207,11 @@ def test_build_asks_delta_once_per_key(grid_cayleys):
     jag = _wrapper(compiled, counting)
     for _ in range(2):  # the table lives for one build only
         calls.clear()
-        cg = build_config_graph(jag, g)
-        keys = {(c.state, partition_of(c.nodes)) for c in cg.parent}
+        parent, _, _ = decoded(build_config_graph(jag, g))
+        keys = {(c.state, partition_of(c.nodes)) for c in parent}
         assert len(calls) == len(keys) == len(set(calls))
         assert set(calls) == keys
-        assert len(cg.parent) > len(keys)  # keys are shared by configurations
+        assert len(parent) > len(keys)  # keys are shared by configurations
 
     # the compiled automaton's key is its state and the co-location of the
     # pairs it observes there, a coarser key than the partition
@@ -223,8 +222,8 @@ def test_build_asks_delta_once_per_key(grid_cayleys):
     jag = _wrapper(compiled, counting, observes=compiled.observes)
     for _ in range(2):
         calls.clear()
-        cg = build_config_graph(jag, g)
-        observed_keys = {observed(*c) for c in cg.parent}
+        parent, _, _ = decoded(build_config_graph(jag, g))
+        observed_keys = {observed(*c) for c in parent}
         assert len(calls) == len(observed_keys)
         assert {observed(state, pi) for state, pi in calls} == observed_keys
         assert len(observed_keys) < len(keys)
@@ -245,11 +244,13 @@ def _assert_builds_match(jag, g, limits):
     got = build_config_graph(jag, g, limits)
     want = build_config_graph(every, g, limits)
     got_succs, want_succs = successors(jag, g), successors(every, g)
-    for c in got.parent:
+    parent, merges, accepting = decoded(got)
+    for c in parent:
         assert got_succs(c) == want_succs(c) == oracle_successors(jag, g, c)
-    assert list(got.parent.items()) == list(want.parent.items())
-    assert got.merges == want.merges
-    assert got.accepting == want.accepting
+    want_parent, want_merges, want_accepting = decoded(want)
+    assert list(parent.items()) == list(want_parent.items())
+    assert merges == want_merges
+    assert accepting == want_accepting
     assert got.limit_hit == want.limit_hit
     return got
 
@@ -269,7 +270,7 @@ def test_observed_keys_build_the_ladder_graphs(grid_cayleys):
     g = grid_cayleys[(2, 3)].graph
     grid = compile_program(grid_traversal_program(), g.degree)
     for jag, graph in ((grid, g), sym4_tower()):
-        assert _assert_builds_match(jag, graph, Limits()).accepting
+        assert decoded(_assert_builds_match(jag, graph, Limits()))[2]
 
 
 def test_step_simultaneity_is_order_independent(grid_cayleys):
@@ -529,7 +530,7 @@ def avoidance_traversable(cg) -> bool:
     with the configurations that hold curr on v deleted."""
     jag, g = cg.jag, cg.graph
     curr = jag.curr - 1
-    if not cg.accepting:
+    if not decoded(cg)[2]:
         return False
 
     def avoidable(v) -> bool:
@@ -664,9 +665,10 @@ def test_accept_below_an_accept_yields_nothing():
                           ("acc", (1, 2, 3)): (("q1", walk),),
                           ("q1", (1, 2, 2)): (("acc", walk),)})
     cg = build_config_graph(jag, g)
-    assert cg.merges == []
-    assert cg.accepting == [Configuration("acc", (0, 2, 1)),
-                            Configuration("acc", (0, 2, 3))]
+    _, merges, accepting = decoded(cg)
+    assert merges == []
+    assert accepting == [Configuration("acc", (0, 2, 1)),
+                         Configuration("acc", (0, 2, 3))]
     # one value, of the one run of one step
     assert list(machine._accept_values(cg, 0, lambda v, c: v + 1, max)) == [1]
     assert decide_co_st_connectivity(jag, g) == "disconnected"
@@ -680,7 +682,7 @@ def test_merge_out_of_an_accept_configuration_is_no_run_edge(monkeypatch):
     jag, g = _cycle4_jag({("q0", (1, 2, 1)): (("acc", (-1, -2, 1)),),
                           ("acc", (1, 2, 3)): (("q0", (-1, -2, -1)),)})
     cg = build_config_graph(jag, g)
-    assert cg.merges == [(Configuration("acc", (0, 2, 1)), cg.initial)]
+    assert decoded(cg)[1] == [(Configuration("acc", (0, 2, 1)), cg.initial)]
 
     def no_worklist(*args):
         raise AssertionError("the worklist ran")
@@ -699,7 +701,7 @@ def test_value_pass_follows_a_cycle():
                           ("q0", (1, 2, 3)): (("q0", walk),),
                           ("q0", (1, 2, 2)): (("acc", stay), ("q0", walk))})
     cg = build_config_graph(jag, g)
-    assert cg.merges == [(Configuration("q0", (0, 2, 3)), cg.initial)]
+    assert decoded(cg)[1] == [(Configuration("q0", (0, 2, 3)), cg.initial)]
     exp = expected(jag, g, 1000)
     assert exp.orders == {(0, 1, 2), (0, 1, 2, 3)}
     # the runs along the tree alone share one order; the cycle breaks it
@@ -742,10 +744,11 @@ def test_merge_target_off_the_tree_paths_joins_its_tree_value():
         ("y", (1, 2, 2)): (("acc", stay),)})
     cg = build_config_graph(jag, g)
     x, acc = Configuration("x", (0, 2, 0)), Configuration("acc", (0, 2, 2))
-    assert cg.parent[x] == Configuration("a", (0, 2, 1))
-    assert cg.merges == [(Configuration("b", (0, 2, 2)), x),
+    parent, merges, accepting = decoded(cg)
+    assert parent[x] == Configuration("a", (0, 2, 1))
+    assert merges == [(Configuration("b", (0, 2, 2)), x),
                          (Configuration("y", (0, 2, 2)), acc)]
-    assert cg.accepting == [acc] and cg.parent[acc].state == "c"
+    assert accepting == [acc] and parent[acc].state == "c"
     exp = expected(jag, g, 1000)
     assert exp.orders == {(0, 1, 2), (0, 2)}
     assert check_traversable(jag, g, config_graph=cg) == (False, (0, 1, 2))
@@ -789,7 +792,7 @@ def _decider_answers(jag, g, limits):
     except DiagnosticError:
         co_st = "DiagnosticError"
     return (trav, check_orderable(jag, g, config_graph=cg), order, co_st,
-            bool(cg.merges))
+            bool(decoded(cg)[1]))
 
 
 def test_tree_values_and_merges_match_the_worklist(monkeypatch):
@@ -822,6 +825,70 @@ def test_tree_values_and_merges_match_the_worklist(monkeypatch):
         and merges.count(True) >= 100
 
 
+_WALK_LOOP = """
+pebble curr
+guess b : bool
+while b {
+    move curr along 1
+    guess b : bool
+}
+accept
+"""
+
+
+def test_deciders_step_only_through_the_table(monkeypatch):
+    """After a complete build, the deciders on its graph ask the automaton
+    nothing: the value pass steps configurations again through the space's
+    table, so ``delta`` is not called and no state is added.  On random
+    automata whose graphs reach the worklist, and on a program's own space
+    (curr walks a 3-cycle round and round, so its graph cycles; t sits on a
+    fourth node that curr never meets, so the co-st pass reads every
+    edge)."""
+    carried = []  # one entry per worklist run
+    worklist = machine._carried_values
+
+    def counting(cg, *args):
+        carried.append(cg)
+        yield from worklist(cg, *args)
+
+    monkeypatch.setattr(machine, "_carried_values", counting)
+    calls = []
+
+    def decide_after_build(jag, g):
+        cg = build_config_graph(jag, g, Limits(max_configs=2000))
+        if cg.limit_hit:
+            return False
+        states = len(cg.space.states)
+        calls.clear()
+        carried.clear()
+        accepts(jag, g, config_graph=cg)
+        check_traversable(jag, g, config_graph=cg)
+        check_orderable(jag, g, config_graph=cg)
+        if cg.packed_accepting:
+            decide_co_st_connectivity(jag, g, config_graph=cg)
+        assert calls == [] and len(cg.space.states) == states
+        return bool(carried)
+
+    rng = random.Random(29)
+    reached = 0
+    for _ in range(2000):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        if jag.curr is None:
+            continue
+
+        def delta(state, pi, rules=jag.rules):
+            calls.append((state, pi))
+            return rules.get((state, pi), ())
+
+        reached += decide_after_build(_wrapper(jag, delta), g)
+    assert reached >= 100
+    cycle = LabelledGraph(4, 1, ((1,), (2,), (0,), (3,)), 0, 3)
+    prog = parse_program(_WALK_LOOP)
+    assert isinstance(prog.space(cycle), ProgramSpace)
+    assert decide_after_build(prog, cycle)
+
+
 def _above(parent, config, below):
     """Whether ``config`` lies on the tree path from the initial
     configuration to ``below``: a merge from ``below`` into it closes a
@@ -838,18 +905,20 @@ def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
     jag = compile_program(grid_traversal_program(), g.degree)
     succs = successors(jag, g)
     full = build_config_graph(jag, g)
-    assert list(full.adj) == list(full.parent)
-    assert all(full.adj[c] == succs(c) for c in full.parent)
+    full_parent = decoded(full)[0]
+    assert list(full.adj) == list(full_parent)
+    assert all(full.adj[c] == succs(c) for c in full_parent)
     # a budget stops the build before it expands the last level it found
     for limits in (Limits(max_configs=40), Limits(max_run_len=6)):
         cut = build_config_graph(jag, g, limits)
         assert cut.limit_hit
+        cut_parent = decoded(cut)[0]
         depth = {}
-        for config, above in cut.parent.items():
+        for config, above in cut_parent.items():
             depth[config] = 0 if above is None else depth[above] + 1
         last = max(depth.values())
-        assert list(cut.adj) == [c for c in cut.parent if depth[c] < last]
-        assert list(cut.adj) == list(full.parent)[:len(cut.adj)]
+        assert list(cut.adj) == [c for c in cut_parent if depth[c] < last]
+        assert list(cut.adj) == list(full_parent)[:len(cut.adj)]
     # on random automata, whose builds merge and cycle, each list is the
     # multiset of the configuration's successors, complete or cut
     rng = random.Random(5)
@@ -866,11 +935,11 @@ def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
             assert list(cg.adj) == expanded
             assert all(Counter(cg.adj[c]) == Counter(succs(c))
                        for c in expanded)
-            seen["merges"] += bool(cg.merges)
-            seen["cycles"] += any(_above(cg.parent, s, c)
-                                  for c, s in cg.merges)
+            parent, merges, _ = decoded(cg)
+            seen["merges"] += bool(merges)
+            seen["cycles"] += any(_above(parent, s, c) for c, s in merges)
             seen[cg.limit_hit] += 1
-            seen["cut merges"] += bool(cg.limit_hit and cg.merges)
+            seen["cut merges"] += bool(cg.limit_hit and merges)
     assert min(seen.values()) >= 30
 
 
@@ -938,18 +1007,19 @@ def test_packed_build_matches_a_plain_bfs():
             cg = build_config_graph(jag, g, limits)
             parent, merges, accepting, limit_hit, adj = _plain_bfs(jag, g,
                                                                    limits)
-            assert list(cg.parent.items()) == list(parent.items())
-            assert cg.merges == merges
-            assert cg.accepting == accepting
+            got_parent, got_merges, got_accepting = decoded(cg)
+            assert list(got_parent.items()) == list(parent.items())
+            assert got_merges == merges
+            assert got_accepting == accepting
             assert cg.limit_hit == limit_hit
             assert cg.initial == initial_config(jag, g)
             assert list(cg.adj) == list(adj)
             assert all(Counter(cg.adj[c]) == Counter(adj[c]) for c in adj)
             space = cg.space
-            assert [space.encode(c) for c in cg.parent] == \
+            assert [space.encode(c) for c in got_parent] == \
                 list(cg.packed_parent)
             assert all((c < space.N) == (config.state == jag.accept_state)
-                       for c, config in zip(cg.packed_parent, cg.parent))
+                       for c, config in zip(cg.packed_parent, got_parent))
             seen[case] += 1
             seen["N == 1"] += space.N == 1
             seen["accept first"] += space.initial < space.N
@@ -984,7 +1054,7 @@ def test_complete_graph_needs_no_further_budget():
         assert not cg.limit_hit
         check_traversable(jag, g, tight, config_graph=cg)
         check_orderable(jag, g, tight, config_graph=cg)
-        if cg.accepting:
+        if decoded(cg)[2]:
             decide_co_st_connectivity(jag, g, tight, config_graph=cg)
         checked += 1
     assert checked >= 300
@@ -1059,6 +1129,10 @@ def test_interchange_roundtrip():
         assert back.accept_state == jag.accept_state
         assert (back.s, back.t, back.curr) == (jag.s, jag.t, jag.curr)
         assert serialize_jag(back) == text
+    # a compiled automaton's delta is a function, not a rule table
+    compiled = compile_program(parse_program("pebble curr\naccept\n"), 2)
+    with pytest.raises(InputError, match="only rule-table automata"):
+        serialize_jag(compiled)
 
 
 def test_parse_jag_rejects_bad_rows():
