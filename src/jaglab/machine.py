@@ -27,8 +27,11 @@ space is ``PackedSpace``; a pebble program has its own,
 ``lang.ProgramSpace``, whose configurations are those of its compiled
 automaton.  Every search and decider takes the automaton or program and
 asks it for its space, ``space(g)``, so this module names no program type.
-A ``ConfigGraph`` keeps what the search found, and a configuration's
-successors are always those ``space.step`` gives it.
+``expand`` is the one search: it steps a space from ``space.initial`` and
+keeps the accept configurations it expands.  ``run`` is ``expand`` stopped
+at the first of them, and a ``ConfigGraph`` is what a whole ``expand``
+returned.  A configuration's successors are always those ``space.step``
+gives it.
 """
 
 from __future__ import annotations
@@ -373,22 +376,18 @@ class PackedSpace:
 
 @dataclass
 class ConfigGraph:
-    """Explicit configuration graph: what ``expand`` found over the packed
-    configurations of ``space``, the BFS tree and the edges it leaves out.
-    ``jag`` is the automaton or pebble program whose space was searched,
-    and the deciders take the graph only with that same object.
+    """Explicit configuration graph: what ``expand`` returned for the
+    packed configurations of ``space``, the BFS tree, the edges it leaves
+    out and the accept configurations.  ``jag`` is the automaton or pebble
+    program whose space was searched, and the deciders take the graph only
+    with that same object.
 
-    ``packed_parent`` maps each configuration discovered to the one it was
-    first reached from (``space.initial`` to None); ``packed_merges``
-    lists, in BFS order, every other edge ``(config, successor)`` the build
-    followed, i.e. each edge into a configuration already discovered.
-    Together they hold every edge of the graph searched; the edges out of
-    one configuration are those ``space.step`` gives it, whose table
-    outlives the build, so stepping a configuration the build expanded
-    again asks the automaton nothing.  ``packed_accepting`` lists the
-    accept configurations the build expanded, in BFS order.  ``limit_hit``
-    names the budget that stopped the build (``"max_configs"`` or
-    ``"max_run_len"``); it is None when the graph is complete.
+    ``parent``, ``merges``, ``accepting`` and ``limit_hit`` are as
+    ``expand`` gives them.  Together ``parent`` and ``merges`` hold every
+    edge of the graph searched; the edges out of one configuration are
+    those ``space.step`` gives it, whose table outlives the build, so
+    stepping a configuration the build expanded again asks the automaton
+    nothing.  ``limit_hit`` is None when the graph is complete.
     ``configs_explored`` counts the configurations discovered, as
     ``max_configs`` and ``run`` do.
 
@@ -401,14 +400,14 @@ class ConfigGraph:
     jag: object  # an NdJag or a lang.PebbleProgram
     graph: LabelledGraph
     space: object  # jag.space(graph)
-    packed_parent: dict
-    packed_merges: list
-    packed_accepting: list
+    parent: dict
+    merges: list
+    accepting: list
     limit_hit: str | None = None
 
     @property
     def configs_explored(self) -> int:
-        return len(self.packed_parent)
+        return len(self.parent)
 
     @property
     def initial(self) -> Configuration:
@@ -424,7 +423,7 @@ class ConfigGraph:
         level discovered, so that level is left out.  Goes when ROADMAP
         item F counts the build from the packed data.
         """
-        parent = self.packed_parent
+        parent = self.parent
         expanded = parent
         if self.limit_hit is not None:
             depth = {}
@@ -437,49 +436,57 @@ class ConfigGraph:
         return {conf[c]: [conf[s] for s in step(c)] for c in expanded}
 
 
-def expand(initial, successors: Callable, limits: Limits,
-           visit: Callable) -> tuple[dict, list, str | None]:
-    """Breadth-first search of a configuration space, one level at a time.
+def expand(space, limits: Limits, stop_at_accept: bool = False
+           ) -> tuple[dict, list, list, str | None]:
+    """Breadth-first search of ``space`` from ``space.initial``, one level
+    at a time, stepping each configuration with ``space.step``.
 
     Every configuration graph and every run are searched by it, so a
     budget means the same thing to every caller.
     Before each level the search stops with a limit hit if more than
     ``limits.max_configs`` configurations have been discovered
     (``"max_configs"``) or if the level lies deeper than
-    ``limits.max_run_len`` steps (``"max_run_len"``).  ``visit(config)``
-    sees each expanded configuration in BFS order, once its successors are
-    known; a true result ends the search with no limit hit.
+    ``limits.max_run_len`` steps (``"max_run_len"``).  An expanded
+    configuration below ``space.N`` is an accept configuration; with
+    ``stop_at_accept`` the search ends at the first one, once its
+    successors are known, with no limit hit.  The step comes first, so a
+    move out of the accept state that the step rejects raises either way.
 
-    The cyclic garbage collector is paused for the search: configurations,
-    placements and successor lists hold no reference cycles, so its
-    passes, which grow with the heap, would find nothing to free.  The
-    caller's collector state is restored however the search ends, by a
-    return, a stop from ``visit`` or an exception.
+    The cyclic garbage collector is paused for the search: configurations
+    and successor lists hold no reference cycles, so its passes, which
+    grow with the heap, would find nothing to free.  The caller's collector
+    state is restored however the search ends, by a return or an
+    exception.
 
-    Returns ``(parent, merges, limit_hit)``: ``parent`` maps every
-    configuration discovered to the one it was first reached from (the
-    initial one to None); ``merges`` lists, in the order they were followed,
-    the edges ``(config, successor)`` into a configuration already
-    discovered, the only edges ``parent`` does not hold; and ``limit_hit``
-    names the budget that ran out, or is None.
+    Returns ``(parent, merges, accepting, limit_hit)``: ``parent`` maps
+    every configuration discovered to the one it was first reached from
+    (the initial one to None); ``merges`` lists, in the order they were
+    followed, the edges ``(config, successor)`` into a configuration
+    already discovered, the only edges ``parent`` does not hold;
+    ``accepting`` lists the accept configurations expanded, in BFS order;
+    and ``limit_hit`` names the budget that ran out, or is None.
     """
+    N, step, initial = space.N, space.step, space.initial
     collecting = gc.isenabled()
     gc.disable()
     try:
         parent = {initial: None}
         merges = []
+        accepting = []
         frontier = [initial]
         depth = 0
         while frontier:
             if len(parent) > limits.max_configs:
-                return parent, merges, "max_configs"
+                return parent, merges, accepting, "max_configs"
             if limits.max_run_len is not None and depth > limits.max_run_len:
-                return parent, merges, "max_run_len"
+                return parent, merges, accepting, "max_run_len"
             nxt = []
             for config in frontier:
-                succs = successors(config)
-                if visit(config):
-                    return parent, merges, None
+                succs = step(config)
+                if config < N:  # sid 0, the accept state
+                    accepting.append(config)
+                    if stop_at_accept:
+                        return parent, merges, accepting, None
                 for s in succs:
                     if s not in parent:
                         parent[s] = config
@@ -488,22 +495,22 @@ def expand(initial, successors: Callable, limits: Limits,
                         merges.append((config, s))
             frontier = nxt
             depth += 1
-        return parent, merges, None
+        return parent, merges, accepting, None
     finally:
         if collecting:
             gc.enable()
 
 
-def first_visits(parent: dict, config, curr_node: Callable) -> tuple:
+def first_visits(parent: dict, config, space) -> tuple | None:
     """First-visit order of the curr pebble along the search-tree path from
-    the initial configuration to ``config``.
-
-    ``parent`` is the map ``expand`` returns, and ``curr_node(config)`` is
-    curr's node in a configuration of the space searched.
-    """
+    ``space.initial`` to ``config``, or None if ``space`` has no curr
+    pebble.  ``parent`` is the map ``expand`` returns."""
+    if space.curr is None:
+        return None
+    n, w = space.n, space.weights[space.curr - 1]
     path = []
     while config is not None:
-        path.append(curr_node(config))
+        path.append(config // w % n)
         config = parent[config]
     return tuple(dict.fromkeys(reversed(path)))
 
@@ -515,40 +522,24 @@ class RunResult:
     configs_explored: int
 
 
-def _curr_node(space) -> Callable:
-    """curr's node in a packed configuration of ``space``."""
-    n, w = space.n, space.weights[space.curr - 1]
-    return lambda c: c // w % n
-
-
 def run(space, limits: Limits = Limits()) -> RunResult:
-    """One run of ``space``'s automaton or program: ``expand`` from
-    ``space.initial``, stopped at the first accept configuration it expands.
+    """One run of ``space``'s automaton or program: ``expand`` stopped at
+    the first accept configuration.
 
     On accept, reports the first-visit order of the curr pebble along the
     BFS-shortest accepting run (None without a curr pebble).  ``expand``
     checks both budgets before each level, so that configuration is the
-    first one a whole build lists in ``ConfigGraph.packed_accepting``, under
+    first one a whole build lists in ``ConfigGraph.accepting``, under
     every budget: stopping there changes no verdict and no order.
     ``configs_explored`` counts the configurations discovered.
     """
-    N = space.N
-    accepted = []
-
-    def visit(c):
-        if c < N:  # sid 0, the accept state
-            accepted.append(c)
-            return True
-        return False
-
-    parent, _, limit_hit = expand(space.initial, space.step, limits, visit)
-    if not accepted:
+    parent, _, accepting, limit_hit = expand(space, limits,
+                                             stop_at_accept=True)
+    if not accepting:
         verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
         return RunResult(verdict, None, len(parent))
-    order = None
-    if space.curr is not None:
-        order = first_visits(parent, accepted[0], _curr_node(space))
-    return RunResult(Verdict.ACCEPT, order, len(parent))
+    return RunResult(Verdict.ACCEPT, first_visits(parent, accepting[0], space),
+                     len(parent))
 
 
 def build_config_graph(jag: NdJag, g: LabelledGraph,
@@ -559,26 +550,13 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
     ``expand``'s over the ints of its space, ``jag.space(g)``, so the depth
     of a configuration is the run length that ``limits.max_run_len``
     bounds.  Accept-state configurations are expanded too; the deciders
-    ignore their successors.  The graph is kept as ``expand`` returns it, a
-    BFS tree and the edges it leaves out; no successor list outlives the
-    search, and a decider that needs a configuration's successors steps it
-    again through the space's table.
+    ignore their successors.  The graph is what ``expand`` returns, a BFS
+    tree, the edges it leaves out and the accept configurations; no
+    successor list outlives the search, and a decider that needs a
+    configuration's successors steps it again through the space's table.
     """
-    return _build(jag, g, jag.space(g), limits)
-
-
-def _build(jag, g: LabelledGraph, space, limits: Limits) -> ConfigGraph:
-    """``build_config_graph`` over ``space``, made already."""
-    N = space.N
-    accepting = []
-
-    def visit(c):
-        if c < N:  # sid 0, the accept state
-            accepting.append(c)
-
-    parent, merges, limit_hit = expand(space.initial, space.step, limits,
-                                       visit)
-    return ConfigGraph(jag, g, space, parent, merges, accepting, limit_hit)
+    space = jag.space(g)
+    return ConfigGraph(jag, g, space, *expand(space, limits))
 
 
 def _graph_for(jag, g: LabelledGraph, limits: Limits,
@@ -598,7 +576,7 @@ def _graph_for(jag, g: LabelledGraph, limits: Limits,
         raise InputError(f"{what} needs a designated curr pebble")
     cg = config_graph
     if cg is None:
-        cg = _build(jag, g, space, limits)
+        cg = ConfigGraph(jag, g, space, *expand(space, limits))
     if what is not None and cg.limit_hit:
         raise ResourceLimitExceeded(f"{cg.limit_hit} budget exhausted")
     return cg
@@ -608,7 +586,7 @@ def accepts(jag: NdJag, g: LabelledGraph, limits: Limits = Limits(),
             config_graph: ConfigGraph | None = None) -> Verdict:
     """Accept iff some configuration with the accept state is reachable."""
     cg = _graph_for(jag, g, limits, config_graph)
-    if cg.packed_accepting:
+    if cg.accepting:
         return Verdict.ACCEPT
     return Verdict.RESOURCE_LIMIT if cg.limit_hit else Verdict.REJECT
 
@@ -654,11 +632,11 @@ def replay_curr_visits(jag: NdJag, g: LabelledGraph,
 
 
 def accepting_run_visits(cg: ConfigGraph) -> tuple | None:
-    """First-visit order of curr along the BFS-shortest accepting run."""
-    if not cg.packed_accepting:
+    """First-visit order of curr along the BFS-shortest accepting run; None
+    if none accepts or the space has no curr pebble."""
+    if not cg.accepting:
         return None
-    return first_visits(cg.packed_parent, cg.packed_accepting[0],
-                        _curr_node(cg.space))
+    return first_visits(cg.parent, cg.accepting[0], cg.space)
 
 
 def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
@@ -686,7 +664,7 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
     reach along the tree and carries their values on along every edge.
     """
     N = cg.space.N  # below it: an accept configuration
-    parent = cg.packed_parent
+    parent = cg.parent
     tree = {cg.space.initial: value}
 
     def tree_value(config):
@@ -702,12 +680,12 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
             config = c
         return v
 
-    for config in cg.packed_accepting:
+    for config in cg.accepting:
         v = tree_value(config)
         if v is not None:
             yield v
-    if cg.packed_merges:
-        work = [config for config, _ in cg.packed_merges
+    if cg.merges:
+        work = [config for config, _ in cg.merges
                 if config >= N and tree_value(config) is not None]
         if work:
             yield from _carried_values(cg, work, tree_value, extend, join)
@@ -827,7 +805,7 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
     raised rather than guessing.
     """
     cg = _graph_for(jag, g, limits, config_graph, "co-st-connectivity")
-    if not cg.packed_accepting:
+    if not cg.accepting:
         raise DiagnosticError("supplied automaton rejects: traversability violated")
     n, w = cg.space.n, cg.space.weights[cg.space.curr - 1]
     tgt = g.targetnode
@@ -873,7 +851,7 @@ def verify(jag: NdJag, g: LabelledGraph,
     if cg.limit_hit:
         return VerificationReport(Verdict.RESOURCE_LIMIT, None, None, None,
                                   cg.configs_explored, (cg.limit_hit,))
-    verdict = Verdict.ACCEPT if cg.packed_accepting else Verdict.REJECT
+    verdict = Verdict.ACCEPT if cg.accepting else Verdict.REJECT
     traversable = orderable = None
     visit_order = None
     if cg.space.curr is not None:
@@ -927,10 +905,7 @@ def _jag_int(tok: str, lineno: int, what: str) -> int:
 
 
 def parse_jag(text: str) -> NdJag:
-    states = None
-    start = accept = None
-    pebbles = None
-    s_idx, t_idx, curr_idx = 1, 2, None
+    header = {}  # each header line and designation, set at most once
     rule_lines = []  # (line, state, partition, next state, moves)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -939,26 +914,23 @@ def parse_jag(text: str) -> NdJag:
         toks = line.split()
         if toks[0] in ("start", "accept", "pebbles") and len(toks) != 2:
             raise InputError(f"line {lineno}: {toks[0]} takes one argument")
-        if toks[0] == "states":
-            states = tuple(toks[1:])
-        elif toks[0] == "start":
-            start = toks[1]
-        elif toks[0] == "accept":
-            accept = toks[1]
-        elif toks[0] == "pebbles":
-            pebbles = _jag_int(toks[1], lineno, "pebbles")
+        if toks[0] in ("states", "start", "accept", "pebbles"):
+            if toks[0] in header:
+                raise InputError(f"line {lineno}: repeated {toks[0]} line")
+            if toks[0] == "states":
+                header["states"] = tuple(toks[1:])
+            elif toks[0] == "pebbles":
+                header["pebbles"] = _jag_int(toks[1], lineno, "pebbles")
+            else:
+                header[toks[0]] = toks[1]
         elif toks[0] == "designate":
             for item in toks[1:]:
                 key, _, val = item.partition("=")
-                what = f"designation {key}"
-                if key == "s":
-                    s_idx = _jag_int(val, lineno, what)
-                elif key == "t":
-                    t_idx = _jag_int(val, lineno, what)
-                elif key == "curr":
-                    curr_idx = _jag_int(val, lineno, what)
-                else:
+                if key not in ("s", "t", "curr"):
                     raise InputError(f"line {lineno}: unknown designation {key}")
+                if key in header:
+                    raise InputError(f"line {lineno}: repeated designation {key}")
+                header[key] = _jag_int(val, lineno, f"designation {key}")
         elif "->" in toks:
             arrow = toks.index("->")
             if arrow != 2 or len(toks) < 4:
@@ -978,8 +950,9 @@ def parse_jag(text: str) -> NdJag:
             rule_lines.append((lineno, state, pi, nxt, tuple(moves)))
         else:
             raise InputError(f"line {lineno}: unrecognized line")
-    if start is None or accept is None or pebbles is None:
+    if not {"start", "accept", "pebbles"} <= header.keys():
         raise InputError("missing start/accept/pebbles header")
+    pebbles = header["pebbles"]
     rules: dict = {}
     for lineno, state, pi, nxt, moves in rule_lines:
         # a canonical vector is its own partition; any other never matches one
@@ -991,5 +964,7 @@ def parse_jag(text: str) -> NdJag:
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
         rules.setdefault((state, pi), []).append((nxt, moves))
-    return NdJag(start, accept, pebbles, s=s_idx, t=t_idx, curr=curr_idx,
-                 delta=rules, states=states)
+    return NdJag(header["start"], header["accept"], pebbles,
+                 s=header.get("s", 1), t=header.get("t", 2),
+                 curr=header.get("curr"), delta=rules,
+                 states=header.get("states"))

@@ -18,7 +18,7 @@ from .machine import (ConfigGraph, Configuration, Limits, NdJag, Verdict,
                       accepts, all_partitions, apply_moves,
                       build_config_graph, check_orderable, check_traversable,
                       decide_co_st_connectivity, enumerate_runs,
-                      initial_config, partition_of, replay_curr_visits,
+                      initial_config, partition_of, replay_curr_visits, run,
                       verify)
 
 
@@ -138,12 +138,14 @@ def disagreement(jag: NdJag, g: LabelledGraph, cg: ConfigGraph,
                  exp: Expected) -> str | None:
     """The first decider answer for ``jag`` on ``g`` (``cg`` its configuration
     graph) that differs from ``exp``, as one line that starts with the field,
-    or None.  ``check_orderable`` answers only whether the order is shared;
-    co-st must raise ``DiagnosticError`` when the oracle rejects."""
+    or None.  ``run`` is the first-accept search, checked for its verdict
+    and visit order.  ``check_orderable`` answers only whether the order is
+    shared; co-st must raise ``DiagnosticError`` when the oracle rejects."""
     want = Verdict.ACCEPT if exp.accepts else Verdict.REJECT
     report = verify(jag, g)
+    ran = run(jag.space(g))
     for who, got in (("accepts", accepts(jag, g, config_graph=cg)),
-                     ("verify", report.verdict)):
+                     ("verify", report.verdict), ("run", ran.verdict)):
         if got is not want:
             return f"verdict: {who} gives {got.value}, the oracle {want.value}"
     if jag.curr is None:
@@ -151,9 +153,11 @@ def disagreement(jag: NdJag, g: LabelledGraph, cg: ConfigGraph,
     order = report.visit_order
     trav, witness = check_traversable(jag, g, config_graph=cg)
     shared, canon = check_orderable(jag, g, config_graph=cg)
-    if order not in (exp.orders or {None}) or not witness == canon == order:
+    if order not in (exp.orders or {None}) or \
+            not witness == canon == ran.visit_order == order:
         return (f"visit_order: verify gives {order}, check_traversable "
-                f"{witness}, check_orderable {canon}, runs {set(exp.orders)}")
+                f"{witness}, check_orderable {canon}, run {ran.visit_order}, "
+                f"runs {set(exp.orders)}")
     try:
         co_st = decide_co_st_connectivity(jag, g, config_graph=cg)
     except DiagnosticError:

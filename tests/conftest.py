@@ -47,15 +47,15 @@ def abelian_corpus():
 
 def decoded(cg):
     """``(parent, merges, accepting)`` of a configuration graph as
-    ``Configuration``s: ``cg.packed_parent`` (in its order, the initial
-    configuration mapped to None), ``cg.packed_merges`` and
-    ``cg.packed_accepting``, each decoded with ``cg.space.decode``."""
+    ``Configuration``s: ``cg.parent`` (in its order, the initial
+    configuration mapped to None), ``cg.merges`` and ``cg.accepting``, each
+    decoded with ``cg.space.decode``."""
     decode = cg.space.decode
-    conf = {c: decode(c) for c in cg.packed_parent}
+    conf = {c: decode(c) for c in cg.parent}
     conf[None] = None
-    return ({conf[c]: conf[above] for c, above in cg.packed_parent.items()},
-            [(conf[c], conf[s]) for c, s in cg.packed_merges],
-            [conf[c] for c in cg.packed_accepting])
+    return ({conf[c]: conf[above] for c, above in cg.parent.items()},
+            [(conf[c], conf[s]) for c, s in cg.merges],
+            [conf[c] for c in cg.accepting])
 
 
 def successors(jag, g):

@@ -33,7 +33,6 @@ from jaglab.algorithms import (CanonicalTower, TowerPosition,
                                RegisterMachine)
 from jaglab.graph import reduce_degree
 
-from conftest import successors
 
 
 # -- successor rule ---------------------------------------------------------
@@ -62,10 +61,10 @@ def _accepting_from(jag, g, placements):
     nodes = list(init.nodes)
     for peb, node in placements.items():
         nodes[peb - 1] = node
-    expanded = []
-    _, _, limit_hit = expand(init._replace(nodes=tuple(nodes)),
-                             successors(jag, g), Limits(), expanded.append)
-    return [c for c in expanded if c.state == jag.accept_state], limit_hit
+    space = jag.space(g)
+    space.initial = space.encode(init._replace(nodes=tuple(nodes)))
+    _, _, accepting, limit_hit = expand(space, Limits())
+    return [space.decode(c) for c in accepting], limit_hit
 
 
 def _z4():

@@ -4,15 +4,15 @@ from jaglab.errors import (DiagnosticError, ProgramError,
                            ResourceLimitExceeded)
 from jaglab.families import parse_family
 from jaglab.graph import LabelledGraph
-from jaglab.lang import (_ACTIONS, BoundProgram, RunResult, compile_program,
-                        interpret, parse_program)
+from jaglab.lang import (_ACTIONS, BoundProgram, compile_program, interpret,
+                         parse_program)
 from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             build_config_graph, check_orderable,
                             check_traversable, decide_co_st_connectivity,
-                            enumerate_runs, partition_of, verify)
+                            enumerate_runs, partition_of, run, verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
 
-from conftest import decoded, random_program, successors
+from conftest import decoded, random_program
 
 
 def reachable_states(jag):
@@ -668,29 +668,9 @@ def test_budgets_mean_the_same_on_both_routes():
 
 
 def _compiled_run(prog, g, limits):
-    """The compiled automaton searched as ``interpret`` searches its
-    packed configurations: ``expand`` over ``conftest.successors``, stopped
-    at the first accept configuration it expands."""
-    from jaglab.machine import expand, first_visits, initial_config
-    jag = compile_program(prog, g.degree)
-    accepted = []
-
-    def visit(config):
-        if config.state == jag.accept_state:
-            accepted.append(config)
-            return True
-        return False
-
-    parent, _, limit_hit = expand(initial_config(jag, g), successors(jag, g),
-                                  limits, visit)
-    if not accepted:
-        verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
-        return RunResult(verdict, None, len(parent))
-    order = None
-    if jag.curr is not None:
-        curr = jag.curr - 1
-        order = first_visits(parent, accepted[0], lambda c: c.nodes[curr])
-    return RunResult(Verdict.ACCEPT, order, len(parent))
+    """The compiled automaton searched as ``interpret`` searches the
+    program: ``run`` over the automaton's own space."""
+    return run(compile_program(prog, g.degree).space(g), limits)
 
 
 # nine pebbles with s and t: on 300 nodes N = 300**9, so every packed
@@ -734,10 +714,11 @@ def _cycle(n, target):
     "one node", "300 nodes, 9 pebbles", "abelian 4x4 tower",
     "accept first", "accept first with curr", "self and co-located jumps"])
 def test_packed_configurations_match_the_compiled_route(case):
-    """``interpret`` packs a configuration into one int in radix n; the
-    compiled route keeps ``Configuration`` tuples.  On the packing's edge
-    cases, under no budget and under budgets that stop each search, both
-    give the same verdict, visit order and ``configs_explored``."""
+    """``interpret`` searches the program's ``ProgramSpace`` and the
+    compiled route its automaton's ``PackedSpace``; both pack a
+    configuration into one int in radix n.  On the packing's edge cases,
+    under no budget and under budgets that stop each search, both give the
+    same verdict, visit order and ``configs_explored``."""
     from jaglab.machine import accepting_run_visits
     if case == "one node":  # radix 1: every placement code is 0
         progs = [grid_traversal_program(2), parse_program(_MANY_PEBBLES)]

@@ -3,20 +3,22 @@ import gc
 import operator
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from jaglab import machine
+from jaglab import machine, spotcheck
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.graph import LabelledGraph, disjoint_union, reachable_set
 from jaglab.groups import abelian_group, cayley_graph, symmetric_group
 from jaglab.lang import ProgramSpace, compile_program, interpret, parse_program
-from jaglab.machine import (Configuration, Limits, NdJag, Verdict, accepts,
-                            all_partitions, apply_moves, build_config_graph,
-                            check_orderable, check_traversable,
-                            decide_co_st_connectivity, enumerate_runs,
-                            expand, initial_config, parse_jag, partition_of,
-                            replay_curr_visits, serialize_jag, verify)
+from jaglab.machine import (Configuration, Limits, NdJag, RunResult, Verdict,
+                            accepting_run_visits, accepts, all_partitions,
+                            apply_moves, build_config_graph, check_orderable,
+                            check_traversable, decide_co_st_connectivity,
+                            enumerate_runs, expand, initial_config, parse_jag,
+                            partition_of, replay_curr_visits, run,
+                            serialize_jag, verify)
 from jaglab.families import parse_family
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
@@ -376,8 +378,10 @@ def test_expand_pauses_the_collector():
         return [n + 1] if n < 3 else []
 
     assert gc.isenabled()
-    parent, _, limit_hit = expand(0, succs, Limits(), lambda c: False)
-    assert (len(parent), limit_hit) == (4, None)
+    # N = 0: no configuration is an accept configuration
+    space = SimpleNamespace(initial=0, step=succs, N=0)
+    parent, _, accepting, limit_hit = expand(space, Limits())
+    assert (len(parent), accepting, limit_hit) == (4, [], None)
     assert during == [False] * 4 and gc.isenabled()
 
 
@@ -385,9 +389,10 @@ def test_expand_records_every_edge_off_the_tree():
     # 0 -> 1 -> 2 -> 3 -> 0, each successor listed twice: the second copy
     # of each edge, and the edge back to 0, reach configurations already
     # discovered
-    parent, merges, limit_hit = expand(
-        0, lambda n: [(n + 1) % 4] * 2, Limits(), lambda c: False)
+    space = SimpleNamespace(initial=0, step=lambda n: [(n + 1) % 4] * 2, N=0)
+    parent, merges, accepting, limit_hit = expand(space, Limits())
     assert parent == {0: None, 1: 0, 2: 1, 3: 2} and limit_hit is None
+    assert accepting == []
     assert merges == [(0, 1), (1, 2), (2, 3), (3, 0), (3, 0)]
 
 
@@ -585,21 +590,44 @@ def test_checkers_agree_with_run_enumeration():
     assert kept >= 100 and skipped <= 10
 
 
+def _cycle3_walk():
+    """One pebble (s = t = curr) walks the 3-cycle 0 1 2 and accepts."""
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 0)
+    jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta={
+        ("q0", (1,)): (("q1", (1,)),), ("q1", (1,)): (("acc", (1,)),)})
+    return jag, g
+
+
 @pytest.mark.parametrize("field, wrong", [
     ("verdict", {"accepts": False}), ("traversable", {"traversable": False}),
     ("orderable", {"orderable": False}), ("co-st", {"co_st": "disconnected"}),
     ("visit_order", {"orders": frozenset({(0, 2, 1)})})])
 def test_disagreement_names_the_field_that_differs(field, wrong):
-    # one pebble walks the 3-cycle 0 1 2 and accepts
-    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 0)
-    jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta={
-        ("q0", (1,)): (("q1", (1,)),), ("q1", (1,)): (("acc", (1,)),)})
+    jag, g = _cycle3_walk()
     cg = build_config_graph(jag, g)
     exp = expected(jag, g, 100)
     assert exp == Expected(True, True, True, "connected", {(0, 1, 2)})
     assert disagreement(jag, g, cg, exp) is None
     reason = disagreement(jag, g, cg, dataclasses.replace(exp, **wrong))
     assert reason.startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize("field, wrong", [
+    ("verdict", {"verdict": Verdict.REJECT, "visit_order": None}),
+    ("visit_order", {"visit_order": (0, 2, 1)})])
+def test_disagreement_checks_the_first_accept_search(monkeypatch, field,
+                                                     wrong):
+    # every other decider agrees with the oracle; only run is wrong
+    jag, g = _cycle3_walk()
+    cg = build_config_graph(jag, g)
+    exp = expected(jag, g, 100)
+
+    def wrong_run(space, limits=Limits()):
+        return dataclasses.replace(machine.run(space, limits), **wrong)
+
+    monkeypatch.setattr(spotcheck, "run", wrong_run)
+    reason = disagreement(jag, g, cg, exp)
+    assert reason.startswith(f"{field}: ") and "run " in reason
 
 
 def test_run_tree_count_is_exact():
@@ -864,7 +892,7 @@ def test_deciders_step_only_through_the_table(monkeypatch):
         accepts(jag, g, config_graph=cg)
         check_traversable(jag, g, config_graph=cg)
         check_orderable(jag, g, config_graph=cg)
-        if cg.packed_accepting:
+        if cg.accepting:
             decide_co_st_connectivity(jag, g, config_graph=cg)
         assert calls == [] and len(cg.space.states) == states
         return bool(carried)
@@ -930,8 +958,7 @@ def test_adj_is_derived_from_the_expanded_configurations(grid_cayleys):
         for limits in (Limits(max_configs=2000), Limits(max_configs=6),
                        Limits(max_run_len=3)):
             cg = build_config_graph(jag, g, limits)
-            expanded = []
-            expand(cg.initial, succs, limits, expanded.append)
+            expanded = list(_plain_bfs(jag, g, limits)[4])
             assert list(cg.adj) == expanded
             assert all(Counter(cg.adj[c]) == Counter(succs(c))
                        for c in expanded)
@@ -979,6 +1006,61 @@ def _padded(g, extra):
                                rho=g.rho + loops)
 
 
+def test_run_is_the_build_stopped_at_its_first_accept():
+    """``run`` on rule tables, under no budget and under budgets that stop
+    the search: its verdict is ``accepts``'s on the build under the same
+    limits and its visit order ``accepting_run_visits``'s, and it discovers
+    no more configurations than the build, as many when nothing accepts.
+    The graphs merge, cycle and step out of accept configurations."""
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(300):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        for limits in (Limits(), Limits(max_configs=6), Limits(max_run_len=3)):
+            cg = build_config_graph(jag, g, limits)
+            res = run(jag.space(g), limits)
+            assert res.verdict is accepts(jag, g, config_graph=cg)
+            assert res.visit_order == accepting_run_visits(cg)
+            assert res.configs_explored <= cg.configs_explored
+            if not cg.accepting:
+                assert res.configs_explored == cg.configs_explored
+            seen[res.verdict] += 1
+            seen["merges"] += bool(cg.merges)
+            seen["cycles"] += any(_above(cg.parent, s, c)
+                                  for c, s in cg.merges)
+            seen["out of accept"] += any(cg.space.step(c)
+                                         for c in cg.accepting)
+            seen["with an order"] += res.visit_order is not None
+            seen["stopped early"] += \
+                res.configs_explored < cg.configs_explored
+    assert min(seen.values()) >= 20
+
+
+def test_a_bad_move_out_of_the_accept_state_raises_in_every_search():
+    # the pebble steps into the accept state, whose move uses label 5 on a
+    # degree-1 graph.  A search steps a configuration before it tests for
+    # acceptance, so run raises as the build does, though it stops there.
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 0)
+    jag = NdJag("q0", "acc", 1, s=1, t=1, curr=1, delta={
+        ("q0", (1,)): (("acc", (1,)),), ("acc", (1,)): (("q0", (5,)),)})
+    for search in (lambda: run(jag.space(g)), lambda: accepts(jag, g),
+                   lambda: build_config_graph(jag, g), lambda: verify(jag, g)):
+        with pytest.raises(InputError,
+                           match="^move label 5 exceeds degree 1$"):
+            search()
+
+
+def test_accepting_run_visits_without_curr_is_none():
+    # two pebbles on a 3-cycle step once and accept; none is curr
+    g = LabelledGraph(3, 1, ((1,), (2,), (0,)), 0, 1)
+    jag = NdJag("q0", "acc", 2, s=1, t=2,
+                delta={("q0", (1, 2)): (("acc", (1, 1)),)})
+    cg = build_config_graph(jag, g)
+    assert len(cg.accepting) == 1 and accepting_run_visits(cg) is None
+    assert run(jag.space(g)) == RunResult(Verdict.ACCEPT, None, 2)
+
+
 def test_packed_build_matches_a_plain_bfs():
     """The build steps and stores packed ints; decoded, its ``parent`` (in
     order), ``merges``, ``accepting``, ``limit_hit`` and ``adj`` are those
@@ -1017,14 +1099,14 @@ def test_packed_build_matches_a_plain_bfs():
             assert all(Counter(cg.adj[c]) == Counter(adj[c]) for c in adj)
             space = cg.space
             assert [space.encode(c) for c in got_parent] == \
-                list(cg.packed_parent)
+                list(cg.parent)
             assert all((c < space.N) == (config.state == jag.accept_state)
-                       for c, config in zip(cg.packed_parent, got_parent))
+                       for c, config in zip(cg.parent, got_parent))
             seen[case] += 1
             seen["N == 1"] += space.N == 1
             seen["accept first"] += space.initial < space.N
             seen["codes > 2**30"] += max(c % space.N
-                                         for c in cg.packed_parent) > 2 ** 30
+                                         for c in cg.parent) > 2 ** 30
             seen[limit_hit] += 1
             seen["merges"] += bool(merges)
     assert seen["N == 1"] == seen["one node"] == 180
@@ -1149,6 +1231,13 @@ def test_parse_jag_rejects_bad_rows():
         (head + "a 1,1,1 -> b m1 m1\n", 5),
         (head + "a 1,1 -> b m1 m1\na 1,1 -> b m0 m1\n", 6),
         (head + "a 1,1 -> b m1\n", 5),
+        # each header line and designation is given at most once
+        (head + "start b\n", 5),
+        (head + "accept a\n", 5),
+        (head + "pebbles 2\n", 5),
+        (head + "states a b c\n", 5),
+        (head + "designate s=1 s=2\n", 5),
+        (head + "designate curr=1\ndesignate t=1 curr=2\n", 6),
     ]
     for text, line in bad:
         with pytest.raises(InputError, match=f"^line {line}: "):
