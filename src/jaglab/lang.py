@@ -26,22 +26,22 @@ falling off the end, like ``fail``, kills the run.
 Acceptance is angelic: a program accepts when some resolution of its guesses
 reaches ``accept``.  A step is one pebble action (``move``, ``jump``, or
 ``accept`` into an accept configuration); control instructions move no
-pebble and fold into the actions they reach (``BoundProgram.fold``).  A
-program's configurations are the finite product of program point,
-variable valuation and pebble placement.  ``ProgramSpace`` packs them into
-ints and steps them; ``PebbleProgram.space`` hands it to the searches of
-``machine``, so ``interpret`` (``machine.run``), ``verify``,
-``check_traversable``, ``check_orderable`` and
-``decide_co_st_connectivity`` take a program as they take an automaton,
-and cyclic nondeterminism terminates.  The compiler produces an automaton
-over states (program point, valuation) whose configuration graph is the
-same; every pebble not being acted on jumps to itself.  It serves ``run
+pebble and fold into the actions they reach.  A program's configurations
+are the finite product of program point, variable valuation and pebble
+placement.  ``BoundProgram.steps`` lowers a state's steps once, as
+``(next, pebble, move)`` triples with every variable dead at ``next``'s
+point reset, and two encodings read it.  ``ProgramSpace`` packs the
+configurations into ints and steps them by arithmetic;
+``PebbleProgram.space`` hands it to the searches of ``machine``, so
+``interpret`` (``machine.run``), ``verify``, ``check_traversable``,
+``check_orderable`` and ``decide_co_st_connectivity`` take a program as
+they take an automaton, and cyclic nondeterminism terminates.  The
+compiler writes the triples as move vectors of an automaton over states
+(program point, valuation), every pebble not being acted on jumping to
+itself, so its configuration graph is the same.  It serves ``run
 --compiled`` and the cross-check of the program's space; its ``delta`` is
 a function, not a rule table, so ``serialize_jag`` does not take it.  Both
-take their steps from the one fold and the one
-``BoundProgram.action``, reset the variables that are dead at a state's
-point (``BoundProgram.canon``), and are searched by the one
-``machine.expand``, so they count budgets alike.
+are searched by the one ``machine.expand``, so they count budgets alike.
 
 Pebbles named ``s`` and ``t`` are the designated ones and are added
 implicitly when not declared; the designated ``t`` always starts on the
@@ -335,10 +335,11 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
-    # observed(pt) per point, and the variables dead at each point (filled
-    # for every point at the first canon), made when asked so that binding
-    # stays cheap
+    # observed(pt) per point, the control-flow graph, and the variables
+    # dead at each point (filled for every point at the first canon), made
+    # when asked so that binding stays cheap
     _observed: dict = field(default_factory=dict, init=False, compare=False)
+    _flow: list = field(default_factory=list, init=False, compare=False)
     _dead: list = field(default_factory=list, init=False, compare=False)
 
     @property
@@ -395,17 +396,26 @@ class BoundProgram:
                     todo.append(state)
         return actions
 
-    def action(self, pt: int, vals: tuple) -> tuple:
-        """``(next, pebble, move)`` for the ``move``, ``jump`` or ``accept``
-        at ``(pt, vals)``.  ``next`` is the ``(pt, vals)`` after it, None
-        for ``accept``, which moves no pebble.  Otherwise ``pebble`` moves
-        as in a move vector: ``+label`` along a label, ``-q`` to pebble q.
+    def steps(self, pt: int, vals: tuple, pi) -> list:
+        """The distinct ``(next, pebble, move)`` of the pebble actions that
+        ``(pt, vals)`` reaches, in ``fold`` order: the one lowering of a
+        state's steps, which ``ProgramSpace`` and ``compile_program`` encode.
+
+        ``next`` is the state after the action, canonical (``canon``), and
+        None for ``accept``, which moves no pebble.  Otherwise ``pebble``
+        moves as in a move vector: ``+label`` along a label, ``-q`` to
+        pebble q.
         """
-        op = self.instrs[pt]
-        if op[0] == "accept":
-            return None, None, None
-        move = -op[2] if op[0] == "jump" else _eval_bound(op[2], vals)
-        return (pt + 1, vals), op[1], move
+        instrs = self.instrs
+        out = {}
+        for pt, vals in self.fold(pt, vals, pi):
+            op = instrs[pt]
+            if op[0] == "accept":
+                out[None, None, None] = None
+            else:
+                move = -op[2] if op[0] == "jump" else _eval_bound(op[2], vals)
+                out[self.canon(pt + 1, vals), op[1], move] = None
+        return list(out)
 
     def observed(self, pt: int) -> tuple:
         """The pebble pairs ``(i, j)``, 0-based with ``i < j``, that
@@ -420,24 +430,17 @@ class BoundProgram:
         pairs = self._observed.get(pt)
         if pairs is not None:
             return pairs
-        instrs = self.instrs
+        instrs, flow = self.instrs, self._flow or self._fill_flow()
         todo = [pt]
         seen = set(todo)
         found = {}
         for q in todo:  # todo grows while it is read
             op = instrs[q]
-            kind = op[0]
-            if kind in _ACTIONS or kind == "fail":
+            if op[0] in _ACTIONS:
                 continue
-            if kind == "goto":
-                nxt = (op[1],)
-            elif kind == "guess":
-                nxt = (q + 1,)
-            else:  # ifvar, ifeq, forstart, fornext end with both targets
-                nxt = op[-2:]
-                if kind == "ifeq" and op[1] != op[2]:
-                    found[min(op[1], op[2]) - 1, max(op[1], op[2]) - 1] = None
-            for r in nxt:
+            if op[0] == "ifeq" and op[1] != op[2]:
+                found[min(op[1], op[2]) - 1, max(op[1], op[2]) - 1] = None
+            for r, _ in flow[q][1]:
                 if r not in seen:
                     seen.add(r)
                     todo.append(r)
@@ -462,14 +465,15 @@ class BoundProgram:
         variable, the same value on both sides.  So ``fold`` reaches alike
         actions in the same order of first appearance: a state alike to one
         it met before adds nothing that the earlier one did not add first.
-        ``action`` then gives alike next states, which ``canon`` makes
-        equal.  Configurations that differ only in dead variables therefore
-        have the same successors in the same order, and the breadth-first
-        search over canonical configurations meets each class of alike
-        configurations when the plain search meets its first member, at the
-        same depth and below the class of that member's parent.  Verdicts,
-        visit orders and the first accept configuration are the plain
-        search's; a configuration count counts the classes.
+        Their actions lead to alike next states, which ``canon`` makes
+        equal, so ``steps`` gives alike states one list.  Configurations
+        that differ only in dead variables therefore have the same
+        successors in the same order, and the breadth-first search over
+        canonical configurations meets each class of alike configurations
+        when the plain search meets its first member, at the same depth and
+        below the class of that member's parent.  Verdicts, visit orders
+        and the first accept configuration are the plain search's; a
+        configuration count counts the classes.
         """
         dead = (self._dead or self._fill_dead())[pt]
         if dead:
@@ -479,12 +483,12 @@ class BoundProgram:
             vals = tuple(vals)
         return pt, vals
 
-    def _fill_dead(self) -> list:
-        """``_dead[pt]``, the ``(variable, first value)`` pairs of the
-        variables dead at ``pt``, from a backward dataflow to a fixpoint."""
-        instrs = self.instrs
-        flow = []  # per point: (variables read, ((successor, assigned), ...))
-        for pt, op in enumerate(instrs):
+    def _fill_flow(self) -> list:
+        """``_flow[pt]``, ``(variables read, ((successor, variables
+        assigned), ...))`` with variables as bits: the control-flow graph
+        that ``observed`` walks and ``_fill_dead`` solves on."""
+        flow = self._flow
+        for pt, op in enumerate(self.instrs):
             kind = op[0]
             if kind == "move":
                 flow.append((_var_bit(op[2]), ((pt + 1, 0),)))
@@ -506,11 +510,17 @@ class BoundProgram:
                              ((op[3], 0), (op[4], 0))))
             else:  # accept and fail end every path
                 flow.append((0, ()))
-        live = [0] * len(instrs)  # bit i: variable i is live
+        return flow
+
+    def _fill_dead(self) -> list:
+        """``_dead[pt]``, the ``(variable, first value)`` pairs of the
+        variables dead at ``pt``, from a backward dataflow to a fixpoint."""
+        flow = self._flow or self._fill_flow()
+        live = [0] * len(flow)  # bit i: variable i is live
         changed = True
         while changed:
             changed = False
-            for pt in reversed(range(len(instrs))):
+            for pt in reversed(range(len(flow))):
                 reads, succ = flow[pt]
                 for nxt, assigned in succ:
                     reads |= live[nxt] & ~assigned
@@ -674,18 +684,19 @@ class ProgramSpace:
 
     It has what a search and the deciders read of ``machine.PackedSpace``:
     ``initial``, ``step``, ``N``, ``n``, ``weights``, ``curr`` (the curr
-    pebble, 1-based, or None) and ``decode``.  Its configurations and
-    their successors are those of the program's compiled automaton
-    (``compile_program``): a state is a canonical ``(pt, vals)`` or the
-    accept state ``"qa"``, a step is one pebble action of
-    ``BoundProgram.fold`` and ``accept`` steps into the accept state.  The
-    compiled automaton's space only numbers the states in another order.
+    pebble, 1-based, or None) and ``decode``.  A state is a canonical
+    ``(pt, vals)`` or the accept state ``"qa"``, and the successors of a
+    configuration are the triples of ``BoundProgram.steps``, in its order,
+    as ints.  The compiled automaton (``compile_program``) encodes the same
+    triples as move vectors, so its space has the same configurations and
+    edges and only numbers the states in another order.
 
     A configuration is one int, ``sid * N + code``.  The state id ``sid``
     numbers the states ``(pt, vals)`` a configuration can sit at in the
     order the space meets them; the accept state is 0.  States are
-    canonical (``bp.canon``): configurations that differ only in variables
-    dead at their point share a sid, and a search counts them once.  The
+    canonical, as ``steps`` gives them and as the start state is:
+    configurations that differ only in variables dead at their point share
+    a sid, and a search counts them once.  The
     code ``sum(nodes[i] * n**i)`` writes the placement in radix ``n =
     g.num_nodes``, one digit per pebble, so ``0 <= code < N = n**p`` for p
     pebbles.  Since every digit ``nodes[i]`` lies in ``range(n)``,
@@ -697,13 +708,11 @@ class ProgramSpace:
 
     Each sid gets a step plan the first time it is stepped.  A pebble
     action is arithmetic on the int: it adds the change of sid times N and
-    the change of the acting pebble's digit.  At a control point the fold
-    reads the placement only through which of the pairs ``bp.observed(pt)``
-    share a node, so its actions are kept per sid and that pattern, reused
-    as the same list, for as long as the space lives; the placement is
-    decoded only to fill that cache.  Actions that step to the same
-    configuration are kept once, as the compiled ``delta`` keeps each
-    transition once, so both spaces have the same edges.
+    the change of the acting pebble's digit, read off the int itself.
+    ``steps`` reads the placement only through which of the pairs
+    ``bp.observed(pt)`` share a node, so its triples are kept per sid and
+    that pattern, reused as the same list, for as long as the space lives;
+    the placement is decoded only to fill that cache.
     """
 
     decode = PackedSpace.decode  # reads N, n, weights and states alone
@@ -711,8 +720,7 @@ class ProgramSpace:
     def __init__(self, prog: PebbleProgram, g: LabelledGraph):
         bp = prog.bind(g.degree)
         rho = g.rho
-        instrs, fold, action = bp.instrs, bp.fold, bp.action
-        observed, canon = bp.observed, bp.canon
+        steps, observed = bp.steps, bp.observed
         n = self.n = g.num_nodes
         weights = self.weights = tuple([n ** i for i in range(bp.num_pebbles)])
         N = self.N = n ** bp.num_pebbles
@@ -723,7 +731,6 @@ class ProgramSpace:
         walks: dict = {}  # (pebble weight, label) -> digit changes
 
         def intern(state):
-            state = canon(*state)
             sid = sids.get(state)
             if sid is None:
                 sid = sids[state] = len(states)
@@ -731,42 +738,48 @@ class ProgramSpace:
                 plans.append(None)
             return sid
 
-        def act(nxt, pebble, move, base=0):
-            """``bp.action``'s answer as ``(kind, to, wp, x)``: ``to`` is the
-            next sid times N less ``base``, ``wp`` the acting pebble's weight,
-            and ``x`` the jump target's weight or the digit's change per node
-            walked from.  ``accept`` goes to sid 0 and moves no pebble."""
-            if nxt is None:
-                return _SHIFT, -base, 0, None
-            to = intern(nxt) * N - base
-            wp = weights[pebble - 1]
-            if move < 0:
-                return _JUMP, to, wp, weights[-move - 1]
-            walk = walks.get((wp, move))
-            if walk is None:
-                walk = walks[wp, move] = tuple([(row[move - 1] - v) * wp
-                                                for v, row in enumerate(rho)])
-            return _WALK, to, wp, walk
+        def acts(sid, c):
+            """``bp.steps`` at sid on the placement of ``c``, each triple as
+            ``(kind, shift, wp, x)``: ``c + shift`` has the next sid, ``wp``
+            is the acting pebble's weight, and ``x`` the jump target's
+            weight or the digit's change per node walked from.  ``accept``
+            goes to sid 0 and moves no pebble."""
+            out = []
+            for nxt, pebble, move in steps(*states[sid],
+                                           [c // w % n for w in weights]):
+                if nxt is None:
+                    out.append((_SHIFT, -sid * N, 0, None))
+                    continue
+                shift = (intern(nxt) - sid) * N
+                wp = weights[pebble - 1]
+                if move < 0:
+                    out.append((_JUMP, shift, wp, weights[-move - 1]))
+                    continue
+                walk = walks.get((wp, move))
+                if walk is None:
+                    walk = walks[wp, move] = tuple(
+                        [(row[move - 1] - v) * wp for v, row in enumerate(rho)])
+                out.append((_WALK, shift, wp, walk))
+            return out
 
-        def plan(sid):
-            """The step plan of a sid, ``(kind, shift, wp, x)``: at an action,
-            ``act``'s from base ``sid * N``, so ``c + shift`` has the next sid;
-            at a control point, ``wp`` holds the weight pairs of
-            ``bp.observed(pt)`` and ``x`` the fold's ``act``s from base 0 by
-            which of them share a node."""
-            pt, vals = states[sid]
-            if instrs[pt][0] in _ACTIONS:
-                nxt, pebble, move = action(pt, vals)
-                out = act(nxt, pebble, move, sid * N)
-            else:
-                out = (_FOLD, 0, tuple((weights[i], weights[j])
-                                       for i, j in observed(pt)), {})
+        def plan(sid, c):
+            """The step plan of a sid, ``(_FOLD, 0, wp, x)``: ``wp`` holds
+            the weight pairs of ``bp.observed(pt)``, and ``x`` the ``acts``
+            by which of them share a node.  A state with no such pair and
+            one step has that act as its plan."""
+            pairs = observed(states[sid][0])
+            out = (_FOLD, 0, tuple([(weights[i], weights[j])
+                                    for i, j in pairs]), {})
+            if not pairs:  # the same steps on every placement
+                by = out[3][0] = acts(sid, c)
+                if len(by) == 1:
+                    out = by[0]
             plans[sid] = out
             return out
 
         def step(c):
             sid = c // N
-            kind, shift, wp, x = plans[sid] or plan(sid)
+            kind, shift, wp, x = plans[sid] or plan(sid, c)
             # a digit of c is the digit of its code: N is a multiple of n * wp
             if kind == _WALK:
                 return (c + shift + x[c // wp % n],)
@@ -774,27 +787,23 @@ class ProgramSpace:
                 return (c + shift + (c // x % n - c // wp % n) * wp,)
             if kind != _FOLD:
                 return (c + shift,) if kind == _SHIFT else ()
-            code = c - sid * N
             together = 0  # bit k: the k-th observed pair shares a node
             bit = 1
             for wi, wj in wp:
-                if code // wi % n == code // wj % n:
+                if c // wi % n == c // wj % n:
                     together += bit
                 bit += bit
-            acts = x.get(together)
-            if acts is None:
-                pt, vals = states[sid]
-                nodes = [code // w % n for w in weights]
-                acts = x[together] = list(dict.fromkeys(
-                    [act(*action(*a)) for a in fold(pt, vals, nodes)]))
+            by = x.get(together)
+            if by is None:
+                by = x[together] = acts(sid, c)
             out = []
-            for kind, to, wp, wx in acts:
+            for kind, shift, wp, wx in by:
                 if kind == _WALK:
-                    out.append(to + code + wx[code // wp % n])
+                    out.append(c + shift + wx[c // wp % n])
                 elif kind == _JUMP:
-                    out.append(to + code + (code // wx % n - code // wp % n) * wp)
+                    out.append(c + shift + (c // wx % n - c // wp % n) * wp)
                 else:
-                    out.append(to + code)
+                    out.append(c + shift)
             return out
 
         self.step = step
@@ -824,43 +833,31 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
 def compile_program(prog: PebbleProgram, degree: int) -> NdJag:
     """Compile to an automaton over states (program point, valuation).
 
-    Each transition is one pebble action of ``BoundProgram.fold`` as a move
-    vector.  The machine is degree-specific, mirroring the nonuniformity of
-    the model: direction domains and move labels are fixed at compile time.
-    State count is bounded by program points times the product of variable
-    domain sizes, plus the accept state.
+    Each transition is one triple of ``BoundProgram.steps`` as a move
+    vector, every other pebble jumping to itself.  The machine is
+    degree-specific, mirroring the nonuniformity of the model: direction
+    domains and move labels are fixed at compile time.  State count is
+    bounded by program points times the product of variable domain sizes,
+    plus the accept state.
 
-    ``delta`` reads the partition only through the fold, so the automaton's
-    ``observes`` is ``bp.observed``: no pair at an action point, and none at
-    the accept state.  Its states are canonical: ``delta`` passes each next
-    state through ``bp.canon``, and the start state, whose variables all
-    hold their domain's first value, is canonical already.
+    ``delta`` reads the partition only through ``steps``, so the
+    automaton's ``observes`` is ``bp.observed``: no pair at an action
+    point, and none at the accept state.  Its states are canonical, as
+    ``steps`` gives them and as the start state is.
     """
     bp = prog.bind(degree)
-    instrs, fold, action, observed = bp.instrs, bp.fold, bp.action, bp.observed
-    canon = bp.canon
-    npeb = bp.num_pebbles
-    selfs = tuple(-(i + 1) for i in range(npeb))
+    steps, observed = bp.steps, bp.observed
+    selfs = tuple(-(i + 1) for i in range(bp.num_pebbles))
 
     def observes(state):
         return () if state == _QA else observed(state[0])
 
     def delta(state, pi):
-        if state == _QA:
-            return ()
-        pt, vals = state
-        acts = [state] if instrs[pt][0] in _ACTIONS else fold(pt, vals, pi)
-        out = {}  # accept reached under several valuations is one transition
-        for pt, vals in acts:
-            nxt, pebble, move = action(pt, vals)
-            if nxt is None:
-                out[_QA, selfs] = None
-                continue
-            moves = list(selfs)
-            moves[pebble - 1] = move
-            out[canon(*nxt), tuple(moves)] = None
-        return tuple(out)
+        return () if state == _QA else tuple([
+            (_QA, selfs) if nxt is None
+            else (nxt, selfs[:pebble - 1] + (move,) + selfs[pebble:])
+            for nxt, pebble, move in steps(*state, pi)])
 
     return NdJag(start_state=(0, bp.init_vals), accept_state=_QA,
-                 num_pebbles=npeb, s=bp.s_idx, t=bp.t_idx, curr=bp.curr_idx,
-                 delta=delta, observes=observes)
+                 num_pebbles=bp.num_pebbles, s=bp.s_idx, t=bp.t_idx,
+                 curr=bp.curr_idx, delta=delta, observes=observes)

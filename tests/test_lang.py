@@ -196,6 +196,24 @@ def test_control_only_cycles_terminate(grid_cayleys):
         assert accepts(compile_program(prog, g.degree), g) is want
 
 
+def test_steps_lists_each_pebble_action_once():
+    """``steps`` gives one triple per distinct ``(next, pebble, move)``:
+    ``accept`` reached under two guesses is one step, and so is a move
+    whose next states agree once the dead guess is reset, while moves
+    along two labels stay two steps.  Both routes encode this list, so a
+    duplicate here would be a duplicate edge in both."""
+    pi = (1, 1, 1)
+    accept = parse_program("pebble p\nguess b : bool\naccept\n").bind(1)
+    assert accept.steps(0, (False,), pi) == [(None, None, None)]
+    move = parse_program(
+        "pebble p\nguess b : bool\nmove p along 1\naccept\n").bind(1)
+    assert move.steps(0, (False,), pi) == [((2, (False,)), 1, 1)]
+    labels = parse_program(
+        "pebble p\ndir x : 1..d\nguess x\nmove p along x\naccept\n").bind(2)
+    assert labels.steps(0, (1,), pi) == [((2, (1,)), 1, 1), ((2, (1,)), 1, 2)]
+    assert labels.steps(1, (2,), pi) == [((2, (1,)), 1, 2)]  # at the move
+
+
 def test_run_and_verify_count_the_same_configurations():
     """Both report the configurations discovered when a budget runs out."""
     g = LabelledGraph(4, 2, ((2, 1), (3, 0), (0, 3), (1, 2)), 0, 3)
@@ -600,11 +618,21 @@ def test_program_space_decides_as_its_compiled_automaton():
     """A program searched in its own space (``ProgramSpace``) builds the
     configuration graph of its compiled automaton, and every decider gives
     the same answer on the two, ``configs_explored`` and ``limits_hit``
-    included: on the five small ladder rungs, and on 1 000 random programs
-    with no budget and under budgets that stop some of the searches."""
+    included: on the five small ladder rungs, on 1 000 random programs
+    with no budget and under budgets that stop some of the searches, and
+    on 300 more on graphs whose last label column repeats the first.
+    There two labels walk alike, so moves along them that lead to the
+    same state are two edges into one configuration in both spaces, as
+    in the smallest such instance, which is checked first."""
     import random as _random
     from collections import Counter
     from jaglab.spotcheck import random_graph
+    repro = parse_program(
+        "pebble p\ndir x : 1..d\nguess x\nmove p along x\naccept\n")
+    g = LabelledGraph(2, 2, ((1, 1), (0, 0)), 0, 1)
+    program, compiled = (decoded(build_config_graph(m, g))
+                         for m in (repro, compile_program(repro, 2)))
+    assert program == compiled and len(program[1]) == 1  # one merge
     cases = []
     for spec in ("grid:d=2,l=5", "grid:d=3,l=3", "sym:n=4", "abelian:mod=8,8",
                  "wreath(grid:d=1,l=2, grid:d=1,l=3)"):
@@ -619,6 +647,12 @@ def test_program_space_decides_as_its_compiled_automaton():
         prog = random_program(rng)
         cases += [(prog, g, limits) for limits in (
             Limits(), Limits(max_configs=5), Limits(max_run_len=2))]
+    for _ in range(300):
+        g = random_graph(rng, max_nodes=5, max_degree=2)
+        g = LabelledGraph(g.num_nodes, g.degree,
+                          tuple(row[:-1] + row[:1] for row in g.rho),
+                          g.startnode, g.targetnode)
+        cases.append((random_program(rng), g, Limits()))
     outcomes = Counter()
     for prog, g, limits in cases:
         got = _decider_answers(prog, g, limits)
