@@ -23,6 +23,15 @@ Conditions are pebble (in)equality ``p == q`` / ``p != q`` or a boolean
 variable.  Declarations precede statements.  Programs end by ``accept``;
 falling off the end, like ``fail``, kills the run.
 
+``parse_program`` checks a program and lowers it in one pass over its
+blocks to flat instructions, each with its source line
+(``PebbleProgram.code``): names become pebble and variable indices, and a
+jump target is patched in when its block closes.  Only ``d`` waits for a
+graph degree: ``PebbleProgram.bind`` resolves it, builds the variable
+domains and raises, on the instruction's line, the errors that depend on
+the degree (a label above it, a moved variable's domain outside ``1..d``,
+a loop counter's domain that a bound can leave).
+
 Acceptance is angelic: a program accepts when some resolution of its guesses
 reaches ``accept``.  A step is one pebble action (``move``, ``jump``, or
 ``accept`` into an accept configuration); control instructions move no
@@ -85,12 +94,21 @@ def _tokens(line: str, lineno: int) -> list[str]:
 
 @dataclass(frozen=True)
 class PebbleProgram:
-    """Parsed program: declarations plus the statement tree."""
+    """Parsed program: its declarations and its flat instructions.
+
+    ``code[pt]`` is ``(instruction, line)``: the instruction at point
+    ``pt`` of the bound program and the source line it comes from.
+    Pebbles and variables are already indices, and jump targets points;
+    only a label or loop bound ``d`` is ``("degree",)`` until ``bind``
+    resolves it.  The jumps that put pebbles declared ``at target`` on
+    ``t`` come first, on their declaration lines, and the ``fail`` that
+    rejects a run falling off the end comes last, on line None.
+    """
 
     pebbles: tuple            # (name, at_target) in declaration order
     dirs: tuple               # (name, domain_spec); spec = ("1..d",) | ("set", vals)
     bools: tuple              # boolean variable names
-    body: tuple               # statement tree
+    code: tuple               # (instruction, line) per program point
     source: str = ""
 
     def bind(self, degree: int) -> "BoundProgram":
@@ -99,6 +117,16 @@ class PebbleProgram:
     def space(self, g: LabelledGraph) -> "ProgramSpace":
         """The configurations a search of this program on ``g`` visits."""
         return ProgramSpace(self, g)
+
+
+_DEGREE = ("degree",)  # a label or loop bound d, until bind resolves it
+
+
+def _pebble_names(pebbles) -> list:
+    """The pebble names in index order: the declared ones, then ``s`` and
+    ``t`` where they are not declared."""
+    names = [name for name, _ in pebbles]
+    return names + [auto for auto in ("s", "t") if auto not in names]
 
 
 def parse_program(text: str) -> PebbleProgram:
@@ -112,6 +140,7 @@ def parse_program(text: str) -> PebbleProgram:
     dirs: list = []
     bools: list = []
     declared: set = set()
+    targets: list = []  # (name, line) of the pebbles declared at target
 
     def declare(name, lineno):
         if name in _RESERVED:
@@ -133,6 +162,8 @@ def parse_program(text: str) -> PebbleProgram:
                 raise ProgramError("malformed pebble declaration", line=lineno)
             declare(toks[1], lineno)
             pebbles.append((toks[1], at_target))
+            if at_target:
+                targets.append((toks[1], lineno))
             idx += 1
         elif toks[0] == "dir":
             if len(toks) >= 4 and toks[2] == ":":
@@ -167,70 +198,88 @@ def parse_program(text: str) -> PebbleProgram:
         else:
             break
 
-    pebble_names = {name for name, _ in pebbles}
+    # the designated pebbles s and t exist implicitly
+    pidx = {name: i + 1 for i, name in enumerate(_pebble_names(pebbles))}
     dir_names = {name for name, _ in dirs}
-    pebble_names |= {"s", "t"}  # designated pebbles exist implicitly
 
     # collect implicit boolean declarations
     for lineno, toks in lines[idx:]:
         if toks[:1] == ["guess"] and len(toks) == 4 and toks[2] == ":" \
                 and toks[3] == "bool":
             name = toks[1]
-            if name in pebble_names or name in dir_names:
+            if name in pidx or name in dir_names:
                 raise ProgramError(f"{name!r} already declared", line=lineno)
             if name not in bools:
                 if name in _RESERVED:
                     raise ProgramError(f"{name!r} is reserved", line=lineno)
                 bools.append(name)
     bool_names = set(bools)
+    vidx = {name: i for i, name in enumerate([n for n, _ in dirs] + bools)}
 
-    def need_pebble(name, lineno):
-        if name not in pebble_names:
+    # prologue: non-t pebbles declared "at target" jump to t first
+    code = [(("jump", pidx[name], pidx["t"]), lineno)
+            for name, lineno in targets if name != "t"]
+
+    def emit(op, lineno) -> int:
+        code.append((op, lineno))
+        return len(code) - 1
+
+    def pebble(name, lineno):
+        if name not in pidx:
             raise ProgramError(f"undeclared pebble {name!r}", line=lineno)
+        return pidx[name]
 
     def operand(tok, lineno, what):
         """A label or loop bound: a literal, ``d``, or a dir variable."""
         if tok.isdigit():
             return ("lit", int(tok))
         if tok == "d":
-            return ("degree",)
+            return _DEGREE
         if tok in dir_names:
-            return ("var", tok)
+            return ("var", vidx[tok])
         raise ProgramError(f"{tok!r} is not {what}", line=lineno)
 
     def move(p, tok, lineno):
         label = operand(tok, lineno, "a label or direction variable")
         if label == ("lit", 0):
             raise ProgramError("edge labels start at 1", line=lineno)
-        return ("move", p, label, lineno)
+        emit(("move", p, label), lineno)
 
     def parse_cond(toks, lineno):
+        """The branch instruction without its two targets, and whether
+        they swap: ``p != q`` is ``ifeq`` with its targets swapped."""
         if len(toks) == 1:
             if toks[0] not in bool_names:
                 raise ProgramError(f"{toks[0]!r} is not a boolean variable",
                                    line=lineno)
-            return ("var", toks[0])
+            return ("ifvar", vidx[toks[0]]), False
         if len(toks) == 3 and toks[1] in ("==", "!="):
-            need_pebble(toks[0], lineno)
-            need_pebble(toks[2], lineno)
-            return ("eq" if toks[1] == "==" else "ne", toks[0], toks[2])
+            return (("ifeq", pebble(toks[0], lineno), pebble(toks[2], lineno)),
+                    toks[1] == "!=")
         raise ProgramError("malformed condition", line=lineno)
 
+    def branch(at, cond, other):
+        """Patch the branch at point ``at``: into the block after it when
+        ``cond`` holds, else to ``other``."""
+        op, swap = cond
+        code[at] = (op + ((other, at + 1) if swap else (at + 1, other)),
+                    code[at][1])
+
     def block(pos, open_line, closers):
-        """The statements from ``pos`` up to their closing line, which must
-        be one of ``closers``; returns (statements, closer, next position)."""
-        stmts, pos = statements(pos)
+        """Emit the statements from ``pos`` up to their closing line, which
+        must be one of ``closers``; returns (closer, next position)."""
+        pos = statements(pos)
         if pos == len(lines):
             raise ProgramError("missing '}' for block", line=open_line)
         lineno, toks = lines[pos]
         if toks not in closers:
             raise ProgramError("unexpected 'else'" if toks == _ELSE
                                else "malformed '}' line", line=lineno)
-        return stmts, toks, pos + 1
+        return toks, pos + 1
 
     def statements(pos):
-        """The statements up to the next '}' line, and that line's position."""
-        stmts = []
+        """Emit the statements up to the next '}' line; returns that
+        line's position."""
         while pos < len(lines) and lines[pos][1][0] != "}":
             lineno, toks = lines[pos]
             pos += 1
@@ -245,77 +294,87 @@ def parse_program(text: str) -> PebbleProgram:
                                        line=lineno)
                 if len(toks) != 2 and toks[2:] != [":", "bool"]:
                     raise ProgramError("malformed guess", line=lineno)
-                stmts.append(("guess", toks[1], lineno))
+                emit(("guess", vidx[toks[1]]), lineno)
             elif head == "move":
                 if len(toks) != 4 or toks[2] != "along":
                     raise ProgramError("expected: move <p> along <e>", line=lineno)
-                need_pebble(toks[1], lineno)
-                stmts.append(move(toks[1], toks[3], lineno))
+                move(pebble(toks[1], lineno), toks[3], lineno)
             elif head == "jump":
                 if len(toks) != 4 or toks[2] != "to":
                     raise ProgramError("expected: jump <p> to <q>", line=lineno)
-                need_pebble(toks[1], lineno)
-                need_pebble(toks[3], lineno)
-                stmts.append(("jump", toks[1], toks[3], lineno))
+                emit(("jump", pebble(toks[1], lineno), pebble(toks[3], lineno)),
+                     lineno)
             elif head == "visit":
                 if len(toks) != 2:
                     raise ProgramError("expected: visit <p>", line=lineno)
-                need_pebble(toks[1], lineno)
-                if "curr" not in pebble_names:
+                p = pebble(toks[1], lineno)
+                if "curr" not in pidx:
                     raise ProgramError("visit needs a declared curr pebble",
                                        line=lineno)
-                stmts.append(("jump", "curr", toks[1], lineno))
+                emit(("jump", pidx["curr"], p), lineno)
             elif head == "fail" or head == "accept":
                 if len(toks) != 1:
                     raise ProgramError(f"expected: {head}", line=lineno)
-                stmts.append((head, lineno))
+                emit((head,), lineno)
             elif head == "if" or head == "while":
                 if toks[-1] != "{":
                     raise ProgramError("expected '{' at line end", line=lineno)
                 cond = parse_cond(toks[1:-1], lineno)
+                at = emit(None, lineno)
                 if head == "while":
-                    body, _, pos = block(pos, lineno, (_CLOSE,))
-                    stmts.append(("while", cond, body, lineno))
+                    _, pos = block(pos, lineno, (_CLOSE,))
+                    emit(("goto", at), lineno)
+                    other = len(code)
                 else:  # only the first block of an if may close with an else
-                    body, close, pos = block(pos, lineno, (_CLOSE, _ELSE))
-                    else_body = ()
-                    if close == _ELSE:
-                        else_body, _, pos = block(pos, lineno, (_CLOSE,))
-                    stmts.append(("if", cond, body, else_body, lineno))
+                    close, pos = block(pos, lineno, (_CLOSE, _ELSE))
+                    other = len(code)
+                    if close == _ELSE:  # a goto past a nonempty else block
+                        emit(None, lineno)
+                        _, pos = block(pos, lineno, (_CLOSE,))
+                        if len(code) == other + 1:
+                            code.pop()
+                        else:
+                            code[other] = (("goto", len(code)), lineno)
+                            other += 1
+                branch(at, cond, other)
             elif head == "for":
                 # for <id> = <a> to <b> {
                 if len(toks) != 7 or toks[2] != "=" or toks[4] != "to" \
                         or toks[6] != "{":
                     raise ProgramError("expected: for <id> = <a> to <b> {",
                                        line=lineno)
-                var = toks[1]
-                if var not in dir_names:
-                    raise ProgramError(f"loop variable {var!r} is not a dir",
+                if toks[1] not in dir_names:
+                    raise ProgramError(f"loop variable {toks[1]!r} is not a dir",
                                        line=lineno)
+                vi = vidx[toks[1]]
                 a = operand(toks[3], lineno, "a loop bound")
                 b = operand(toks[5], lineno, "a loop bound")
-                body, _, pos = block(pos, lineno, (_CLOSE,))
-                stmts.append(("for", var, a, b, body, lineno))
+                at = emit(None, lineno)
+                _, pos = block(pos, lineno, (_CLOSE,))
+                nxt = emit(None, lineno)
+                code[at] = (("forstart", vi, a, b, at + 1, len(code)), lineno)
+                code[nxt] = (("fornext", vi, b, at + 1, len(code)), lineno)
             elif len(toks) >= 3 and toks[1] == ":=":
-                need_pebble(head, lineno)
-                need_pebble(toks[2], lineno)
+                p, q = pebble(head, lineno), pebble(toks[2], lineno)
                 if len(toks) != 3 and (len(toks) != 5 or toks[3] != "."):
                     raise ProgramError("expected: <p> := <q> or <p> := <q>.<e>",
                                        line=lineno)
-                stmts.append(("jump", head, toks[2], lineno))
+                emit(("jump", p, q), lineno)
                 if len(toks) == 5:  # <p> := <q>.<e> jumps, then moves
-                    stmts.append(move(head, toks[4], lineno))
+                    move(p, toks[4], lineno)
             else:
                 raise ProgramError(f"unrecognized statement {head!r}", line=lineno)
-        return tuple(stmts), pos
+        return pos
 
     try:
-        body, pos = statements(idx)
+        pos = statements(idx)
     finally:  # the two call each other: break that reference cycle
         block = statements = None
     if pos != len(lines):
         raise ProgramError("unbalanced '}'", line=lines[pos][0])
-    return PebbleProgram(tuple(pebbles), tuple(dirs), tuple(bools), body, text)
+    emit(("fail",), None)  # falling off the end rejects
+    return PebbleProgram(tuple(pebbles), tuple(dirs), tuple(bools),
+                         tuple(code), text)
 
 
 # ---------------------------------------------------------------------------
@@ -536,123 +595,46 @@ class BoundProgram:
 def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
     if degree < 1:
         raise InputError("degree must be at least 1")
-    pebble_names = [name for name, _ in prog.pebbles]
-    for auto in ("s", "t"):
-        if auto not in pebble_names:
-            pebble_names.append(auto)
-    pidx = {name: i + 1 for i, name in enumerate(pebble_names)}
-    s_idx, t_idx = pidx["s"], pidx["t"]
-    curr_idx = pidx.get("curr")
-
+    pebble_names = _pebble_names(prog.pebbles)
     var_names = [name for name, _ in prog.dirs] + list(prog.bools)
-    vidx = {name: i for i, name in enumerate(var_names)}
     domains = [tuple(range(1, degree + 1)) if spec[0] == "1..d" else spec[1]
                for _, spec in prog.dirs]
     domains += [(False, True)] * len(prog.bools)
-    init_vals = tuple(dom[0] for dom in domains)
-
-    def operand(e):
-        """A label or loop bound with ``d`` and variables resolved."""
-        if e[0] == "degree":
-            return ("lit", degree)
-        return ("var", vidx[e[1]]) if e[0] == "var" else e
-
-    instrs: list = []
-
-    def emit(op) -> int:
+    lit = ("lit", degree)
+    instrs = []
+    for op, line in prog.code:
+        if _DEGREE in op:
+            op = tuple([lit if x == _DEGREE else x for x in op])
+        if op[0] == "move":
+            label = op[2]
+            if label[0] == "lit" and label[1] > degree:
+                raise ProgramError(f"label {label[1]} exceeds degree {degree}",
+                                   line=line)
+            # only variables used as move labels must be degree-closed
+            if label[0] == "var" and \
+                    any(not 1 <= v <= degree for v in domains[label[1]]):
+                raise ProgramError(
+                    f"domain of {var_names[label[1]]!r} not within 1..{degree}",
+                    line=line)
+        elif op[0] == "forstart":
+            _, vi, a, b = op[:4]
+            var, dom = var_names[vi], domains[vi]
+            if tuple(dom) != tuple(range(dom[0], dom[-1] + 1)):
+                raise ProgramError(
+                    f"for-loop variable {var!r} needs a contiguous domain",
+                    line=line)
+            # assignments must stay inside the counter's domain
+            if (a[1] if a[0] == "lit" else min(domains[a[1]])) < dom[0]:
+                raise ProgramError(
+                    f"loop start below domain of {var!r}", line=line)
+            if (b[1] if b[0] == "lit" else max(domains[b[1]])) > dom[-1]:
+                raise ProgramError(
+                    f"loop bound can exceed domain of {var!r}", line=line)
         instrs.append(op)
-        return len(instrs) - 1
-
-    def walk(stmts):
-        for st in stmts:
-            kind = st[0]
-            lineno = st[-1]
-            if kind == "jump":
-                emit(("jump", pidx[st[1]], pidx[st[2]]))
-            elif kind == "move":
-                label = operand(st[2])
-                if label[0] == "lit" and label[1] > degree:
-                    raise ProgramError(f"label {label[1]} exceeds degree {degree}",
-                                       line=lineno)
-                # only variables used as move labels must be degree-closed
-                if label[0] == "var" and \
-                        any(not 1 <= v <= degree for v in domains[label[1]]):
-                    raise ProgramError(
-                        f"domain of {st[2][1]!r} not within 1..{degree}",
-                        line=lineno)
-                emit(("move", pidx[st[1]], label))
-            elif kind == "guess":
-                emit(("guess", vidx[st[1]]))
-            elif kind == "fail":
-                emit(("fail",))
-            elif kind == "accept":
-                emit(("accept",))
-            elif kind == "if":
-                _, cond, then_b, else_b, _ = st
-                at = emit(None)
-                walk(then_b)
-                if else_b:
-                    jp = emit(None)
-                    else_pt = len(instrs)
-                    walk(else_b)
-                    instrs[jp] = ("goto", len(instrs))
-                else:
-                    else_pt = len(instrs)
-                instrs[at] = _branch(cond, at + 1, else_pt, vidx, pidx)
-            elif kind == "while":
-                _, cond, block, _ = st
-                head = emit(None)
-                walk(block)
-                emit(("goto", head))
-                instrs[head] = _branch(cond, head + 1, len(instrs), vidx, pidx)
-            elif kind == "for":
-                _, var, a, b, block, _ = st
-                vi = vidx[var]
-                dom = domains[vi]
-                if tuple(dom) != tuple(range(dom[0], dom[-1] + 1)):
-                    raise ProgramError(
-                        f"for-loop variable {var!r} needs a contiguous domain",
-                        line=lineno)
-                av, bv = operand(a), operand(b)
-                # assignments must stay inside the counter's domain
-                amin = av[1] if av[0] == "lit" else min(domains[av[1]])
-                bmax = bv[1] if bv[0] == "lit" else max(domains[bv[1]])
-                if amin < dom[0]:
-                    raise ProgramError(
-                        f"loop start below domain of {var!r}", line=lineno)
-                if bmax > dom[-1]:
-                    raise ProgramError(
-                        f"loop bound can exceed domain of {var!r}", line=lineno)
-                start_pt = emit(None)
-                body_pt = len(instrs)
-                walk(block)
-                next_pt = emit(None)
-                exit_pt = len(instrs)
-                instrs[start_pt] = ("forstart", vi, av, bv, body_pt, exit_pt)
-                instrs[next_pt] = ("fornext", vi, bv, body_pt, exit_pt)
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-
-    # prologue: non-t pebbles declared "at target" jump to t first
-    for name, at_target in prog.pebbles:
-        if at_target and pidx[name] != t_idx:
-            emit(("jump", pidx[name], t_idx))
-    try:
-        walk(prog.body)
-    finally:  # walk calls itself: break that reference cycle
-        walk = None
-    emit(("fail",))  # falling off the end rejects
-    return BoundProgram(tuple(pebble_names), s_idx, t_idx, curr_idx,
-                        tuple(domains), init_vals, tuple(instrs))
-
-
-def _branch(cond, then_pt, else_pt, vidx, pidx):
-    if cond[0] == "var":
-        return ("ifvar", vidx[cond[1]], then_pt, else_pt)
-    p, q = pidx[cond[1]], pidx[cond[2]]
-    if cond[0] == "eq":
-        return ("ifeq", p, q, then_pt, else_pt)
-    return ("ifeq", p, q, else_pt, then_pt)
+    pidx = {name: i + 1 for i, name in enumerate(pebble_names)}
+    return BoundProgram(tuple(pebble_names), pidx["s"], pidx["t"],
+                        pidx.get("curr"), tuple(domains),
+                        tuple(dom[0] for dom in domains), tuple(instrs))
 
 
 def _eval_bound(expr, vals):

@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DiagnosticError
+from .errors import DiagnosticError, InputError
 from .graph import LabelledGraph, closure, reachable_set
 from .machine import (ConfigGraph, Configuration, Limits, NdJag, Verdict,
                       accepts, all_partitions, apply_moves,
@@ -193,7 +193,13 @@ def run_spotcheck(pairs: int = 50, seed: int = 0,
     graph) instances.  Each kept instance has at most ``max_configs``
     reachable configurations and a run tree the oracle can exhaust.
     Returns the agreement tally and the first disagreement.
+
+    Raises ``InputError`` when either budget is below 1: every initial
+    configuration exceeds it, so no instance could be kept.
     """
+    if max_configs < 1 or max_tree_nodes < 1:
+        raise InputError("spotcheck needs budgets of at least 1 to keep "
+                         "any instance")
     rng = random.Random(seed)
     kept = agreements = discarded = 0
     reason = None

@@ -1,14 +1,20 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from jaglab.algorithms import grid_traversal_program
 from jaglab.cli import main
+from jaglab.errors import InputError
 from jaglab.families import parse_family
 from jaglab.graph import disjoint_union, parse_graph, serialize_graph
 from jaglab.lang import compile_program
 from jaglab.machine import Limits, build_config_graph
+from jaglab.spotcheck import run_spotcheck
 
 from conftest import decoded
 
@@ -317,6 +323,20 @@ def test_spotcheck_cli():
     code, out, _ = run_cli(["spotcheck", "--pairs", "10", "--seed", "1"])
     assert code == 0
     assert "agreements: 10" in out
+
+
+def test_spotcheck_without_budget_is_an_input_error():
+    # under a budget of 0 no instance can be kept, so drawing them would
+    # never end: a child process makes a hang fail instead of stall
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "jaglab.cli", "spotcheck", "--pairs", "1",
+         "--limits-configs", "0"], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3
+    assert done.stderr.startswith("input error:")
+    with pytest.raises(InputError):
+        run_spotcheck(pairs=1, max_tree_nodes=0)
 
 
 def test_run_grid_program_rejects_non_cayley(tmp_path):
