@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph
-from .machine import Limits, NdJag, PackedSpace, RunResult, run
+from .machine import Limits, NdJag, PackedSpace, RunResult, _layout, run
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -77,18 +77,19 @@ _CLOSE, _ELSE = ["}"], ["}", "else", "{"]
 
 
 def _tokens(line: str, lineno: int) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(line, pos)
-        if not m:
-            raise ProgramError(f"cannot tokenize at {line[pos:]!r}",
-                               line=lineno)
-        out.append(m.group(0))
-        pos = m.end()
+    """The tokens of ``line``, which must cover every character but
+    whitespace.  Tokens hold no whitespace, so they cover the rest exactly
+    when they spell it out; otherwise the first character no token covers
+    is the first non-space one in a gap between matches or after them."""
+    out = _TOKEN.findall(line)
+    if "".join(out) != "".join(line.split()):
+        pos = 0
+        for m in _TOKEN.finditer(line):
+            if line[pos:m.start()].strip():
+                break
+            pos = m.end()
+        raise ProgramError(f"cannot tokenize at {line[pos:].lstrip()!r}",
+                           line=lineno)
     return out
 
 
@@ -467,7 +468,9 @@ class BoundProgram:
         """
         instrs = self.instrs
         out = {}
-        for pt, vals in self.fold(pt, vals, pi):
+        # an action is the one point its own fold reaches
+        for pt, vals in ((pt, vals),) if instrs[pt][0] in _ACTIONS \
+                else self.fold(pt, vals, pi):
             op = instrs[pt]
             if op[0] == "accept":
                 out[None, None, None] = None
@@ -665,52 +668,54 @@ class ProgramSpace:
     deciders search for a program.
 
     It has what a search and the deciders read of ``machine.PackedSpace``:
-    ``initial``, ``step``, ``N``, ``n``, ``weights``, ``curr`` (the curr
-    pebble, 1-based, or None) and ``decode``.  A state is a canonical
-    ``(pt, vals)`` or the accept state ``"qa"``, and the successors of a
-    configuration are the triples of ``BoundProgram.steps``, in its order,
-    as ints.  The compiled automaton (``compile_program``) encodes the same
+    ``initial``, ``step``, ``N``, ``B``, ``mask``, ``shifts``, ``curr``
+    (the curr pebble, 1-based, or None) and ``decode``.  A state
+    is a canonical ``(pt, vals)`` or the accept state ``"qa"``, and the
+    successors of a configuration are the triples of ``BoundProgram.steps``,
+    in its order, as ints.  The compiled automaton (``compile_program``) encodes the same
     triples as move vectors, so its space has the same configurations and
     edges and only numbers the states in another order.
 
-    A configuration is one int, ``sid * N + code``.  The state id ``sid``
+    A configuration is one int, ``sid << B | code``, laid out by
+    ``machine._layout`` as ``PackedSpace``'s are.  The state id ``sid``
     numbers the states ``(pt, vals)`` a configuration can sit at in the
     order the space meets them; the accept state is 0.  States are
     canonical, as ``steps`` gives them and as the start state is:
     configurations that differ only in variables dead at their point share
-    a sid, and a search counts them once.  The
-    code ``sum(nodes[i] * n**i)`` writes the placement in radix ``n =
-    g.num_nodes``, one digit per pebble, so ``0 <= code < N = n**p`` for p
-    pebbles.  Since every digit ``nodes[i]`` lies in ``range(n)``,
-    ``divmod(c, N)`` gives back ``sid`` and ``code``, and the radix-n digits
-    of ``code`` the placement: the ints are in bijection with the ``(pt,
+    a sid, and a search counts them once.  The code ``sum(nodes[i] <<
+    shifts[i])`` gives each pebble a bit field of ``b = (n -
+    1).bit_length()`` bits, ``n = g.num_nodes``, so ``0 <= code < N = 1 <<
+    B`` with ``B = b * p`` for p pebbles.  Since every node lies in
+    ``range(n)``, ``c >> B`` gives back ``sid`` and ``c >> shifts[i] &
+    mask`` pebble i + 1's node: the ints are in bijection with the ``(pt,
     vals, nodes)`` triples, and a search, its budgets and its answers are
-    those over the triples.  (On a one-node graph every code is 0 and ``c``
-    is the sid.)
+    those over the triples, whatever values the layout gives the ints.
+    (On a one-node graph every code is 0 and ``c`` is the sid.)
 
     Each sid gets a step plan the first time it is stepped.  A pebble
     action is arithmetic on the int: it adds the change of sid times N and
-    the change of the acting pebble's digit, read off the int itself.
+    the change of the acting pebble's field, read off the int itself.
     ``steps`` reads the placement only through which of the pairs
     ``bp.observed(pt)`` share a node, so its triples are kept per sid and
     that pattern, reused as the same list, for as long as the space lives;
     the placement is decoded only to fill that cache.
     """
 
-    decode = PackedSpace.decode  # reads N, n, weights and states alone
+    decode = PackedSpace.decode  # reads B, mask, shifts and states alone
 
     def __init__(self, prog: PebbleProgram, g: LabelledGraph):
         bp = prog.bind(g.degree)
         rho = g.rho
         steps, observed = bp.steps, bp.observed
-        n = self.n = g.num_nodes
-        weights = self.weights = tuple([n ** i for i in range(bp.num_pebbles)])
-        N = self.N = n ** bp.num_pebbles
+        b, mask, shifts, _, ones = _layout(g.num_nodes, bp.num_pebbles)
+        self.mask, self.shifts = mask, shifts
+        B = self.B = b * bp.num_pebbles
+        self.N = 1 << B
         self.curr = bp.curr_idx
         states = self.states = [_QA]  # sid -> (pt, vals), or the accept state
         sids = {_QA: 0}
         plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
-        walks: dict = {}  # (pebble weight, label) -> digit changes
+        walks: dict = {}  # (pebble shift, label) -> field changes
 
         def intern(state):
             sid = sids.get(state)
@@ -722,35 +727,35 @@ class ProgramSpace:
 
         def acts(sid, c):
             """``bp.steps`` at sid on the placement of ``c``, each triple as
-            ``(kind, shift, wp, x)``: ``c + shift`` has the next sid, ``wp``
-            is the acting pebble's weight, and ``x`` the jump target's
-            weight or the digit's change per node walked from.  ``accept``
-            goes to sid 0 and moves no pebble."""
+            ``(kind, delta, sp, x)``: ``c + delta`` has the next sid, ``sp``
+            is the acting pebble's shift, and ``x`` the jump target's shift
+            or the field's change per node walked from.  ``accept`` goes to
+            sid 0 and moves no pebble."""
             out = []
             for nxt, pebble, move in steps(*states[sid],
-                                           [c // w % n for w in weights]):
+                                           [c >> s & mask for s in shifts]):
                 if nxt is None:
-                    out.append((_SHIFT, -sid * N, 0, None))
+                    out.append((_SHIFT, -sid << B, 0, None))
                     continue
-                shift = (intern(nxt) - sid) * N
-                wp = weights[pebble - 1]
+                delta = intern(nxt) - sid << B
+                sp = shifts[pebble - 1]
                 if move < 0:
-                    out.append((_JUMP, shift, wp, weights[-move - 1]))
+                    out.append((_JUMP, delta, sp, shifts[-move - 1]))
                     continue
-                walk = walks.get((wp, move))
+                walk = walks.get((sp, move))
                 if walk is None:
-                    walk = walks[wp, move] = tuple(
-                        [(row[move - 1] - v) * wp for v, row in enumerate(rho)])
-                out.append((_WALK, shift, wp, walk))
+                    walk = walks[sp, move] = tuple(
+                        [row[move - 1] - v << sp for v, row in enumerate(rho)])
+                out.append((_WALK, delta, sp, walk))
             return out
 
         def plan(sid, c):
-            """The step plan of a sid, ``(_FOLD, 0, wp, x)``: ``wp`` holds
-            the weight pairs of ``bp.observed(pt)``, and ``x`` the ``acts``
+            """The step plan of a sid, ``(_FOLD, 0, sp, x)``: ``sp`` holds
+            the shift pairs of ``bp.observed(pt)``, and ``x`` the ``acts``
             by which of them share a node.  A state with no such pair and
             one step has that act as its plan."""
             pairs = observed(states[sid][0])
-            out = (_FOLD, 0, tuple([(weights[i], weights[j])
+            out = (_FOLD, 0, tuple([(shifts[i], shifts[j])
                                     for i, j in pairs]), {})
             if not pairs:  # the same steps on every placement
                 by = out[3][0] = acts(sid, c)
@@ -760,38 +765,41 @@ class ProgramSpace:
             return out
 
         def step(c):
-            sid = c // N
-            kind, shift, wp, x = plans[sid] or plan(sid, c)
-            # a digit of c is the digit of its code: N is a multiple of n * wp
+            sid = c >> B
+            kind, delta, sp, x = plans[sid] or plan(sid, c)
+            # a pebble's node is its field, c >> sp & mask, below bit B
             if kind == _WALK:
-                return (c + shift + x[c // wp % n],)
+                return (c + delta + x[c >> sp & mask],)
             if kind == _JUMP:
-                return (c + shift + (c // x % n - c // wp % n) * wp,)
+                return (c + delta
+                        + ((c >> x & mask) - (c >> sp & mask) << sp),)
             if kind != _FOLD:
-                return (c + shift,) if kind == _SHIFT else ()
+                return (c + delta,) if kind == _SHIFT else ()
             together = 0  # bit k: the k-th observed pair shares a node
             bit = 1
-            for wi, wj in wp:
-                if c // wi % n == c // wj % n:
+            for si, sj in sp:
+                if c >> si & mask == c >> sj & mask:
                     together += bit
                 bit += bit
             by = x.get(together)
             if by is None:
                 by = x[together] = acts(sid, c)
             out = []
-            for kind, shift, wp, wx in by:
+            for kind, delta, sp, sx in by:
                 if kind == _WALK:
-                    out.append(c + shift + wx[c // wp % n])
+                    out.append(c + delta + sx[c >> sp & mask])
                 elif kind == _JUMP:
-                    out.append(c + shift + (c // wx % n - c // wp % n) * wp)
+                    out.append(c + delta
+                               + ((c >> sx & mask) - (c >> sp & mask) << sp))
                 else:
-                    out.append(c + shift)
+                    out.append(c + delta)
             return out
 
         self.step = step
-        self.initial = intern((0, bp.init_vals)) * N + sum(
-            w * (g.targetnode if i + 1 == bp.t_idx else g.startnode)
-            for i, w in enumerate(weights))
+        # pebble t on the targetnode, all others on the startnode
+        start = g.startnode
+        self.initial = intern((0, bp.init_vals)) << B | start * ones + (
+            g.targetnode - start << shifts[bp.t_idx - 1])
 
 
 def interpret(prog: PebbleProgram, g: LabelledGraph,

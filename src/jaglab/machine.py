@@ -103,11 +103,19 @@ def _every_pair(p: int) -> tuple:
 
 
 @functools.cache
-def _radix(n: int, p: int) -> tuple:
-    """The digit weights ``n**i`` of p pebbles' nodes in radix n, and the
-    weight pairs of ``_every_pair(p)``."""
-    weights = tuple([n ** i for i in range(p)])
-    return weights, tuple([(weights[i], weights[j]) for i, j in _every_pair(p)])
+def _layout(n: int, p: int) -> tuple:
+    """The bit fields of p pebbles' nodes on an n-node graph, as both
+    spaces pack them: ``(b, mask, shifts, shift pairs, ones)``.  Each node
+    takes ``b = (n - 1).bit_length()`` bits, pebble i + 1's at ``shifts[i]
+    = b * i``, so its node is ``c >> shifts[i] & mask``; the shift pairs
+    are those of ``_every_pair(p)``, and ``ones`` is the code with every
+    pebble on node 1, so ``v * ones`` puts them all on node v.  (On a
+    one-node graph ``b`` is 0 and every field is empty.)"""
+    b = (n - 1).bit_length()
+    shifts = tuple([b * i for i in range(p)])
+    return (b, (1 << b) - 1, shifts,
+            tuple([(shifts[i], shifts[j]) for i, j in _every_pair(p)]),
+            sum([1 << s for s in shifts]))
 
 
 def _checked_pairs(state, pairs, num_pebbles: int) -> tuple:
@@ -218,27 +226,30 @@ class PackedSpace:
     and their successor function: what a search of the automaton visits
     (``NdJag.space``).
 
-    A configuration is one int, ``sid * N + code``, as in
+    A configuration is one int, ``sid << B | code``, as in
     ``lang.ProgramSpace``.  The state id ``sid`` numbers the automaton's states
     in the order the space meets them: 0 is ``jag.accept_state``, so ``c``
-    is an accept configuration iff ``c < N``; the start state comes next,
-    then each next state of a transition when its key enters the table.
-    States are told apart as dict keys are.  The code ``sum(nodes[i] *
-    n**i)`` writes the placement in radix ``n = g.num_nodes``, one digit per
-    pebble, so ``0 <= code < N = n**p`` for p pebbles, and pebble i + 1 sits
-    on ``c // weights[i] % n``: ``N`` is a multiple of ``n * weights[i]``.
-    ``encode`` and ``decode`` are the bijection with ``Configuration``s.
-    (On a one-node graph every code is 0 and ``c`` is the sid.)  ``curr``
-    is the automaton's curr pebble, 1-based, or None.
+    is an accept configuration iff ``c < N = 1 << B``; the start state comes
+    next, then each next state of a transition when its key enters the
+    table.  States are told apart as dict keys are.  The code ``sum(nodes[i]
+    << shifts[i])`` gives each pebble a bit field of ``b = (n -
+    1).bit_length()`` bits, ``n = g.num_nodes`` (``_layout``), so ``0 <=
+    code < N`` with ``B = b * p`` for p pebbles, and pebble i + 1 sits on
+    ``c >> shifts[i] & mask``.  ``encode`` and ``decode`` are the bijection
+    with ``Configuration``s.  (On a one-node graph every code is 0 and
+    ``c`` is the sid.)  The layout fixes only the values of the ints: the
+    order in which a search meets configurations, and so every answer,
+    depends on their identity alone.  ``curr`` is the automaton's curr
+    pebble, 1-based, or None.
 
     ``step(c)`` lists the successors of ``c`` (empty: dead), in the order
     ``jag.transitions`` gives them.  In a state the control sees only which
     of the pairs ``jag.observes(state)`` share a node (every pair when
     ``observes`` is None), so the table that lives as long as the space
-    holds, per sid, ``(pairs, weight pairs, plans)``: ``pairs`` is that
+    holds, per sid, ``(pairs, shift pairs, plans)``: ``pairs`` is that
     answer, checked when a configuration of the state is first stepped, and
     ``plans`` maps a key ``bits``, with bit k set when the k-th pair shares
-    a node, read off the digits of ``c``, to the state's plans.
+    a node, read off the fields of ``c``, to the state's plans.
     ``jag.transitions`` is asked once per ``(state, bits)``, with the
     partition of the first configuration that has it, and ``partition_of``
     runs only then.  Each move vector is checked when its key enters the
@@ -246,13 +257,15 @@ class PackedSpace:
     against the degree and, since a callable ``delta`` is not checked when
     the automaton is made, its length and encoding.
 
-    The table holds a sparse plan per transition, ``(shift, steps)``:
-    ``shift`` is the change of sid times N, and ``steps`` lists only the
-    pebbles that can move, by weight w, as ``(w, label - 1)`` for an
-    edge-walk and ``(w, ~w_j)`` for a jump to pebble j; each adds the
-    change of w's digit, read off the old placement.  A jump to the pebble
-    itself, or to one that the key shows on the same node (the pair is
-    observed and its bit set), cannot change the placement, so it is
+    The table holds a sparse plan per transition, ``(delta, steps)``:
+    ``delta`` is the change of sid times N, and ``steps`` lists only the
+    pebbles that can move, by the shift s of their field, as ``(s, label -
+    1, 1 << s)`` for an edge-walk and ``(s, ~s_j, 1 << s)`` for a jump to
+    pebble j; each adds the change of the field at s, read off the old
+    placement, times ``1 << s`` (on the small ints of small graphs
+    CPython multiplies faster than it shifts).  A jump to the
+    pebble itself, or to one that the key shows on the same node (the pair
+    is observed and its bit set), cannot change the placement, so it is
     dropped when the entry is filled.  A jump between two pebbles of an
     unobserved pair is kept even where they share a node: another
     configuration with the same key may hold them apart.
@@ -261,13 +274,14 @@ class PackedSpace:
     def __init__(self, jag: NdJag, g: LabelledGraph):
         p = jag.num_pebbles
         n = self.n = g.num_nodes
-        weights, every_w = _radix(n, p)
-        self.weights = weights
-        N = self.N = n ** p
+        b, mask, shifts, every_s, ones = _layout(n, p)
+        self.mask, self.shifts = mask, shifts
+        B = self.B = b * p
+        self.N = 1 << B
         self.curr = jag.curr
         states = self.states = [jag.accept_state]  # sid -> state
         sids = {jag.accept_state: 0}
-        table = [None]  # sid -> (pairs, their weight pairs, plans by bits)
+        table = [None]  # sid -> (pairs, their shift pairs, plans by bits)
         transitions = jag.transitions
         observes = jag.observes
         every = _every_pair(p) if observes is None else None
@@ -284,17 +298,17 @@ class PackedSpace:
 
         def fill(sid):
             if observes is None:
-                entry = table[sid] = (every, every_w, {})
+                entry = table[sid] = (every, every_s, {})
                 return entry
             pairs = observes(states[sid])
             if pairs != ():  # () needs no check: most program states have it
                 pairs = _checked_pairs(states[sid], pairs, p)
-            entry = table[sid] = (pairs, tuple([(weights[i], weights[j])
+            entry = table[sid] = (pairs, tuple([(shifts[i], shifts[j])
                                                 for i, j in pairs]), {})
             return entry
 
         def plan(sid, c, pairs):
-            nodes = tuple([c // w % n for w in weights])
+            nodes = tuple([c >> s & mask for s in shifts])
             outs = []
             for nxt, moves in transitions(states[sid], partition_of(nodes)):
                 _check_moves(moves, p, degree)
@@ -302,39 +316,39 @@ class PackedSpace:
                 i = 0
                 for mv in moves:
                     if mv > 0:
-                        steps.append((weights[i], mv - 1))
+                        steps.append((shifts[i], mv - 1, 1 << shifts[i]))
                     elif nodes[~mv] != nodes[i]:
-                        steps.append((weights[i], ~weights[~mv]))
+                        steps.append((shifts[i], ~shifts[~mv], 1 << shifts[i]))
                     # co-located: the key shows it only if the pair is
                     # observed, as every pair is under the default
                     elif ~mv != i and pairs is not every and \
                             ((i, ~mv) if i < ~mv else (~mv, i)) not in pairs:
-                        steps.append((weights[i], ~weights[~mv]))
+                        steps.append((shifts[i], ~shifts[~mv], 1 << shifts[i]))
                     i += 1
                 to = sids.get(nxt)
                 if to is None:
                     to = intern(nxt)
-                outs.append(((to - sid) * N, tuple(steps)))
+                outs.append(((to - sid) << B, tuple(steps)))
             return tuple(outs)
 
         def step(c):
-            sid = c // N
-            pairs, wpairs, by_bits = table[sid] or fill(sid)
+            sid = c >> B
+            pairs, spairs, by_bits = table[sid] or fill(sid)
             bits = 0
             bit = 1
-            for wi, wj in wpairs:
-                if c // wi % n == c // wj % n:
+            for si, sj in spairs:
+                if c >> si & mask == c >> sj & mask:
                     bits += bit
                 bit += bit
             plans = by_bits.get(bits)
             if plans is None:
                 plans = by_bits[bits] = plan(sid, c, pairs)
             out = []
-            for shift, steps in plans:
-                s = c + shift
-                for w, m in steps:
-                    v = c // w % n
-                    s += ((rho[v][m] if m >= 0 else c // ~m % n) - v) * w
+            for delta, steps in plans:
+                s = c + delta
+                for at, m, w in steps:
+                    v = c >> at & mask
+                    s += ((rho[v][m] if m >= 0 else c >> ~m & mask) - v) * w
                 out.append(s)
             return out
 
@@ -343,27 +357,27 @@ class PackedSpace:
         # initial_config: pebble t on the targetnode, all others on the
         # startnode
         start = g.startnode
-        self.initial = intern(jag.start_state) * N + start * sum(weights) \
-            + (g.targetnode - start) * weights[jag.t - 1]
+        self.initial = intern(jag.start_state) << B | start * ones + (
+            g.targetnode - start << shifts[jag.t - 1])
 
     def encode(self, config: Configuration) -> int:
         """The int of ``config``; ``InputError`` unless it places every
         pebble on a node of the graph, since any other placement would pack
         into the int of another configuration."""
         nodes = config.nodes
-        if len(nodes) != len(self.weights) or \
+        if len(nodes) != len(self.shifts) or \
                 not all(type(v) is int and 0 <= v < self.n for v in nodes):
-            raise InputError(f"{nodes!r} places {len(self.weights)} pebbles "
+            raise InputError(f"{nodes!r} places {len(self.shifts)} pebbles "
                              f"on no nodes of a {self.n}-node graph")
-        return self._intern(config.state) * self.N + sum(
-            v * w for v, w in zip(nodes, self.weights))
+        return self._intern(config.state) << self.B | sum(
+            v << s for v, s in zip(nodes, self.shifts))
 
     def decode(self, c: int) -> Configuration:
-        sid, code = divmod(c, self.N)
-        n = self.n
+        mask = self.mask
         # tuple.__new__ skips the Python-level NamedTuple constructor
         return tuple.__new__(Configuration, (
-            self.states[sid], tuple([code // w % n for w in self.weights])))
+            self.states[c >> self.B], tuple([c >> s & mask
+                                             for s in self.shifts])))
 
 
 @dataclass
@@ -499,10 +513,10 @@ def first_visits(parent: dict, config, space) -> tuple | None:
     pebble.  ``parent`` is the map ``expand`` returns."""
     if space.curr is None:
         return None
-    n, w = space.n, space.weights[space.curr - 1]
+    s, mask = space.shifts[space.curr - 1], space.mask
     path = []
     while config is not None:
-        path.append(config // w % n)
+        path.append(config >> s & mask)
         config = parent[config]
     return tuple(dict.fromkeys(reversed(path)))
 
@@ -735,7 +749,7 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
     all of it.  Neither comes back once false.
     """
     g = cg.graph
-    n, w = cg.space.n, cg.space.weights[cg.space.curr - 1]
+    s, mask = cg.space.shifts[cg.space.curr - 1], cg.space.mask
     on = 1 << g.num_nodes
     need = sum(1 << v for v in reachable_set(g, g.startnode))
     # nexts[k]: the bit of the node after a prefix of length k (0: none)
@@ -743,7 +757,7 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
     complete = on | sum(nexts)
 
     def extend(value, config):
-        bit = 1 << config // w % n
+        bit = 1 << (config >> s & mask)  # curr's node: its field of config
         if value & bit:
             return value
         if value & on and bit != nexts[value.bit_count() - 1]:
@@ -751,7 +765,7 @@ def _curr_pass(cg: ConfigGraph, order: tuple):
         return value | bit
 
     # the canonical order starts at curr's initial node by construction
-    for value in _accept_values(cg, on | 1 << cg.space.initial // w % n,
+    for value in _accept_values(cg, on | 1 << (cg.space.initial >> s & mask),
                                 extend, operator.and_):
         yield value & need == need, value == complete
 
@@ -799,10 +813,10 @@ def decide_co_st_connectivity(jag: NdJag, g: LabelledGraph,
     cg = _graph_for(jag, g, limits, config_graph, "co-st-connectivity")
     if not cg.accepting:
         raise DiagnosticError("supplied automaton rejects: traversability violated")
-    n, w = cg.space.n, cg.space.weights[cg.space.curr - 1]
+    s, mask = cg.space.shifts[cg.space.curr - 1], cg.space.mask
     tgt = g.targetnode
-    touched = _accept_values(cg, cg.space.initial // w % n == tgt,
-                             lambda t, c: t or c // w % n == tgt,
+    touched = _accept_values(cg, cg.space.initial >> s & mask == tgt,
+                             lambda t, c: t or c >> s & mask == tgt,
                              operator.or_)
     return "connected" if any(touched) else "disconnected"
 

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from jaglab.graph import LabelledGraph
 from jaglab.groups import abelian_group, cayley_graph, grid_group
 from jaglab.lang import parse_program
 from jaglab.machine import (Configuration, PackedSpace, apply_moves,
@@ -43,6 +44,53 @@ def abelian_corpus():
         group, gg = abelian_group(moduli, gens)
         out.append((moduli, gens, group, gg, cayley_graph(group, gg)))
     return out
+
+
+# nine pebbles with s and t: on 300 nodes each takes a field of 9 bits, so
+# N = 2**81 and every packed configuration but an accept one exceeds 2**63.
+# c jumps to itself, a to b while they share a node, and curr walks the
+# cycle from a to the targetnode.
+MANY_PEBBLES = """
+pebble curr
+pebble a
+pebble b
+pebble c
+pebble u
+pebble w
+pebble z at target
+dir x : 1..d
+guess x
+move a along x
+b := a.1
+move a along 1
+jump c to c
+if a == b {
+    jump a to b
+    jump u to b
+}
+jump w to z
+visit a
+while curr != z {
+    move curr along 2
+}
+accept
+"""
+
+
+def cycle(n, target):
+    """n nodes in a cycle: label 1 steps back, label 2 forward."""
+    rows = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
+    return LabelledGraph(n, 2, rows, 0, target)
+
+
+def relabelled(g, perm):
+    """``g`` with node v renamed ``perm[v]``, the startnode and the
+    targetnode included; edge labels stay as they are."""
+    rho = [None] * g.num_nodes
+    for v, row in enumerate(g.rho):
+        rho[perm[v]] = tuple([perm[u] for u in row])
+    return LabelledGraph(g.num_nodes, g.degree, tuple(rho),
+                         perm[g.startnode], perm[g.targetnode])
 
 
 def decoded(cg):

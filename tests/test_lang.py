@@ -12,7 +12,7 @@ from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             enumerate_runs, partition_of, run, verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
 
-from conftest import decoded, random_program
+from conftest import MANY_PEBBLES, cycle, decoded, random_program
 
 
 def reachable_states(jag):
@@ -296,6 +296,10 @@ def test_syntax_errors_carry_line_numbers():
         ("pebble p\naccept p now", 2, "expected: accept"),
         ("pebble p\nfail now\naccept", 2, "expected: fail"),
         ("pebble p\n@ accept", 2, "cannot tokenize at '@ accept'"),
+        # the message starts at the first character no token covers
+        ("pebble p\nmove p @along 1", 2, "cannot tokenize at '@along 1'"),
+        ("pebble p\naccept  @", 2, "cannot tokenize at '@'"),
+        ("pebble p\nmove p\t%", 2, "cannot tokenize at '%'"),
         ("pebble p\ndir t : 1..d\naccept", 2, "'s' and 't' are pebble names"),
     ]:
         with pytest.raises(ProgramError, match=message) as exc:
@@ -494,7 +498,7 @@ def test_dead_variable_reset_changes_no_answer(monkeypatch):
     for spec in ("abelian:mod=4,4", "sym:n=3"):
         family = parse_family(spec)
         cases.append((family.graph, tower_program(family.tower)))
-    cases.append((_cycle(5, 2), parse_program(_EVERY_FORM)))
+    cases.append((cycle(5, 2), parse_program(_EVERY_FORM)))
 
     def answers():
         out = []
@@ -588,7 +592,7 @@ def test_observed_pairs_are_0_based_and_distinct():
     for state in reachable_states(jag) - {"qa"}:
         assert jag.observes(state) == bp.observed(state[0])
     # q steps off p on a cycle, and stays on the one node of a loop
-    for g, verdict in ((_cycle(5, 2), Verdict.ACCEPT),
+    for g, verdict in ((cycle(5, 2), Verdict.ACCEPT),
                        (LabelledGraph(1, 2, ((0, 0),), 0, 0), Verdict.REJECT)):
         res = interpret(prog, g)
         assert res.verdict is verdict
@@ -707,76 +711,39 @@ def _compiled_run(prog, g, limits):
     return run(compile_program(prog, g.degree).space(g), limits)
 
 
-# nine pebbles with s and t: on 300 nodes N = 300**9, so every packed
-# configuration but an accept one exceeds 2**63.  c jumps to itself, a to
-# b while they share a node, and curr walks the cycle from a to the
-# targetnode.
-_MANY_PEBBLES = """
-pebble curr
-pebble a
-pebble b
-pebble c
-pebble u
-pebble w
-pebble z at target
-dir x : 1..d
-guess x
-move a along x
-b := a.1
-move a along 1
-jump c to c
-if a == b {
-    jump a to b
-    jump u to b
-}
-jump w to z
-visit a
-while curr != z {
-    move curr along 2
-}
-accept
-"""
-
-
-def _cycle(n, target):
-    """n nodes in a cycle: label 1 steps back, label 2 forward."""
-    rows = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
-    return LabelledGraph(n, 2, rows, 0, target)
-
-
 @pytest.mark.parametrize("case", [
     "one node", "300 nodes, 9 pebbles", "abelian 4x4 tower",
     "accept first", "accept first with curr", "self and co-located jumps"])
 def test_packed_configurations_match_the_compiled_route(case):
     """``interpret`` searches the program's ``ProgramSpace`` and the
     compiled route its automaton's ``PackedSpace``; both pack a
-    configuration into one int in radix n.  On the packing's edge cases,
+    configuration into one int of bit fields.  On the packing's edge cases,
     under no budget and under budgets that stop each search, both give the
     same verdict, visit order and ``configs_explored``."""
     from jaglab.machine import accepting_run_visits
-    if case == "one node":  # radix 1: every placement code is 0
-        progs = [grid_traversal_program(2), parse_program(_MANY_PEBBLES)]
+    if case == "one node":  # fields of 0 bits: every placement code is 0
+        progs = [grid_traversal_program(2), parse_program(MANY_PEBBLES)]
         g = LabelledGraph(1, 2, ((0, 0),), 0, 0)
     elif case == "300 nodes, 9 pebbles":
-        progs = [parse_program(_MANY_PEBBLES)]
-        g = _cycle(300, 40)
-        assert g.num_nodes ** progs[0].bind(2).num_pebbles > 2 ** 63
+        progs = [parse_program(MANY_PEBBLES)]
+        g = cycle(300, 40)
+        assert progs[0].space(g).N == 2 ** 81  # nine fields of 9 bits
     elif case == "abelian 4x4 tower":  # nearly every step folds control flow
         family = parse_family("abelian:mod=4,4")
         progs, g = [tower_program(family.tower)], family.graph
     elif case == "accept first":
-        progs, g = [parse_program("accept\nfail")], _cycle(5, 2)
+        progs, g = [parse_program("accept\nfail")], cycle(5, 2)
     elif case == "accept first with curr":
         progs = [parse_program("pebble curr at target\naccept"),
                  parse_program("pebble curr\naccept")]
-        g = _cycle(5, 2)
+        g = cycle(5, 2)
     else:
         progs = [parse_program(
             "pebble curr\npebble a\nmove a along 2\njump a to a\n"
             "jump curr to a\njump a to curr\nif a == curr {\n"
             "    jump curr to curr\n    move a along 2\n    visit a\n}\n"
             "jump s to s\naccept")]
-        g = _cycle(6, 3)
+        g = cycle(6, 3)
     for prog in progs:
         full = interpret(prog, g)
         k = full.configs_explored

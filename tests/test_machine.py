@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import operator
 import random
 from collections import Counter
@@ -16,17 +17,17 @@ from jaglab.machine import (Configuration, Limits, NdJag, RunResult, Verdict,
                             accepting_run_visits, accepts, all_partitions,
                             apply_moves, build_config_graph, check_orderable,
                             check_traversable, decide_co_st_connectivity,
-                            enumerate_runs, expand, initial_config, parse_jag,
-                            partition_of, replay_curr_visits, run,
-                            serialize_jag, verify)
+                            enumerate_runs, expand, first_visits,
+                            initial_config, parse_jag, partition_of,
+                            replay_curr_visits, run, serialize_jag, verify)
 from jaglab.families import parse_family
 from jaglab.algorithms import (grid_traversal_program, symmetric_tower,
                                tower_program, two_tour_guesser_program)
 from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
                               random_jag, run_tree_nodes)
 
-from conftest import (assert_steps_match_oracle, decoded, oracle_successors,
-                      random_program, successors)
+from conftest import (MANY_PEBBLES, assert_steps_match_oracle, cycle,
+                      decoded, oracle_successors, random_program, successors)
 
 
 def _selfs(p):
@@ -1061,30 +1062,51 @@ def test_accepting_run_visits_without_curr_is_none():
     assert run(jag.space(g)) == RunResult(Verdict.ACCEPT, None, 2)
 
 
+def _seven_pebbles(jag):
+    """``jag`` with pebbles added up to seven.  The seventh is t: it starts
+    on the targetnode and walks label 1 at every step, and the others added
+    jump to it.  The rules read the partition of ``jag``'s own pebbles, a
+    prefix of the whole canonical vector."""
+    p = jag.num_pebbles
+    extra = (-7,) * (6 - p) + (1,)
+
+    def delta(state, pi):
+        return tuple([(nxt, moves + extra)
+                      for nxt, moves in jag.transitions(state, pi[:p])])
+
+    return NdJag(jag.start_state, jag.accept_state, 7, s=jag.s, t=7,
+                 curr=jag.curr, delta=delta)
+
+
 def test_packed_build_matches_a_plain_bfs():
     """The build steps and stores packed ints; decoded, its ``parent`` (in
     order), ``merges``, ``accepting``, ``limit_hit`` and ``adj`` are those
     of a plain breadth-first search over ``Configuration``s.  On random
     automata and graphs, with and without budgets, and on the packing's
     edge cases: a one-node graph, where N is 1 and a configuration is its
-    sid; a start state that is the accept state; and a disjoint union
-    whose placement codes exceed 2**30."""
+    sid; a start state that is the accept state; and disjoint unions
+    whose placement codes exceed 2**30 and 2**60."""
     rng = random.Random(41)
     seen = Counter()
-    for k in range(240):
+    for k in range(300):
         g = random_graph(rng)
         jag = random_jag(rng, g.degree)
-        case = ("random", "one node", "start accepts", "codes > 2**30")[k % 4]
+        case = ("random", "one node", "start accepts", "codes > 2**30",
+                "codes > 2**60")[k % 5]
         if case == "one node":
             g = LabelledGraph(1, g.degree, ((0,) * g.degree,), 0, 0)
         elif case == "start accepts":
             jag = NdJag(jag.accept_state, jag.accept_state, jag.num_pebbles,
                         s=jag.s, t=jag.t, curr=jag.curr, delta=jag.rules)
-        elif case == "codes > 2**30":
-            # t starts on the second copy's targetnode, past 806 nodes; a
-            # pebble that jumps to it has a digit of weight n**2 > 1610**2
+        elif case.startswith("codes"):
+            # at least 1 612 nodes, 11 bits a pebble.  t starts on the
+            # second copy's targetnode, past node 806: a third pebble that
+            # jumps to it has a code past 2**30, and the seventh pebble's
+            # field lies at bit 66
             g = _padded(g, 800)
             g = disjoint_union(g, g)
+            if case == "codes > 2**60":
+                jag = _seven_pebbles(jag)
         for limits in (Limits(), Limits(max_configs=6), Limits(max_run_len=3)):
             cg = build_config_graph(jag, g, limits)
             parent, merges, accepting, limit_hit, adj = _plain_bfs(jag, g,
@@ -1105,15 +1127,98 @@ def test_packed_build_matches_a_plain_bfs():
             seen[case] += 1
             seen["N == 1"] += space.N == 1
             seen["accept first"] += space.initial < space.N
-            seen["codes > 2**30"] += max(c % space.N
-                                         for c in cg.parent) > 2 ** 30
+            code = max(c % space.N for c in cg.parent)
+            seen["past 2**30"] += 2 ** 30 < code <= 2 ** 60
+            seen["past 2**60"] += code > 2 ** 60
             seen[limit_hit] += 1
             seen["merges"] += bool(merges)
     assert seen["N == 1"] == seen["one node"] == 180
     assert seen["accept first"] >= seen["start accepts"]
-    assert seen["codes > 2**30"] >= 30
+    assert seen["past 2**30"] >= 30
+    assert seen["past 2**60"] == seen["codes > 2**60"] == 180
     assert min(seen[hit] for hit in (None, "max_configs", "max_run_len",
                                      "merges")) >= 30
+
+
+# nine pebbles, curr the seventh: it takes one step either way from the
+# startnode, so co-st is "disconnected" unless the targetnode is next to it
+_ONE_STEP = """
+pebble a
+pebble b
+pebble c
+pebble u
+pebble w
+pebble z at target
+pebble curr
+dir x : 1..d
+guess x
+move curr along x
+accept
+"""
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 300])
+def test_layout_fields_read_what_decode_gives(n):
+    """Both spaces lay a configuration out by ``machine._layout``, ``b = (n
+    - 1).bit_length()`` bits a pebble.  On one node ``b`` is 0 and N is 1,
+    so the int is the sid; 64 nodes fill 6 bits and 65 = 2**6 + 1 is the
+    first count to need 7.  With the nine pebbles of ``MANY_PEBBLES`` and
+    ``_ONE_STEP`` on a cycle whose targetnode is 0, n // 2 or n - 1, the
+    codes pass 2**30 on 64 nodes and 2**60 on 65 and 300.  In the
+    program's space and in its compiled automaton's, every configuration
+    decodes to a placement on the graph that the layout packs back into its
+    int, ``encode`` and ``decode`` are inverse where the space has both,
+    and the curr node that ``first_visits``, co-st and traversability read
+    off an int is the one ``decode`` gives."""
+    progs = [parse_program(MANY_PEBBLES), parse_program(_ONE_STEP)]
+    b, p = (n - 1).bit_length(), 9
+    code = 0  # the largest placement code seen
+    answers = Counter()  # co-st answers and traversability flags
+    for target, prog in itertools.product(sorted({0, n // 2, n - 1}), progs):
+        g = cycle(n, target)
+        need = reachable_set(g, g.startnode)
+        for x in (prog, compile_program(prog, g.degree)):
+            cg = build_config_graph(x, g)
+            space, decode = cg.space, cg.space.decode
+            assert cg.limit_hit is None and cg.accepting
+            assert (space.N, space.mask, space.shifts) == \
+                (2 ** (b * p), 2 ** b - 1, tuple(b * i for i in range(p)))
+            curr = space.curr - 1
+            sids = {state: sid for sid, state in enumerate(space.states)}
+            visits = {}
+            for c, above in cg.parent.items():
+                config = decode(c)
+                assert all(0 <= v < n for v in config.nodes)
+                assert c == sids[config.state] << b * p | sum(
+                    v << b * i for i, v in enumerate(config.nodes))
+                if isinstance(space, machine.PackedSpace):
+                    assert space.encode(config) == c
+                    assert decode(space.encode(config)) == config
+                node = config.nodes[curr]
+                before = () if above is None else visits[above]
+                visits[c] = before if node in before else before + (node,)
+                assert first_visits(cg.parent, c, space) == visits[c]
+                code = max(code, c % space.N)
+
+            def node(c):
+                return decode(c).nodes[curr]
+
+            touched = machine._accept_values(
+                cg, node(space.initial) == target,
+                lambda t, c: t or node(c) == target, operator.or_)
+            co_st = decide_co_st_connectivity(x, g, config_graph=cg)
+            assert co_st == ("connected" if any(touched) else "disconnected")
+            held = machine._accept_values(
+                cg, {node(space.initial)}, lambda seen, c: seen | {node(c)},
+                operator.and_)
+            traversable = check_traversable(x, g, config_graph=cg)[0]
+            assert traversable == all(need <= seen for seen in held)
+            answers[co_st] += 1
+            answers[traversable] += 1
+    assert code > {1: -1, 2: 0, 64: 2 ** 30, 65: 2 ** 60, 300: 2 ** 60}[n]
+    # one step from node 0 reaches every node but n // 2 when n > 3
+    assert ("disconnected" in answers) == (n > 3)
+    assert (True in answers) == (n <= 2)
 
 
 def test_complete_graph_needs_no_further_budget():

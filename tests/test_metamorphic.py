@@ -1,0 +1,98 @@
+"""Metamorphic relations: an answer against the system's own answer on a
+transformed input, where no oracle reaches.
+
+Node relabelling.  Permuting the node ids of the input graph, the startnode
+and the targetnode included, renames the nodes and nothing else: the
+search meets the same configurations in the same order, so the verdict,
+the flags, ``configs_explored`` and ``limits_hit`` stay equal under every
+budget, and the visit order maps through the permutation.  Both spaces
+pack each node into a bit field, so the relation checks their field
+arithmetic at every node id.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
+from jaglab.families import parse_family
+from jaglab.algorithms import tower_program
+from jaglab.machine import (Limits, Verdict, decide_co_st_connectivity, run,
+                            verify)
+from jaglab.spotcheck import random_graph, random_jag
+
+from conftest import random_program, relabelled
+
+
+def _answers(x, g, limits, perm=None):
+    """``verify``'s report, ``run``'s result and the co-st answer (or the
+    name of the error it raised) for ``x`` on ``g`` under ``limits``, with
+    every visit order's nodes renamed by ``perm``."""
+    def renamed(order):
+        return None if order is None or perm is None else \
+            tuple([perm[v] for v in order])
+
+    report = verify(x, g, limits)
+    ran = run(x.space(g), limits)
+    try:
+        co_st = decide_co_st_connectivity(x, g, limits)
+    except (DiagnosticError, InputError, ResourceLimitExceeded) as exc:
+        co_st = type(exc).__name__
+    if perm is not None:
+        report = type(report)(**{**report.__dict__,
+                                 "visit_order": renamed(report.visit_order)})
+        ran = type(ran)(ran.verdict, renamed(ran.visit_order),
+                        ran.configs_explored)
+    return report, ran, co_st
+
+
+def _assert_relabelling_holds(x, g, limits, rng):
+    perm = list(range(g.num_nodes))
+    rng.shuffle(perm)
+    want = _answers(x, g, limits, perm)
+    assert _answers(x, relabelled(g, perm), limits) == want, (perm, limits)
+    return want
+
+
+def test_node_relabelling_on_random_instances():
+    """Rule tables and pebble programs on random graphs, with no budget
+    and under budgets that stop the search."""
+    rng = random.Random(26)
+    seen = Counter()
+    for k in range(400):
+        if k % 2:
+            g = random_graph(rng)
+            x = random_jag(rng, g.degree)
+        else:
+            g = random_graph(rng, max_nodes=5, max_degree=2)
+            x = random_program(rng)
+        for limits in (Limits(), Limits(max_configs=6),
+                       Limits(max_run_len=2)):
+            report, ran, co_st = _assert_relabelling_holds(x, g, limits, rng)
+            seen[report.verdict] += 1
+            seen[report.limits_hit] += 1
+            seen["orderable"] += bool(report.orderable)
+            seen["long order"] += len(ran.visit_order or ()) > 2
+            seen[co_st] += 1
+    assert min(seen[v] for v in Verdict) >= 200
+    assert min(seen[hit] for hit in (("max_configs",), ("max_run_len",))) >= 50
+    assert min(seen[key] for key in ("orderable", "connected",
+                                     "disconnected")) >= 100
+    assert seen["long order"] >= 10
+
+
+@pytest.mark.parametrize("spec", ["sym:n=4",
+                                  "wreath(grid:d=1,l=2, grid:d=1,l=3)"])
+def test_node_relabelling_on_tower_rungs(spec):
+    """The tower programs of two ladder rungs, 24 nodes each, with no
+    budget and under budgets that stop the search halfway."""
+    family = parse_family(spec)
+    prog, g = tower_program(family.tower), family.graph
+    rng = random.Random(spec)
+    full = _assert_relabelling_holds(prog, g, Limits(), rng)[0]
+    assert full.orderable and len(full.visit_order) == g.num_nodes
+    for limits in (Limits(max_configs=full.configs_explored // 2),
+                   Limits(max_run_len=40)):
+        report = _assert_relabelling_holds(prog, g, limits, rng)[0]
+        assert report.verdict is Verdict.RESOURCE_LIMIT
