@@ -17,6 +17,7 @@ and a digit bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,8 +208,21 @@ def max_order_generator(group: FiniteGroup, gens: Sequence) -> tuple[int, int]:
     return best_i, best_e
 
 
+# the most decimal digits a capacity may have: CPython's default limit on
+# converting an int to a string
+_CAPACITY_DIGITS = 4300
+
+
 def counting_capacity(e: int, pebbles: int) -> int:
-    """Counter range demonstrated by ``pebbles`` digit pebbles of span e."""
+    """Counter range demonstrated by ``pebbles`` digit pebbles of span e.
+
+    ``e ** pebbles`` has ``floor(pebbles * log10(e)) + 1`` digits; past
+    ``_CAPACITY_DIGITS`` it is an ``InputError``, raised before the power
+    is computed, so that a huge count allocates nothing.
+    """
+    if e > 1 and pebbles >= _CAPACITY_DIGITS / math.log10(e):
+        raise InputError(f"capacity {e}**{pebbles} has more than "
+                         f"{_CAPACITY_DIGITS} digits")
     return e ** pebbles
 
 

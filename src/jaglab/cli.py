@@ -182,9 +182,10 @@ def cmd_oracle(args) -> int:
         return EXIT_ACCEPT
     if kind == "maxorder":
         idx, e = alg.max_order_generator(family.group, family.gens)
+        capacity = alg.counting_capacity(e, args.pebbles)
         print(f"generator: {idx}")
         print(f"order: {e}")
-        print(f"capacity: {alg.counting_capacity(e, args.pebbles)}")
+        print(f"capacity: {capacity}")
         return EXIT_ACCEPT
     raise InputError(f"unknown oracle kind {kind!r}")
 

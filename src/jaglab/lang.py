@@ -63,7 +63,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
-from .graph import LabelledGraph
+from .graph import LabelledGraph, closure
 from .machine import Limits, NdJag, PackedSpace, RunResult, _layout, run
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
@@ -113,7 +113,51 @@ class PebbleProgram:
     source: str = ""
 
     def bind(self, degree: int) -> "BoundProgram":
-        return _bind(self, degree)
+        """The program at graph degree ``degree``: ``d`` resolved, the
+        variable domains built and the errors that depend on the degree
+        raised on their lines."""
+        if degree < 1:
+            raise InputError("degree must be at least 1")
+        pebble_names = _pebble_names(self.pebbles)
+        var_names = [name for name, _ in self.dirs] + list(self.bools)
+        domains = [tuple(range(1, degree + 1)) if spec[0] == "1..d"
+                   else spec[1] for _, spec in self.dirs]
+        domains += [(False, True)] * len(self.bools)
+        lit = ("lit", degree)
+        instrs = []
+        for op, line in self.code:
+            if _DEGREE in op:
+                op = tuple([lit if x == _DEGREE else x for x in op])
+            if op[0] == "move":
+                label = op[2]
+                if label[0] == "lit" and label[1] > degree:
+                    raise ProgramError(
+                        f"label {label[1]} exceeds degree {degree}", line=line)
+                # only variables used as move labels must be degree-closed
+                if label[0] == "var" and \
+                        any(not 1 <= v <= degree for v in domains[label[1]]):
+                    raise ProgramError(
+                        f"domain of {var_names[label[1]]!r} not within "
+                        f"1..{degree}", line=line)
+            elif op[0] == "forstart":
+                _, vi, a, b = op[:4]
+                var, dom = var_names[vi], domains[vi]
+                if tuple(dom) != tuple(range(dom[0], dom[-1] + 1)):
+                    raise ProgramError(
+                        f"for-loop variable {var!r} needs a contiguous domain",
+                        line=line)
+                # assignments must stay inside the counter's domain
+                if (a[1] if a[0] == "lit" else min(domains[a[1]])) < dom[0]:
+                    raise ProgramError(
+                        f"loop start below domain of {var!r}", line=line)
+                if (b[1] if b[0] == "lit" else max(domains[b[1]])) > dom[-1]:
+                    raise ProgramError(
+                        f"loop bound can exceed domain of {var!r}", line=line)
+            instrs.append(op)
+        pidx = {name: i + 1 for i, name in enumerate(pebble_names)}
+        return BoundProgram(tuple(pebble_names), pidx["s"], pidx["t"],
+                            pidx.get("curr"), tuple(domains),
+                            tuple(dom[0] for dom in domains), tuple(instrs))
 
     def space(self, g: LabelledGraph) -> "ProgramSpace":
         """The configurations a search of this program on ``g`` visits."""
@@ -386,7 +430,12 @@ _ACTIONS = ("move", "jump", "accept")  # the instructions that are steps
 
 @dataclass(frozen=True)
 class BoundProgram:
-    """Program lowered to flat instructions for a concrete graph degree."""
+    """Program lowered to flat instructions for a concrete graph degree.
+
+    ``_edges`` is the one definition of what each control instruction does:
+    ``fold`` walks the edges a state takes, ``observed`` and the liveness
+    behind ``canon`` walk every edge.
+    """
 
     pebble_names: tuple
     s_idx: int
@@ -395,65 +444,91 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
-    # observed(pt) per point, the control-flow graph, and the variables
-    # dead at each point (filled for every point at the first canon), made
-    # when asked so that binding stays cheap
+    # observed(pt) per point and the variables dead at each point (filled
+    # for every point at the first canon), made when asked so that binding
+    # stays cheap
     _observed: dict = field(default_factory=dict, init=False, compare=False)
-    _flow: list = field(default_factory=list, init=False, compare=False)
     _dead: list = field(default_factory=list, init=False, compare=False)
 
     @property
     def num_pebbles(self) -> int:
         return len(self.pebble_names)
 
-    def points(self) -> int:
-        return len(self.instrs)
+    def _edges(self, pt: int, vals: tuple | None = None, pi=None):
+        """The control-flow edges out of ``pt``, as ``(successor, read,
+        assigned, after)``: the variables the edge reads and those it
+        assigns, as bits, and the valuation after it.
+
+        Given a valuation ``vals`` and a partition ``pi``, as ``fold`` takes
+        them, only the edges the state ``(pt, vals)`` takes, in order;
+        without them, every edge, with ``after`` None.  A pebble action's
+        edge goes to the next point, and ``accept`` and ``fail`` have none.
+        A ``for`` loop assigns its counter on the edge into the body only.
+        """
+        op = self.instrs[pt]
+        kind, free = op[0], vals is None
+        if kind == "move" or kind == "jump":
+            yield pt + 1, _var_bit(op[2]) if kind == "move" else 0, 0, vals
+        elif kind == "goto":
+            yield op[1], 0, 0, vals
+        elif kind == "guess":
+            vi = op[1]
+            if free:
+                yield pt + 1, 0, 1 << vi, None
+            else:
+                for val in self.var_domains[vi]:
+                    yield pt + 1, 0, 1 << vi, _assign(vals, vi, val)
+        elif kind == "ifvar" or kind == "ifeq":
+            read = 1 << op[1] if kind == "ifvar" else 0
+            taken = free or (vals[op[1]] if kind == "ifvar"
+                             else pi[op[1] - 1] == pi[op[2] - 1])
+            if taken:
+                yield op[-2], read, 0, vals
+            if free or not taken:
+                yield op[-1], read, 0, vals
+        elif kind == "forstart":
+            _, vi, a, b, body, out = op
+            read = _var_bit(a) | _var_bit(b)
+            if not free:
+                a, b = _eval_bound(a, vals), _eval_bound(b, vals)
+            if free or a <= b:
+                yield body, read, 1 << vi, None if free else \
+                    _assign(vals, vi, a)
+            if free or a > b:
+                yield out, read, 0, vals
+        elif kind == "fornext":
+            _, vi, b, body, out = op
+            read = 1 << vi | _var_bit(b)
+            if not free:
+                b = _eval_bound(b, vals)
+            if free or vals[vi] < b:
+                yield body, read, 1 << vi, None if free else \
+                    _assign(vals, vi, vals[vi] + 1)
+            if free or vals[vi] >= b:
+                yield out, read, 0, vals
+        # accept and fail end every path
 
     def fold(self, pt: int, vals: tuple, pi) -> list:
         """The ``(pt, vals)`` pairs at a ``move``, ``jump`` or ``accept``
         that control flow reaches from ``(pt, vals)``, breadth-first.
 
-        Follows every other instruction and drops ``fail``; a seen-set ends
-        control-only cycles.  ``pi[i - 1] == pi[j - 1]`` iff pebbles i and
-        j share a node, which holds throughout since no pebble moves.
+        Follows the ``_edges`` the states take and drops ``fail``; a
+        seen-set ends control-only cycles.  ``pi[i - 1] == pi[j - 1]`` iff
+        pebbles i and j share a node, which holds throughout since no
+        pebble moves.
         """
-        instrs = self.instrs
+        instrs, edges = self.instrs, self._edges
         todo = [(pt, vals)]
         seen = set(todo)
         actions = []
-        for pt, vals in todo:  # todo grows while it is read
-            op = instrs[pt]
-            kind = op[0]
-            if kind in _ACTIONS:
-                actions.append((pt, vals))
+        for state in todo:  # todo grows while it is read
+            if instrs[state[0]][0] in _ACTIONS:
+                actions.append(state)
                 continue
-            if kind == "goto":
-                nxt = ((op[1], vals),)
-            elif kind == "ifvar":
-                nxt = ((op[2] if vals[op[1]] else op[3], vals),)
-            elif kind == "ifeq":
-                together = pi[op[1] - 1] == pi[op[2] - 1]
-                nxt = ((op[3] if together else op[4], vals),)
-            elif kind == "guess":
-                vi = op[1]
-                nxt = [(pt + 1, _assign(vals, vi, val))
-                       for val in self.var_domains[vi]]
-            elif kind == "forstart":
-                a, b = _eval_bound(op[2], vals), _eval_bound(op[3], vals)
-                nxt = ((op[5], vals),) if a > b else \
-                    ((op[4], _assign(vals, op[1], a)),)
-            elif kind == "fornext":
-                vi = op[1]
-                nxt = ((op[4], vals),) if vals[vi] >= _eval_bound(op[2], vals) \
-                    else ((op[3], _assign(vals, vi, vals[vi] + 1)),)
-            elif kind == "fail":
-                continue
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-            for state in nxt:
-                if state not in seen:
-                    seen.add(state)
-                    todo.append(state)
+            for nxt, _, _, after in edges(*state, pi):
+                if (nxt, after) not in seen:
+                    seen.add((nxt, after))
+                    todo.append((nxt, after))
         return actions
 
     def steps(self, pt: int, vals: tuple, pi) -> list:
@@ -480,33 +555,24 @@ class BoundProgram:
         return list(out)
 
     def observed(self, pt: int) -> tuple:
-        """The pebble pairs ``(i, j)``, 0-based with ``i < j``, that
-        ``ifeq`` instructions compare on the control paths from ``pt`` to
-        the next pebble actions; ``()`` at an action.
+        """The pebble pairs ``(i, j)``, 0-based with ``i < j`` and sorted,
+        that ``ifeq`` instructions compare on the control paths from ``pt``
+        to the next pebble actions; ``()`` at an action.
 
-        Every branch is followed, whatever the valuation, so ``fold(pt,
+        Every edge is followed, whatever the valuation, so ``fold(pt,
         vals, pi)`` reads ``pi`` only at these pairs: for every ``vals``
         its answer depends only on which of them share a node.  A pebble
         compared with itself always does, so that pair is left out.
         """
         pairs = self._observed.get(pt)
-        if pairs is not None:
-            return pairs
-        instrs, flow = self.instrs, self._flow or self._fill_flow()
-        todo = [pt]
-        seen = set(todo)
-        found = {}
-        for q in todo:  # todo grows while it is read
-            op = instrs[q]
-            if op[0] in _ACTIONS:
-                continue
-            if op[0] == "ifeq" and op[1] != op[2]:
-                found[min(op[1], op[2]) - 1, max(op[1], op[2]) - 1] = None
-            for r, _ in flow[q][1]:
-                if r not in seen:
-                    seen.add(r)
-                    todo.append(r)
-        pairs = self._observed[pt] = tuple(found)
+        if pairs is None:
+            instrs = self.instrs
+            reached = closure(pt, lambda q: () if instrs[q][0] in _ACTIONS
+                              else [edge[0] for edge in self._edges(q)])
+            pairs = self._observed[pt] = tuple(sorted({
+                (min(op[1], op[2]) - 1, max(op[1], op[2]) - 1)
+                for op in map(instrs.__getitem__, reached)
+                if op[0] == "ifeq" and op[1] != op[2]}))
         return pairs
 
     def canon(self, pt: int, vals: tuple) -> tuple:
@@ -514,10 +580,8 @@ class BoundProgram:
         to its domain's first value.
 
         A variable is live at ``pt`` if some path of instructions from
-        ``pt`` reads it before assigning it.  ``ifvar`` reads its variable,
-        a ``move`` its label variable, ``forstart`` its bounds and
-        ``fornext`` its counter and bound; ``guess`` assigns its variable,
-        and ``forstart`` its counter on the edge into the body only.
+        ``pt`` reads it before assigning it, each instruction reading and
+        assigning on its edges what ``_edges`` says.
 
         Why both routes may search canonical states.  Call ``(pt, v)`` and
         ``(pt, w)`` alike when ``v`` and ``w`` agree on the variables live
@@ -545,99 +609,26 @@ class BoundProgram:
             vals = tuple(vals)
         return pt, vals
 
-    def _fill_flow(self) -> list:
-        """``_flow[pt]``, ``(variables read, ((successor, variables
-        assigned), ...))`` with variables as bits: the control-flow graph
-        that ``observed`` walks and ``_fill_dead`` solves on."""
-        flow = self._flow
-        for pt, op in enumerate(self.instrs):
-            kind = op[0]
-            if kind == "move":
-                flow.append((_var_bit(op[2]), ((pt + 1, 0),)))
-            elif kind == "jump":
-                flow.append((0, ((pt + 1, 0),)))
-            elif kind == "goto":
-                flow.append((0, ((op[1], 0),)))
-            elif kind == "ifvar":
-                flow.append((1 << op[1], ((op[2], 0), (op[3], 0))))
-            elif kind == "ifeq":
-                flow.append((0, ((op[3], 0), (op[4], 0))))
-            elif kind == "guess":
-                flow.append((0, ((pt + 1, 1 << op[1]),)))
-            elif kind == "forstart":
-                flow.append((_var_bit(op[2]) | _var_bit(op[3]),
-                             ((op[4], 1 << op[1]), (op[5], 0))))
-            elif kind == "fornext":
-                flow.append(((1 << op[1]) | _var_bit(op[2]),
-                             ((op[3], 0), (op[4], 0))))
-            else:  # accept and fail end every path
-                flow.append((0, ()))
-        return flow
-
     def _fill_dead(self) -> list:
         """``_dead[pt]``, the ``(variable, first value)`` pairs of the
-        variables dead at ``pt``, from a backward dataflow to a fixpoint."""
-        flow = self._flow or self._fill_flow()
-        live = [0] * len(flow)  # bit i: variable i is live
+        variables dead at ``pt``, from a backward dataflow over every
+        ``_edges`` to a fixpoint."""
+        rows = [tuple(self._edges(pt)) for pt in range(len(self.instrs))]
+        live = [0] * len(rows)  # bit i: variable i is live
         changed = True
         while changed:
             changed = False
-            for pt in reversed(range(len(flow))):
-                reads, succ = flow[pt]
-                for nxt, assigned in succ:
-                    reads |= live[nxt] & ~assigned
-                if reads != live[pt]:
-                    live[pt] = reads
+            for pt in reversed(range(len(rows))):
+                mask = 0
+                for nxt, read, assigned, _ in rows[pt]:
+                    mask |= read | live[nxt] & ~assigned
+                if mask != live[pt]:
+                    live[pt] = mask
                     changed = True
         init = self.init_vals
         self._dead[:] = [tuple((i, v) for i, v in enumerate(init)
                                if not mask >> i & 1) for mask in live]
         return self._dead
-
-
-def _bind(prog: PebbleProgram, degree: int) -> BoundProgram:
-    if degree < 1:
-        raise InputError("degree must be at least 1")
-    pebble_names = _pebble_names(prog.pebbles)
-    var_names = [name for name, _ in prog.dirs] + list(prog.bools)
-    domains = [tuple(range(1, degree + 1)) if spec[0] == "1..d" else spec[1]
-               for _, spec in prog.dirs]
-    domains += [(False, True)] * len(prog.bools)
-    lit = ("lit", degree)
-    instrs = []
-    for op, line in prog.code:
-        if _DEGREE in op:
-            op = tuple([lit if x == _DEGREE else x for x in op])
-        if op[0] == "move":
-            label = op[2]
-            if label[0] == "lit" and label[1] > degree:
-                raise ProgramError(f"label {label[1]} exceeds degree {degree}",
-                                   line=line)
-            # only variables used as move labels must be degree-closed
-            if label[0] == "var" and \
-                    any(not 1 <= v <= degree for v in domains[label[1]]):
-                raise ProgramError(
-                    f"domain of {var_names[label[1]]!r} not within 1..{degree}",
-                    line=line)
-        elif op[0] == "forstart":
-            _, vi, a, b = op[:4]
-            var, dom = var_names[vi], domains[vi]
-            if tuple(dom) != tuple(range(dom[0], dom[-1] + 1)):
-                raise ProgramError(
-                    f"for-loop variable {var!r} needs a contiguous domain",
-                    line=line)
-            # assignments must stay inside the counter's domain
-            if (a[1] if a[0] == "lit" else min(domains[a[1]])) < dom[0]:
-                raise ProgramError(
-                    f"loop start below domain of {var!r}", line=line)
-            if (b[1] if b[0] == "lit" else max(domains[b[1]])) > dom[-1]:
-                raise ProgramError(
-                    f"loop bound can exceed domain of {var!r}", line=line)
-        instrs.append(op)
-    pidx = {name: i + 1 for i, name in enumerate(pebble_names)}
-    return BoundProgram(tuple(pebble_names), pidx["s"], pidx["t"],
-                        pidx.get("curr"), tuple(domains),
-                        tuple(dom[0] for dom in domains), tuple(instrs))
 
 
 def _eval_bound(expr, vals):

@@ -237,6 +237,20 @@ def test_oracle_maxorder():
     assert "generator: 1" in out and "order: 4" in out and "capacity: 64" in out
 
 
+@pytest.mark.parametrize("pebbles, digits", [("4761", 4300), ("4762", None),
+                                             ("5000", None)])
+def test_oracle_maxorder_capacity_digits(pebbles, digits):
+    """8**4761 has 4 300 digits and prints; a capacity with more digits is
+    an input error (exit 3), not a reject."""
+    code, out, err = run_cli(["oracle", "maxorder", "--family",
+                              "abelian:mod=8", "--pebbles", pebbles])
+    if digits is None:
+        assert code == 3 and "has more than 4300 digits" in err
+    else:
+        capacity = out.split("capacity: ")[1].strip()
+        assert code == 0 and len(capacity) == digits
+
+
 def test_builtin_order_programs(tmp_path):
     path = tmp_path / "z42.graph"
     run_cli(["gen", "abelian:mod=4,2;gens=(1,1)(0,1)", "-o", str(path)])

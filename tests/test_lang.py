@@ -148,7 +148,7 @@ def test_compile_state_bound_grid_program():
     domain_product = 1
     for dom in bp.var_domains:
         domain_product *= len(dom)
-    assert len(reachable_states(jag)) <= bp.points() * domain_product + 1
+    assert len(reachable_states(jag)) <= len(bp.instrs) * domain_product + 1
 
 
 def test_deterministic_program_has_one_maximal_run(grid_cayleys):
@@ -400,7 +400,7 @@ def test_liveness_of_every_statement_form():
     """A variable is live where some path reads it before assigning it;
     ``canon`` resets the others to their domain's first value."""
     bp = parse_program(_EVERY_FORM).bind(2)
-    live = [_live(bp, pt, "xycf") for pt in range(bp.points())]
+    live = [_live(bp, pt, "xycf") for pt in range(len(bp.instrs))]
     assert live == [
         {"y"}, {"y"}, {"x", "y"},                     # jump, guess x, guess f
         *[{"f", "x", "y"}] * 5, set(),                # if a == s ... if f, fail

@@ -8,16 +8,19 @@ from jaglab.algorithms import (count_to_max_order_program,
                                two_tour_guesser_program)
 from jaglab.families import parse_family
 from jaglab.lang import parse_program
+from jaglab.machine import all_partitions
 
 from conftest import random_program
 
-# the digests of ``lowering_digest()`` and ``mutation_digest()``; a change
-# that alters a lowering or an error on purpose records the new value here
-# and says why
+# the digests of ``lowering_digest()``, ``mutation_digest()`` and
+# ``control_digest()``; a change that alters a lowering, an error or the
+# control flow on purpose records the new value here and says why
 LOWERING_SHA256 = ("35dfb0e1f3b669f3e47d2f0a4b2d2c18"
                    "c99e6a4877d3c724d0dfcbdf54ea4e71")
 MUTATION_SHA256 = ("2707c6bd972c3a3c00657d515a3997f4"
                    "097c81ea15f8efffcda2d0abffa578d1")
+CONTROL_SHA256 = ("dbe8dc9fab6cb28d4ee20c96d464c3bc"
+                  "a5bc8a04d5c0e3be0e495614154aeec4")
 
 DEGREES = (1, 2, 3)
 
@@ -171,6 +174,43 @@ def mutation_digest() -> str:
     return digest.hexdigest()
 
 
+def _control(source: str, rng) -> str:
+    """What the control flow of ``source`` bound at each of ``DEGREES``
+    gives at every point, as text: the sorted ``observed`` pairs, then, for
+    one valuation drawn from ``rng``, ``canon`` and ``fold`` under every
+    partition of the pebbles.  Empty for a source that does not parse or
+    bind."""
+    try:
+        prog = parse_program(source)
+    except Exception:
+        return ""
+    out = []
+    for degree in DEGREES:
+        try:
+            bp = prog.bind(degree)
+        except Exception:
+            continue
+        partitions = list(all_partitions(bp.num_pebbles))
+        for pt in range(len(bp.instrs)):
+            vals = tuple([rng.choice(dom) for dom in bp.var_domains])
+            out.append(repr((degree, pt, sorted(bp.observed(pt)),
+                             bp.canon(pt, vals))))
+            out += [repr(bp.fold(pt, vals, pi)) for pi in partitions]
+    return "".join([line + "\n" for line in out])
+
+
+def control_digest() -> str:
+    """SHA-256 of ``_control`` of the builtin sources, ``_DOMAINS`` and the
+    first 300 random sources of ``_sources(random.Random(2025))``, with one
+    ``random.Random(2027)`` drawing the valuations, UTF-8 encoded, in
+    order."""
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for source in _sources(random.Random(2025))[:-900]:
+        digest.update(_control(source, rng).encode())
+    return digest.hexdigest()
+
+
 def test_lowering_matches_the_recorded_digest():
     """Builtin and random programs lower to the recorded instructions,
     pebble names, domains and start values at degrees 1 to 3."""
@@ -181,6 +221,13 @@ def test_mutated_programs_fail_as_recorded():
     """Mutated sources parse, bind or fail with the recorded error type,
     line and message at degrees 1 to 3."""
     assert mutation_digest() == MUTATION_SHA256
+
+
+def test_control_flow_matches_the_recorded_digest():
+    """Builtin and random programs observe the recorded pebble pairs, reset
+    the recorded dead variables and fold to the recorded actions at every
+    point, on one valuation per point and every pebble partition."""
+    assert control_digest() == CONTROL_SHA256
 
 
 def test_only_a_nonempty_else_jumps_past_its_block():

@@ -8,6 +8,11 @@ the flags, ``configs_explored`` and ``limits_hit`` stay equal under every
 budget, and the visit order maps through the permutation.  Both spaces
 pack each node into a bit field, so the relation checks their field
 arithmetic at every node id.
+
+Label permutation.  Permuting the edge labels of the input graph, and
+rewriting every move along a label in a rule table the same way, moves
+every pebble to the same node as before: the answers stay equal, visit
+orders included, under every budget.
 """
 
 import random
@@ -18,8 +23,9 @@ import pytest
 from jaglab.errors import DiagnosticError, InputError, ResourceLimitExceeded
 from jaglab.families import parse_family
 from jaglab.algorithms import tower_program
-from jaglab.machine import (Limits, Verdict, decide_co_st_connectivity, run,
-                            verify)
+from jaglab.graph import LabelledGraph
+from jaglab.machine import (Limits, NdJag, Verdict, decide_co_st_connectivity,
+                            run, verify)
 from jaglab.spotcheck import random_graph, random_jag
 
 from conftest import random_program, relabelled
@@ -79,6 +85,51 @@ def test_node_relabelling_on_random_instances():
     assert min(seen[hit] for hit in (("max_configs",), ("max_run_len",))) >= 50
     assert min(seen[key] for key in ("orderable", "connected",
                                      "disconnected")) >= 100
+    assert seen["long order"] >= 10
+
+
+def _labels_permuted(g, jag, sigma):
+    """``g`` with label l + 1 renamed ``sigma[l] + 1``, and the rule table
+    ``jag`` with every move along a label renamed alike."""
+    rho = []
+    for row in g.rho:
+        new = [None] * g.degree
+        for label, u in enumerate(row):
+            new[sigma[label]] = u
+        rho.append(tuple(new))
+    rules = {key: tuple([(nxt, tuple([sigma[m - 1] + 1 if m > 0 else m
+                                      for m in moves]))
+                         for nxt, moves in outs])
+             for key, outs in jag.rules.items()}
+    return (LabelledGraph(g.num_nodes, g.degree, tuple(rho), g.startnode,
+                          g.targetnode),
+            NdJag(jag.start_state, jag.accept_state, jag.num_pebbles, s=jag.s,
+                  t=jag.t, curr=jag.curr, delta=rules, states=jag.states))
+
+
+def test_label_permutation_on_random_rule_tables():
+    """Rule tables on random graphs, with no budget and under budgets that
+    stop the search: permuting the labels of the graph and of the moves
+    alike leaves every answer equal."""
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(1000):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        sigma = list(range(g.degree))
+        rng.shuffle(sigma)
+        pg, pjag = _labels_permuted(g, jag, sigma)
+        seen["permuted"] += sigma != sorted(sigma)
+        for limits in (Limits(), Limits(max_configs=6),
+                       Limits(max_run_len=2)):
+            want = _answers(jag, g, limits)
+            assert _answers(pjag, pg, limits) == want, (sigma, limits)
+            seen[want[0].verdict] += 1
+            seen[want[0].limits_hit] += 1
+            seen["long order"] += len(want[1].visit_order or ()) > 2
+    assert seen["permuted"] >= 400
+    assert min(seen[v] for v in Verdict) >= 200
+    assert min(seen[hit] for hit in (("max_configs",), ("max_run_len",))) >= 50
     assert seen["long order"] >= 10
 
 
