@@ -444,11 +444,12 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
-    # observed(pt) per point and the variables dead at each point (filled
-    # for every point at the first canon), made when asked so that binding
-    # stays cheap
+    # observed(pt) per point, and the variables dead at each point and the
+    # fresh points (both filled at the first canon or fresh_points), made
+    # when asked so that binding stays cheap
     _observed: dict = field(default_factory=dict, init=False, compare=False)
     _dead: list = field(default_factory=list, init=False, compare=False)
+    _fresh: set = field(default_factory=set, init=False, compare=False)
 
     @property
     def num_pebbles(self) -> int:
@@ -609,11 +610,31 @@ class BoundProgram:
             vals = tuple(vals)
         return pt, vals
 
+    def fresh_points(self) -> set:
+        """The points ``q`` that only one pebble action enters: ``q - 1``
+        is a ``move`` along a literal label, ``q - 2`` a ``move`` or
+        ``jump``, and the fall-through of ``q - 2`` is the only ``_edges``
+        edge into ``q - 1``.  ``ProgramSpace`` says why a configuration at
+        such a point can have at most one predecessor."""
+        if not self._dead:
+            self._fill_dead()
+        return self._fresh
+
     def _fill_dead(self) -> list:
         """``_dead[pt]``, the ``(variable, first value)`` pairs of the
         variables dead at ``pt``, from a backward dataflow over every
-        ``_edges`` to a fixpoint."""
-        rows = [tuple(self._edges(pt)) for pt in range(len(self.instrs))]
+        ``_edges`` to a fixpoint; and, from the same rows, ``_fresh``, the
+        points of ``fresh_points``."""
+        instrs = self.instrs
+        rows = [tuple(self._edges(pt)) for pt in range(len(instrs))]
+        into = [0] * len(rows)  # the edges into each point
+        for row in rows:
+            for edge in row:
+                into[edge[0]] += 1
+        self._fresh.update(
+            q for q in range(2, len(rows)) if into[q - 1] == 1
+            and instrs[q - 1][0] == "move" and instrs[q - 1][2][0] == "lit"
+            and instrs[q - 2][0] in ("move", "jump"))
         live = [0] * len(rows)  # bit i: variable i is live
         changed = True
         while changed:
@@ -660,7 +681,8 @@ class ProgramSpace:
 
     It has what a search and the deciders read of ``machine.PackedSpace``:
     ``initial``, ``step``, ``N``, ``B``, ``mask``, ``shifts``, ``curr``
-    (the curr pebble, 1-based, or None) and ``decode``.  A state
+    (the curr pebble, 1-based, or None), ``decode`` and ``fresh_sids``,
+    and ``back`` besides (see below).  A state
     is a canonical ``(pt, vals)`` or the accept state ``"qa"``, and the
     successors of a configuration are the triples of ``BoundProgram.steps``,
     in its order, as ints.  The compiled automaton (``compile_program``) encodes the same
@@ -690,15 +712,37 @@ class ProgramSpace:
     ``bp.observed(pt)`` share a node, so its triples are kept per sid and
     that pattern, reused as the same list, for as long as the space lives;
     the placement is decoded only to fill that cache.
+
+    A search stores only the configurations that a run can reach twice.
+    A sid is fresh when its point ``q`` is one of ``bp.fresh_points()``
+    and the column of ``g.rho`` that the move at ``q - 1`` walks along is
+    a permutation of the nodes; ``fresh_sids`` holds the fresh sids
+    interned so far, and ``back(c)`` gives a configuration ``c`` at a
+    fresh sid its one possible predecessor.  Why there is only one.
+    Configurations at ``q`` come only from configurations at ``q - 1``:
+    ``fold`` stops at pebble actions, and the only edge into ``q - 1`` is
+    the fall-through of the action at ``q - 2``, so no fold reaches ``q -
+    1`` but the one that starts there.  The values are the same on both
+    sides: a move along a literal label reads and assigns nothing, so
+    ``q - 1`` and ``q`` have the same dead variables, and ``canon``
+    changes nothing.  The move along a permutation column is injective on
+    nodes, and every other pebble stays.  So a configuration at a fresh
+    sid has at most one predecessor, ``(q - 1, vals)`` with the moved
+    pebble walked back along the inverse column, and its one step has one
+    successor.  A search discovers it at most once, when it expands that
+    predecessor: it is never the target of a merge, and it is never an
+    accept configuration, which sits at sid 0.  ``machine.expand`` counts
+    and steps it without storing it, at its place in its level, and a
+    walk up the search tree steps back over it with ``back``.
     """
 
     decode = PackedSpace.decode  # reads B, mask, shifts and states alone
 
     def __init__(self, prog: PebbleProgram, g: LabelledGraph):
         bp = prog.bind(g.degree)
-        rho = g.rho
+        rho, n, instrs = g.rho, g.num_nodes, bp.instrs
         steps, observed = bp.steps, bp.observed
-        b, mask, shifts, _, ones = _layout(g.num_nodes, bp.num_pebbles)
+        b, mask, shifts, _, ones = _layout(n, bp.num_pebbles)
         self.mask, self.shifts = mask, shifts
         B = self.B = b * bp.num_pebbles
         self.N = 1 << B
@@ -706,7 +750,15 @@ class ProgramSpace:
         states = self.states = [_QA]  # sid -> (pt, vals), or the accept state
         sids = {_QA: 0}
         plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
-        walks: dict = {}  # (pebble shift, label) -> field changes
+        # (pebble shift, label) -> field changes; -label: its inverse's
+        walks: dict = {}
+        # the labels whose columns are permutations, and the fresh points
+        # whose move walks along one
+        perms = {label for label in range(1, g.degree + 1)
+                 if len({row[label - 1] for row in rho}) == n}
+        fresh = {q for q in bp.fresh_points() if instrs[q - 1][2][1] in perms}
+        fresh_sids = self.fresh_sids = set()
+        backs: dict = {}  # fresh sid -> (change of sid times N, shift, changes)
 
         def intern(state):
             sid = sids.get(state)
@@ -714,6 +766,8 @@ class ProgramSpace:
                 sid = sids[state] = len(states)
                 states.append(state)
                 plans.append(None)
+                if state[0] in fresh:
+                    fresh_sids.add(sid)
             return sid
 
         def acts(sid, c):
@@ -786,7 +840,29 @@ class ProgramSpace:
                     out.append(c + delta)
             return out
 
-        self.step = step
+        def back(c):
+            """The predecessor of ``c``, at a fresh sid: at ``(q - 1,
+            vals)``, the moved pebble's field walked back along the
+            inverse column, whose field changes are made at the first
+            ``back`` to need them."""
+            sid = c >> B
+            entry = backs.get(sid)
+            if entry is None:
+                pt, vals = states[sid]
+                _, pebble, (_, label) = instrs[pt - 1]
+                sp = shifts[pebble - 1]
+                unwalk = walks.get((sp, -label))
+                if unwalk is None:
+                    inverse = [0] * n
+                    for u, row in enumerate(rho):
+                        inverse[row[label - 1]] = u
+                    unwalk = walks[sp, -label] = tuple(
+                        [u - v << sp for v, u in enumerate(inverse)])
+                entry = backs[sid] = (sids[pt - 1, vals] - sid << B, sp, unwalk)
+            delta, sp, unwalk = entry
+            return c + delta + unwalk[c >> sp & mask]
+
+        self.step, self.back = step, back
         # pebble t on the targetnode, all others on the startnode
         start = g.startnode
         self.initial = intern((0, bp.init_vals)) << B | start * ones + (
@@ -802,7 +878,8 @@ def interpret(prog: PebbleProgram, g: LabelledGraph,
     configuration.  On accept, reports the first-visit order of the curr
     pebble along the accepting run found (None without a curr pebble).
     ``configs_explored`` counts the configurations discovered, each class
-    of configurations that differ only in dead variables once.
+    of configurations that differ only in dead variables once, and the
+    fresh ones that the search does not store among them.
     """
     return run(ProgramSpace(prog, g), limits)
 

@@ -31,7 +31,10 @@ asks it for its space, ``space(g)``, so this module names no program type.
 keeps the accept configurations it expands.  ``run`` is ``expand`` stopped
 at the first of them, and a ``ConfigGraph`` is what a whole ``expand``
 returned.  A configuration's successors are always those ``space.step``
-gives it.
+gives it.  A program's space names the configurations that have at most
+one possible predecessor (``fresh_sids``); ``expand`` counts and steps
+them without storing them, and a walk up the search tree steps back over
+them with ``space.back``.
 """
 
 from __future__ import annotations
@@ -269,7 +272,13 @@ class PackedSpace:
     dropped when the entry is filled.  A jump between two pebbles of an
     unobserved pair is kept even where they share a node: another
     configuration with the same key may hold them apart.
+
+    The space knows no state's predecessors before its search ends, so it
+    has no fresh states (``fresh_sids`` is empty, see ``lang.ProgramSpace``)
+    and a search stores every configuration it discovers.
     """
+
+    fresh_sids = frozenset()
 
     def __init__(self, jag: NdJag, g: LabelledGraph):
         p = jag.num_pebbles
@@ -388,19 +397,21 @@ class ConfigGraph:
     program whose space was searched, and the deciders take the graph only
     with that same object.
 
-    ``parent``, ``merges``, ``accepting`` and ``limit_hit`` are as
-    ``expand`` gives them.  Together ``parent`` and ``merges`` hold every
-    edge of the graph searched; the edges out of one configuration are
-    those ``space.step`` gives it, whose table outlives the build, so
-    stepping a configuration the build expanded again asks the automaton
-    nothing.  ``limit_hit`` is None when the graph is complete.
-    ``configs_explored`` counts the configurations discovered, as
-    ``max_configs`` and ``run`` do.
+    ``parent``, ``merges``, ``accepting``, ``limit_hit`` and ``fresh`` are
+    as ``expand`` gives them.  Together ``parent``, ``merges`` and the
+    fresh configurations that ``parent`` leaves out (each with the one
+    edge into it, from ``space.back``) hold every edge of the graph
+    searched; the edges out of one configuration are those ``space.step``
+    gives it, whose table outlives the build, so stepping a configuration
+    the build expanded again asks the automaton nothing.  ``limit_hit`` is
+    None when the graph is complete.  ``configs_explored`` counts the
+    configurations discovered, stored or fresh, as ``max_configs`` and
+    ``run`` do.
 
-    The deciders read only these ints and ``space.step``.  ``initial`` and
-    ``adj`` decode them to ``Configuration``s for the benchmark harness's
-    build counts (``perfbench/bench.py::_graph_counts``); both go when
-    ROADMAP item F moves those counts to the packed data.
+    The deciders read only these ints, ``space.step`` and ``space.back``.
+    ``initial`` and ``adj`` decode them to ``Configuration``s for the
+    benchmark harness's build counts (``perfbench/bench.py::_graph_counts``);
+    both go when ROADMAP item F moves those counts to the packed data.
     """
 
     jag: object  # an NdJag or a lang.PebbleProgram
@@ -410,10 +421,11 @@ class ConfigGraph:
     merges: list
     accepting: list
     limit_hit: str | None = None
+    fresh: int = 0
 
     @property
     def configs_explored(self) -> int:
-        return len(self.parent)
+        return len(self.parent) + self.fresh
 
     @property
     def initial(self) -> Configuration:
@@ -425,33 +437,44 @@ class ConfigGraph:
         """Each configuration the build expanded, in BFS order, mapped to
         the list of its ``space.step`` successors, all decoded; kept once
         read.  On a complete graph every configuration discovered was
-        expanded.  A budget stops the build before it expands the last
-        level discovered, so that level is left out.  Goes when ROADMAP
-        item F counts the build from the packed data.
+        expanded, fresh ones included.  A budget stops the build before it
+        expands the last level discovered, so that level is left out.
+
+        The levels are walked forward from ``space.initial`` again, since
+        ``parent`` leaves the fresh configurations out; the walk expands a
+        level unless a budget ran out and all ``configs_explored``
+        configurations are discovered, which the build's were only when it
+        stopped.  Goes when ROADMAP item F counts the build from the packed
+        data.
         """
-        parent = self.parent
-        expanded = parent
-        if self.limit_hit is not None:
-            depth = {}
-            for config, above in parent.items():
-                depth[config] = 0 if above is None else depth[above] + 1
-            last = depth[config]  # the last configuration discovered
-            expanded = [c for c, d in depth.items() if d < last]
         decode, step = self.space.decode, self.space.step
-        conf = {c: decode(c) for c in parent}  # every successor is in parent
-        return {conf[c]: [conf[s] for s in step(c)] for c in expanded}
+        level = [self.space.initial]
+        seen = set(level)
+        succs = {}
+        while level and (self.limit_hit is None
+                         or len(seen) < self.configs_explored):
+            nxt = []
+            for c in level:
+                out = succs[c] = step(c)
+                for s in out:
+                    if s not in seen:
+                        seen.add(s)
+                        nxt.append(s)
+            level = nxt
+        conf = {c: decode(c) for c in seen}
+        return {conf[c]: [conf[s] for s in out] for c, out in succs.items()}
 
 
 def expand(space, limits: Limits, stop_at_accept: bool = False
-           ) -> tuple[dict, list, list, str | None]:
+           ) -> tuple[dict, list, list, str | None, int]:
     """Breadth-first search of ``space`` from ``space.initial``, one level
     at a time, stepping each configuration with ``space.step``.
 
     Every configuration graph and every run are searched by it, so a
     budget means the same thing to every caller.
     Before each level the search stops with a limit hit if more than
-    ``limits.max_configs`` configurations have been discovered
-    (``"max_configs"``) or if the level lies deeper than
+    ``limits.max_configs`` configurations, stored or fresh, have been
+    discovered (``"max_configs"``) or if the level lies deeper than
     ``limits.max_run_len`` steps (``"max_run_len"``).  An expanded
     configuration below ``space.N`` is an accept configuration; with
     ``stop_at_accept`` the search ends at the first one, once its
@@ -464,44 +487,58 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     state is restored however the search ends, by a return or an
     exception.
 
-    Returns ``(parent, merges, accepting, limit_hit)``: ``parent`` maps
-    every configuration discovered to the one it was first reached from
-    (the initial one to None); ``merges`` lists, in the order they were
-    followed, the edges ``(config, successor)`` into a configuration
-    already discovered, the only edges ``parent`` does not hold;
-    ``accepting`` lists the accept configurations expanded, in BFS order;
-    and ``limit_hit`` names the budget that ran out, or is None.
+    A successor at a sid in ``space.fresh_sids`` has no other possible
+    predecessor (``lang.ProgramSpace`` says why), so no other edge can
+    reach it: the search appends it to the next level and counts it in
+    ``fresh`` but does not store it.  Every other configuration is stored.
+    Levels, the order within them, merges, accept configurations and
+    budgets are those of a search that stores everything.
+
+    Returns ``(parent, merges, accepting, limit_hit, fresh)``: ``parent``
+    maps every stored configuration discovered to the one it was first
+    reached from (the initial one to None), and ``space.back`` gives a
+    fresh one's; ``merges`` lists, in the order they were followed, the
+    edges ``(config, successor)`` into a configuration already discovered,
+    the only edges the tree does not hold; ``accepting`` lists the accept
+    configurations expanded, in BFS order; ``limit_hit`` names the budget
+    that ran out, or is None; and ``fresh`` counts the fresh configurations
+    discovered.
     """
-    N, step, initial = space.N, space.step, space.initial
+    N, B, step, initial = space.N, space.B, space.step, space.initial
+    fresh_sids = space.fresh_sids
     collecting = gc.isenabled()
     gc.disable()
     try:
         parent = {initial: None}
         merges = []
         accepting = []
+        fresh = 0
         frontier = [initial]
         depth = 0
         while frontier:
-            if len(parent) > limits.max_configs:
-                return parent, merges, accepting, "max_configs"
+            if len(parent) + fresh > limits.max_configs:
+                return parent, merges, accepting, "max_configs", fresh
             if limits.max_run_len is not None and depth > limits.max_run_len:
-                return parent, merges, accepting, "max_run_len"
+                return parent, merges, accepting, "max_run_len", fresh
             nxt = []
             for config in frontier:
                 succs = step(config)
                 if config < N:  # sid 0, the accept state
                     accepting.append(config)
                     if stop_at_accept:
-                        return parent, merges, accepting, None
+                        return parent, merges, accepting, None, fresh
                 for s in succs:
-                    if s not in parent:
+                    if fresh_sids and s >> B in fresh_sids:
+                        fresh += 1
+                        nxt.append(s)
+                    elif s not in parent:
                         parent[s] = config
                         nxt.append(s)
                     else:
                         merges.append((config, s))
             frontier = nxt
             depth += 1
-        return parent, merges, accepting, None
+        return parent, merges, accepting, None, fresh
     finally:
         if collecting:
             gc.enable()
@@ -510,14 +547,16 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
 def first_visits(parent: dict, config, space) -> tuple | None:
     """First-visit order of the curr pebble along the search-tree path from
     ``space.initial`` to ``config``, or None if ``space`` has no curr
-    pebble.  ``parent`` is the map ``expand`` returns."""
+    pebble.  ``parent`` is the map ``expand`` returns; the path steps up
+    over a fresh configuration, which it leaves out, with ``space.back``."""
     if space.curr is None:
         return None
     s, mask = space.shifts[space.curr - 1], space.mask
     path = []
     while config is not None:
         path.append(config >> s & mask)
-        config = parent[config]
+        above = parent.get(config, -1)  # -1: fresh, not stored
+        config = above if above != -1 else space.back(config)
     return tuple(dict.fromkeys(reversed(path)))
 
 
@@ -537,15 +576,17 @@ def run(space, limits: Limits = Limits()) -> RunResult:
     checks both budgets before each level, so that configuration is the
     first one a whole build lists in ``ConfigGraph.accepting``, under
     every budget: stopping there changes no verdict and no order.
-    ``configs_explored`` counts the configurations discovered.
+    ``configs_explored`` counts the configurations discovered, the fresh
+    ones that ``expand`` does not store included.
     """
-    parent, _, accepting, limit_hit = expand(space, limits,
-                                             stop_at_accept=True)
+    parent, _, accepting, limit_hit, fresh = expand(space, limits,
+                                                    stop_at_accept=True)
+    explored = len(parent) + fresh
     if not accepting:
         verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
-        return RunResult(verdict, None, len(parent))
+        return RunResult(verdict, None, explored)
     return RunResult(Verdict.ACCEPT, first_visits(parent, accepting[0], space),
-                     len(parent))
+                     explored)
 
 
 def build_config_graph(jag: NdJag, g: LabelledGraph,
@@ -557,9 +598,10 @@ def build_config_graph(jag: NdJag, g: LabelledGraph,
     of a configuration is the run length that ``limits.max_run_len``
     bounds.  Accept-state configurations are expanded too; the deciders
     ignore their successors.  The graph is what ``expand`` returns, a BFS
-    tree, the edges it leaves out and the accept configurations; no
-    successor list outlives the search, and a decider that needs a
-    configuration's successors steps it again through the space's table.
+    tree without the fresh configurations, their count, the edges it
+    leaves out and the accept configurations; no successor list outlives
+    the search, and a decider that needs a configuration's successors
+    steps it again through the space's table.
     """
     space = jag.space(g)
     return ConfigGraph(jag, g, space, *expand(space, limits))
@@ -662,12 +704,13 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
 
     A configuration's tree value is ``extend`` folded down its one path in
     the BFS tree from the initial configuration, None if that path passes
-    through an accept configuration.  ``tree_value`` walks up ``parent``
-    and keeps each value it finds, so the work is at most one step per
-    configuration.  Each accept configuration yields its tree value, in BFS
-    order; a graph without merges is that tree, and that is all.  With
-    merges, ``_carried_values`` starts from the merge sources that runs
-    reach along the tree and carries their values on along every edge.
+    through an accept configuration.  ``tree_value`` walks up ``parent``,
+    and over a fresh configuration with ``space.back``, and keeps each
+    value it finds, so the work is at most one step per configuration.
+    Each accept configuration yields its tree value, in BFS order; a graph
+    without merges is that tree, and that is all.  With merges,
+    ``_carried_values`` starts from the merge sources that runs reach
+    along the tree and carries their values on along every edge.
     """
     N = cg.space.N  # below it: an accept configuration
     parent = cg.parent
@@ -677,7 +720,8 @@ def _accept_values(cg: ConfigGraph, value, extend: Callable, join: Callable):
         path = []
         while config not in tree:
             path.append(config)
-            config = parent[config]
+            above = parent.get(config, -1)  # -1: fresh, not stored
+            config = above if above != -1 else cg.space.back(config)
         v = tree[config]
         for c in reversed(path):
             if v is not None:  # None: the run along the tree ended above

@@ -5,7 +5,7 @@ import pytest
 from jaglab.graph import LabelledGraph
 from jaglab.groups import abelian_group, cayley_graph, grid_group
 from jaglab.lang import parse_program
-from jaglab.machine import (Configuration, PackedSpace, apply_moves,
+from jaglab.machine import (Configuration, Limits, PackedSpace, apply_moves,
                             build_config_graph, partition_of)
 
 GRID_CASES = [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)]
@@ -93,15 +93,74 @@ def relabelled(g, perm):
                          perm[g.startnode], perm[g.targetnode])
 
 
+def permutation_graph(rng):
+    """A graph of 2 to 5 nodes and degree 1 to 3 whose every label column
+    is a random permutation of the nodes."""
+    n, d = rng.randint(2, 5), rng.randint(1, 3)
+    cols = [rng.sample(range(n), n) for _ in range(d)]
+    return LabelledGraph(n, d, tuple(tuple(col[v] for col in cols)
+                                     for v in range(n)),
+                         0, rng.randrange(n))
+
+
+def plain_bfs(space, limits=Limits()):
+    """A breadth-first search of ``space`` over ``space.step`` that stores
+    every configuration it discovers, and shares nothing else with
+    ``machine.expand``: ``(parent, limit_hit)``.  ``parent`` maps each
+    configuration discovered, in order, to the one it was first reached
+    from (the initial one to None); before each level the search stops
+    with ``"max_configs"`` when more than ``limits.max_configs`` are
+    discovered and with ``"max_run_len"`` when the level lies deeper than
+    ``limits.max_run_len``, and ``limit_hit`` is None if it runs to the
+    end."""
+    parent = {space.initial: None}
+    level, depth = [space.initial], 0
+    while level:
+        if len(parent) > limits.max_configs:
+            return parent, "max_configs"
+        if limits.max_run_len is not None and depth > limits.max_run_len:
+            return parent, "max_run_len"
+        below = []
+        for c in level:
+            for s in space.step(c):
+                if s not in parent:
+                    parent[s] = c
+                    below.append(s)
+        level, depth = below, depth + 1
+    return parent, None
+
+
+def search_tree(cg):
+    """The search tree of a configuration graph: every configuration
+    discovered, in BFS order, mapped to its parent, the one ``cg.parent``
+    holds or ``cg.space.back`` of a fresh configuration, which
+    ``cg.parent`` leaves out.  Without fresh configurations it is
+    ``cg.parent``.  With them the order is ``plain_bfs``'s, cut where the
+    build stopped: it must list ``cg.configs_explored`` configurations,
+    the ones ``cg.parent`` holds in its order and the others at fresh
+    sids."""
+    space, parent = cg.space, cg.parent
+    if not cg.fresh:
+        return parent
+    order = plain_bfs(space, Limits(max_configs=cg.configs_explored - 1)
+                      if cg.limit_hit else Limits())[0]
+    assert len(order) == cg.configs_explored
+    assert [c for c in order if c in parent] == list(parent)
+    assert all(c >> space.B in space.fresh_sids
+               for c in order if c not in parent)
+    return {c: parent[c] if c in parent else space.back(c) for c in order}
+
+
 def decoded(cg):
     """``(parent, merges, accepting)`` of a configuration graph as
-    ``Configuration``s: ``cg.parent`` (in its order, the initial
-    configuration mapped to None), ``cg.merges`` and ``cg.accepting``, each
-    decoded with ``cg.space.decode``."""
+    ``Configuration``s: its ``search_tree`` (the initial configuration
+    mapped to None), ``cg.merges`` and ``cg.accepting``, each decoded with
+    ``cg.space.decode``."""
+    tree = search_tree(cg)
     decode = cg.space.decode
-    conf = {c: decode(c) for c in cg.parent}
+    conf = {c: decode(c) for c in tree}
     conf[None] = None
-    return ({conf[c]: conf[above] for c, above in cg.parent.items()},
+    return ({conf[c]: conf[above] for c, above in tree.items()},
             [(conf[c], conf[s]) for c, s in cg.merges],
             [conf[c] for c in cg.accepting])
 

@@ -63,7 +63,7 @@ def _accepting_from(jag, g, placements):
         nodes[peb - 1] = node
     space = jag.space(g)
     space.initial = space.encode(init._replace(nodes=tuple(nodes)))
-    _, _, accepting, limit_hit = expand(space, Limits())
+    _, _, accepting, limit_hit, _ = expand(space, Limits())
     return [space.decode(c) for c in accepting], limit_hit
 
 

@@ -12,7 +12,8 @@ from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             enumerate_runs, partition_of, run, verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
 
-from conftest import MANY_PEBBLES, cycle, decoded, random_program
+from conftest import (MANY_PEBBLES, cycle, decoded, permutation_graph,
+                      plain_bfs, random_program)
 
 
 def reachable_states(jag):
@@ -433,6 +434,54 @@ def test_liveness_of_every_statement_form():
         [{"c"}, {"c"}, {"c"}, {"c"}, set(), {"c"}]
 
 
+_FRESH = """
+pebble p
+dir x : 1..d
+jump p to s
+move p along 1
+move p along d
+move p along x
+move p along 1
+guess x
+move p along 1
+while p != s {
+    move p along 1
+    move p along 2
+}
+guess b : bool
+if b {
+    jump p to s
+}
+move p along 1
+move p along 2
+accept
+"""
+
+
+def test_fresh_points_follow_one_pebble_action():
+    """A point is fresh when a move along a literal label (``d``
+    included) precedes it and a pebble action's fall-through is the only
+    edge into that move: not after a move along a variable, a guess or a
+    loop test, nor where a branch joins the move.  A sid is fresh only
+    where the move walks along a permutation column, as label 1 of a cycle
+    does and a label that sends every node to node 0 does not; walking back
+    from a fresh configuration reaches its parent in the search."""
+    bp = parse_program(_FRESH).bind(2)
+    assert [bp.instrs[q - 1] for q in sorted(bp.fresh_points())] == [
+        ("move", 1, ("lit", 1)), ("move", 1, ("lit", 2)),
+        ("move", 1, ("lit", 1)), ("move", 1, ("lit", 2)),
+        ("move", 1, ("lit", 2))]
+    assert sorted(bp.fresh_points()) == [2, 3, 5, 10, 16]
+    g = LabelledGraph(3, 2, tuple(((v + 1) % 3, 0) for v in range(3)), 0, 2)
+    cg = build_config_graph(parse_program(_FRESH), g)
+    space = cg.space
+    assert cg.fresh > 0 and cg.limit_hit is None
+    assert {space.states[sid][0] for sid in space.fresh_sids} == {2, 5}
+    parent, _ = plain_bfs(space)
+    assert all(space.back(c) == parent[c] for c in parent
+               if c >> space.B in space.fresh_sids)
+
+
 def test_dead_variables_merge_the_tower_states():
     """The sym:n=4 tower program leaves stale digits, counters and branch
     flags behind: without the reset its build meets 3 069 states."""
@@ -657,15 +706,90 @@ def test_program_space_decides_as_its_compiled_automaton():
                           tuple(row[:-1] + row[:1] for row in g.rho),
                           g.startnode, g.targetnode)
         cases.append((random_program(rng), g, Limits()))
+    # random graphs rarely have a permutation column, and only a move along
+    # one can lead to a fresh configuration
+    for _ in range(300):
+        g = permutation_graph(rng)
+        prog = random_program(rng)
+        cases += [(prog, g, limits) for limits in (
+            Limits(), Limits(max_configs=5), Limits(max_run_len=2))]
     outcomes = Counter()
     for prog, g, limits in cases:
         got = _decider_answers(prog, g, limits)
         assert got == _decider_answers(compile_program(prog, g.degree), g,
                                        limits)
         outcomes[got[0].verdict, got[0].limits_hit] += 1
+        outcomes["fresh"] += build_config_graph(prog, g, limits).fresh > 0
     assert all(outcomes[v, ()] >= 100 for v in (Verdict.ACCEPT, Verdict.REJECT))
     for hit in ("max_configs", "max_run_len"):
         assert outcomes[Verdict.RESOURCE_LIMIT, (hit,)] >= 100
+    assert outcomes["fresh"] >= 300
+
+
+def test_program_space_stores_the_tree_of_a_plain_search():
+    """A program's search stores only the configurations that are not
+    fresh, and its tree is that of a breadth-first search that stores
+    every configuration (``plain_bfs``): the same count and limit hit, the
+    same parent for each stored configuration, ``space.back`` of each fresh
+    one its parent, and no fresh configuration is an accept configuration
+    or the target of a merge.  On a complete graph each fresh configuration
+    has exactly one edge into it, and ``cg.adj`` lists every configuration
+    the build expanded.  On the five small ladder rungs, where
+    only the sym and wreath tower programs have fresh points, on a move
+    that a branch joins, and on 300 random programs on graphs whose every
+    label column is a permutation, under budgets that cut through chains
+    of fresh configurations."""
+    import random as _random
+    from collections import Counter
+    cases = []
+    for spec in ("grid:d=2,l=5", "grid:d=3,l=3", "sym:n=4", "abelian:mod=8,8",
+                 "wreath(grid:d=1,l=2, grid:d=1,l=3)"):
+        family = parse_family(spec)
+        prog = grid_traversal_program(family.graph.degree) \
+            if spec.startswith("grid") else tower_program(family.tower)
+        cases.append((prog, family.graph, spec))
+    # a branch joins the move after the jump: both paths reach one
+    # configuration, which must be stored
+    join = parse_program("pebble p\nguess b : bool\nif b {\n"
+                         "    jump p to s\n}\nmove p along 1\naccept\n")
+    cases.append((join, cycle(3, 1), None))
+    rng = _random.Random(28)
+    cases += [(random_program(rng), permutation_graph(rng), None)
+              for _ in range(300)]
+    seen = Counter()
+    for prog, g, spec in cases:
+        for limits in (Limits(), Limits(max_configs=5), Limits(max_run_len=2)):
+            cg = build_config_graph(prog, g, limits)
+            space = cg.space
+            parent, limit_hit = plain_bfs(space, limits)
+            assert (cg.configs_explored, cg.limit_hit) == \
+                (len(parent), limit_hit)
+            assert list(cg.parent) == [c for c in parent if c in cg.parent]
+            assert all(parent[c] == above for c, above in cg.parent.items())
+            fresh = [c for c in parent if c not in cg.parent]
+            assert len(fresh) == cg.fresh
+            assert all(c >> space.B in space.fresh_sids and c >= space.N
+                       and space.back(c) == parent[c] for c in fresh)
+            assert not {s for _, s in cg.merges} & set(fresh)
+            if limit_hit is None:
+                into = Counter(s for c in parent for s in space.step(c))
+                assert all(into[c] == 1 for c in fresh)
+            # adj: every configuration the build expanded, fresh ones too;
+            # a budget leaves the last level discovered unexpanded
+            depth = {}
+            for c, above in parent.items():
+                depth[c] = 0 if above is None else depth[above] + 1
+            last = max(depth.values())
+            expanded = [c for c in parent
+                        if limit_hit is None or depth[c] < last]
+            conf = {c: space.decode(c) for c in parent}
+            assert list(cg.adj) == [conf[c] for c in expanded]
+            assert all(cg.adj[conf[c]] == [conf[s] for s in space.step(c)]
+                       for c in expanded)
+            if spec is not None and limits == Limits():
+                assert (cg.fresh > 0) == spec.startswith(("sym", "wreath"))
+            seen[limit_hit] += cg.fresh > 0
+    assert min(seen[hit] for hit in (None, "max_configs", "max_run_len")) >= 30
 
 
 def test_budgets_mean_the_same_on_both_routes():

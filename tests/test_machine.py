@@ -27,7 +27,8 @@ from jaglab.spotcheck import (Expected, disagreement, expected, random_graph,
                               random_jag, run_tree_nodes)
 
 from conftest import (MANY_PEBBLES, assert_steps_match_oracle, cycle,
-                      decoded, oracle_successors, random_program, successors)
+                      decoded, oracle_successors, random_program, search_tree,
+                      successors)
 
 
 def _selfs(p):
@@ -380,9 +381,9 @@ def test_expand_pauses_the_collector():
 
     assert gc.isenabled()
     # N = 0: no configuration is an accept configuration
-    space = SimpleNamespace(initial=0, step=succs, N=0)
-    parent, _, accepting, limit_hit = expand(space, Limits())
-    assert (len(parent), accepting, limit_hit) == (4, [], None)
+    space = SimpleNamespace(initial=0, step=succs, N=0, B=0, fresh_sids=())
+    parent, _, accepting, limit_hit, fresh = expand(space, Limits())
+    assert (len(parent), accepting, limit_hit, fresh) == (4, [], None, 0)
     assert during == [False] * 4 and gc.isenabled()
 
 
@@ -390,9 +391,11 @@ def test_expand_records_every_edge_off_the_tree():
     # 0 -> 1 -> 2 -> 3 -> 0, each successor listed twice: the second copy
     # of each edge, and the edge back to 0, reach configurations already
     # discovered
-    space = SimpleNamespace(initial=0, step=lambda n: [(n + 1) % 4] * 2, N=0)
-    parent, merges, accepting, limit_hit = expand(space, Limits())
+    space = SimpleNamespace(initial=0, step=lambda n: [(n + 1) % 4] * 2, N=0,
+                            B=0, fresh_sids=())
+    parent, merges, accepting, limit_hit, fresh = expand(space, Limits())
     assert parent == {0: None, 1: 0, 2: 1, 3: 2} and limit_hit is None
+    assert fresh == 0
     assert accepting == []
     assert merges == [(0, 1), (1, 2), (2, 3), (3, 0), (3, 0)]
 
@@ -1169,10 +1172,13 @@ def test_layout_fields_read_what_decode_gives(n):
     decodes to a placement on the graph that the layout packs back into its
     int, ``encode`` and ``decode`` are inverse where the space has both,
     and the curr node that ``first_visits``, co-st and traversability read
-    off an int is the one ``decode`` gives."""
+    off an int is the one ``decode`` gives.  Every configuration: the
+    program's space also has fresh ones, which ``cg.parent`` leaves out
+    and ``first_visits`` steps back over with ``space.back``."""
     progs = [parse_program(MANY_PEBBLES), parse_program(_ONE_STEP)]
     b, p = (n - 1).bit_length(), 9
     code = 0  # the largest placement code seen
+    fresh = 0  # configurations that first_visits steps back over
     answers = Counter()  # co-st answers and traversability flags
     for target, prog in itertools.product(sorted({0, n // 2, n - 1}), progs):
         g = cycle(n, target)
@@ -1186,7 +1192,9 @@ def test_layout_fields_read_what_decode_gives(n):
             curr = space.curr - 1
             sids = {state: sid for sid, state in enumerate(space.states)}
             visits = {}
-            for c, above in cg.parent.items():
+            tree = search_tree(cg)  # the fresh configurations included
+            fresh += cg.fresh
+            for c, above in tree.items():
                 config = decode(c)
                 assert all(0 <= v < n for v in config.nodes)
                 assert c == sids[config.state] << b * p | sum(
@@ -1216,6 +1224,7 @@ def test_layout_fields_read_what_decode_gives(n):
             answers[co_st] += 1
             answers[traversable] += 1
     assert code > {1: -1, 2: 0, 64: 2 ** 30, 65: 2 ** 60, 300: 2 ** 60}[n]
+    assert fresh > 0
     # one step from node 0 reaches every node but n // 2 when n > 3
     assert ("disconnected" in answers) == (n > 3)
     assert (True in answers) == (n <= 2)

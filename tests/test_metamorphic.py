@@ -13,6 +13,12 @@ Label permutation.  Permuting the edge labels of the input graph, and
 rewriting every move along a label in a rule table the same way, moves
 every pebble to the same node as before: the answers stay equal, visit
 orders included, under every budget.
+
+Pebble renumbering.  Renumbering the pebbles of a rule table, the
+designated ``s``, ``t`` and ``curr`` moving with them, and rewriting each
+rule's partition and move vector to match, gives each configuration the
+same successors in the same order: the answers stay equal under every
+budget.
 """
 
 import random
@@ -25,7 +31,7 @@ from jaglab.families import parse_family
 from jaglab.algorithms import tower_program
 from jaglab.graph import LabelledGraph
 from jaglab.machine import (Limits, NdJag, Verdict, decide_co_st_connectivity,
-                            run, verify)
+                            partition_of, run, verify)
 from jaglab.spotcheck import random_graph, random_jag
 
 from conftest import random_program, relabelled
@@ -128,6 +134,58 @@ def test_label_permutation_on_random_rule_tables():
             seen[want[0].limits_hit] += 1
             seen["long order"] += len(want[1].visit_order or ()) > 2
     assert seen["permuted"] >= 400
+    assert min(seen[v] for v in Verdict) >= 200
+    assert min(seen[hit] for hit in (("max_configs",), ("max_run_len",))) >= 50
+    assert seen["long order"] >= 10
+
+
+def _pebbles_renumbered(jag, sigma):
+    """The rule table ``jag`` with pebble i + 1 renumbered ``sigma[i] +
+    1``: the designated pebbles move with their numbers, each rule's key
+    is the canonical partition of the renumbered placement, and each move
+    vector lists the same moves in the new pebble order, a jump to pebble
+    j becoming a jump to ``sigma[j - 1] + 1``."""
+    def renumbered(vector):
+        out = [None] * len(vector)
+        for i, x in enumerate(vector):
+            out[sigma[i]] = x
+        return tuple(out)
+
+    def moved(idx):
+        return None if idx is None else sigma[idx - 1] + 1
+
+    # a partition vector is a placement of its own partition
+    rules = {(state, partition_of(renumbered(pi))): tuple([
+        (nxt, renumbered([m if m > 0 else -moved(-m) for m in moves]))
+        for nxt, moves in outs])
+        for (state, pi), outs in jag.rules.items()}
+    return NdJag(jag.start_state, jag.accept_state, jag.num_pebbles,
+                 s=moved(jag.s), t=moved(jag.t), curr=moved(jag.curr),
+                 delta=rules, states=jag.states)
+
+
+def test_pebble_renumbering_on_random_rule_tables():
+    """Rule tables on random graphs, with no budget and under budgets that
+    stop the search: renumbering the pebbles leaves every answer equal."""
+    rng = random.Random(28)
+    seen = Counter()
+    for _ in range(1000):
+        g = random_graph(rng)
+        jag = random_jag(rng, g.degree)
+        sigma = list(range(jag.num_pebbles))
+        rng.shuffle(sigma)
+        pjag = _pebbles_renumbered(jag, sigma)
+        seen["renumbered"] += sigma != sorted(sigma)
+        seen["s, t or curr moved"] += (pjag.s, pjag.t, pjag.curr) != \
+            (jag.s, jag.t, jag.curr)
+        for limits in (Limits(), Limits(max_configs=6),
+                       Limits(max_run_len=2)):
+            want = _answers(jag, g, limits)
+            assert _answers(pjag, g, limits) == want, (sigma, limits)
+            seen[want[0].verdict] += 1
+            seen[want[0].limits_hit] += 1
+            seen["long order"] += len(want[1].visit_order or ()) > 2
+    assert seen["s, t or curr moved"] >= 400
     assert min(seen[v] for v in Verdict) >= 200
     assert min(seen[hit] for hit in (("max_configs",), ("max_run_len",))) >= 50
     assert seen["long order"] >= 10
