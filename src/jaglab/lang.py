@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph, closure
-from .machine import Limits, NdJag, PackedSpace, RunResult, _layout, run
+from .machine import (Limits, NdJag, PackedSpace, RunResult, _MAX_LINKS,
+                      _layout, run)
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -681,8 +682,8 @@ class ProgramSpace:
 
     It has what a search and the deciders read of ``machine.PackedSpace``:
     ``initial``, ``step``, ``N``, ``B``, ``mask``, ``shifts``, ``curr``
-    (the curr pebble, 1-based, or None), ``decode`` and ``fresh_sids``,
-    and ``back`` besides (see below).  A state
+    (the curr pebble, 1-based, or None), ``decode`` and ``leaps``, and
+    ``back`` and ``leap`` besides (see below).  A state
     is a canonical ``(pt, vals)`` or the accept state ``"qa"``, and the
     successors of a configuration are the triples of ``BoundProgram.steps``,
     in its order, as ints.  The compiled automaton (``compile_program``) encodes the same
@@ -716,9 +717,10 @@ class ProgramSpace:
     A search stores only the configurations that a run can reach twice.
     A sid is fresh when its point ``q`` is one of ``bp.fresh_points()``
     and the column of ``g.rho`` that the move at ``q - 1`` walks along is
-    a permutation of the nodes; ``fresh_sids`` holds the fresh sids
-    interned so far, and ``back(c)`` gives a configuration ``c`` at a
-    fresh sid its one possible predecessor.  Why there is only one.
+    a permutation of the nodes.  ``leaps`` has an entry per sid interned
+    so far, None unless the sid is fresh (a program without fresh points
+    has an empty ``leaps``), and ``back(c)`` gives a configuration ``c``
+    at a fresh sid its one possible predecessor.  Why there is only one.
     Configurations at ``q`` come only from configurations at ``q - 1``:
     ``fold`` stops at pebble actions, and the only edge into ``q - 1`` is
     the fall-through of the action at ``q - 2``, so no fold reaches ``q -
@@ -732,8 +734,22 @@ class ProgramSpace:
     successor.  A search discovers it at most once, when it expands that
     predecessor: it is never the target of a merge, and it is never an
     accept configuration, which sits at sid 0.  ``machine.expand`` counts
-    and steps it without storing it, at its place in its level, and a
-    walk up the search tree steps back over it with ``back``.
+    it without storing it, at its place in its level, and a walk up the
+    search tree steps back over it with ``back``.
+
+    Fresh configurations come in chains, and ``expand`` leaps over them.
+    A link is a fresh sid whose plan is a single ``_WALK`` to a fresh sid:
+    its point is a move along a literal label, a pebble action, so
+    ``steps`` reads no pebble pair there and gives one triple, the same on
+    every placement, and so does the plan.  From a first sid, then, the sids
+    of a chain and the columns its links walk along are fixed, and since a
+    walk changes one pebble's field by a lookup on that field alone, the k
+    walks of a chain compose into one table per pebble they move.
+    ``leap(sid)`` gives ``(k, delta, walks)`` and keeps it in ``leaps``,
+    where a fresh sid holds True until then: the configuration ``c`` at
+    ``sid`` reaches the end of its chain in k steps, at ``c + delta +
+    sum(walk[c >> sp & mask] for sp, walk in walks)``, with no ``step`` of
+    the links between.
     """
 
     decode = PackedSpace.decode  # reads B, mask, shifts and states alone
@@ -757,8 +773,11 @@ class ProgramSpace:
         perms = {label for label in range(1, g.degree + 1)
                  if len({row[label - 1] for row in rho}) == n}
         fresh = {q for q in bp.fresh_points() if instrs[q - 1][2][1] in perms}
-        fresh_sids = self.fresh_sids = set()
+        # sid -> None, or at a fresh sid its leap (True until ``leap`` is
+        # asked for it); no table at all without fresh points
+        leaps = self.leaps = [None] if fresh else ()
         backs: dict = {}  # fresh sid -> (change of sid times N, shift, changes)
+        chains: dict = {}  # the (shift, id of walk) of a chain's links -> walks
 
         def intern(state):
             sid = sids.get(state)
@@ -766,8 +785,8 @@ class ProgramSpace:
                 sid = sids[state] = len(states)
                 states.append(state)
                 plans.append(None)
-                if state[0] in fresh:
-                    fresh_sids.add(sid)
+                if fresh:
+                    leaps.append(True if state[0] in fresh else None)
             return sid
 
         def acts(sid, c):
@@ -840,6 +859,35 @@ class ProgramSpace:
                     out.append(c + delta)
             return out
 
+        def leap(sid):
+            """``leaps[sid]`` at a fresh sid, made at the first call: the
+            chain of at most ``_MAX_LINKS`` links from ``sid`` as ``(k,
+            delta, walks)``, its composed tables shared by the chains that
+            walk along the same columns."""
+            k, at, links = 0, sid, []
+            while k < _MAX_LINKS:
+                # plan reads the placement only to fill the acts of a state
+                # that observes no pair, which are the same on every one
+                kind, delta, sp, x = plans[at] or plan(at, at << B)
+                to = at + (delta >> B)
+                if kind != _WALK or leaps[to] is None:
+                    break
+                links.append((sp, x))
+                at, k = to, k + 1
+            # each x lives in walks as long as the space, so its id is its name
+            key = tuple([(sp, id(x)) for sp, x in links])
+            walked = chains.get(key)
+            if walked is None:
+                paths = {}  # shift -> the node each node walks to
+                for sp, x in links:
+                    paths[sp] = [v + (x[v] >> sp)
+                                 for v in paths.get(sp) or range(n)]
+                walked = chains[key] = tuple([
+                    (sp, tuple([v - u << sp for u, v in enumerate(path)]))
+                    for sp, path in paths.items()])
+            entry = leaps[sid] = (k, at - sid << B, walked)
+            return entry
+
         def back(c):
             """The predecessor of ``c``, at a fresh sid: at ``(q - 1,
             vals)``, the moved pebble's field walked back along the
@@ -862,7 +910,7 @@ class ProgramSpace:
             delta, sp, unwalk = entry
             return c + delta + unwalk[c >> sp & mask]
 
-        self.step, self.back = step, back
+        self.step, self.back, self.leap = step, back, leap
         # pebble t on the targetnode, all others on the startnode
         start = g.startnode
         self.initial = intern((0, bp.init_vals)) << B | start * ones + (

@@ -32,9 +32,9 @@ keeps the accept configurations it expands.  ``run`` is ``expand`` stopped
 at the first of them, and a ``ConfigGraph`` is what a whole ``expand``
 returned.  A configuration's successors are always those ``space.step``
 gives it.  A program's space names the configurations that have at most
-one possible predecessor (``fresh_sids``); ``expand`` counts and steps
-them without storing them, and a walk up the search tree steps back over
-them with ``space.back``.
+one possible predecessor (``leaps``); ``expand`` counts them without
+storing them, leaps over each chain of them with one lookup, and a walk
+up the search tree steps back over them with ``space.back``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DiagnosticError, InputError, ResourceLimitExceeded
 from .graph import LabelledGraph, reachable_set
+
+
+# a slot of ``expand`` keeps the links of its chain still to count in its
+# low _LINK_BITS bits, so a chain it leaps over has at most _MAX_LINKS
+_LINK_BITS = 6
+_MAX_LINKS = (1 << _LINK_BITS) - 1
 
 
 class Verdict(enum.Enum):
@@ -274,11 +280,11 @@ class PackedSpace:
     configuration with the same key may hold them apart.
 
     The space knows no state's predecessors before its search ends, so it
-    has no fresh states (``fresh_sids`` is empty, see ``lang.ProgramSpace``)
+    has no fresh states (``leaps`` is empty, see ``lang.ProgramSpace``)
     and a search stores every configuration it discovers.
     """
 
-    fresh_sids = frozenset()
+    leaps = ()
 
     def __init__(self, jag: NdJag, g: LabelledGraph):
         p = jag.num_pebbles
@@ -487,12 +493,26 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     state is restored however the search ends, by a return or an
     exception.
 
-    A successor at a sid in ``space.fresh_sids`` has no other possible
-    predecessor (``lang.ProgramSpace`` says why), so no other edge can
-    reach it: the search appends it to the next level and counts it in
-    ``fresh`` but does not store it.  Every other configuration is stored.
-    Levels, the order within them, merges, accept configurations and
-    budgets are those of a search that stores everything.
+    A successor whose sid holds a leap in ``space.leaps`` (anything but
+    None) is fresh: it has no other possible predecessor
+    (``lang.ProgramSpace`` says why), so no other edge can reach it, and
+    the search counts it in ``fresh`` but does not store it.  Every other
+    configuration is stored.  If the chain from its sid has k > 0 links
+    (``space.leap``), the search puts in its place in the next level a
+    slot that stands for the chain: the negative int ``~(end <<
+    _LINK_BITS | k)``, with the chain's end and the links left to count.
+    At each level a slot stands where the link would, and does what
+    stepping the link would do: it counts the one configuration the link
+    discovers, fresh too, and passes it on to the next level, as the slot
+    with one link fewer or, after the last link, as the plain end, which is
+    stepped as any configuration is.  A link has no other successor and is
+    never an accept configuration, so each level keeps its length and its
+    order, and the counts that the budgets read before each level are
+    those of a search that steps every link.  Levels, the order within
+    them, merges, accept configurations and budgets are those of a search
+    that stores and steps everything.  An automaton's space has no fresh
+    sids (``leaps`` is empty), so its search meets no slot; it pays only
+    the slot test on each accept configuration.
 
     Returns ``(parent, merges, accepting, limit_hit, fresh)``: ``parent``
     maps every stored configuration discovered to the one it was first
@@ -505,7 +525,7 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     discovered.
     """
     N, B, step, initial = space.N, space.B, space.step, space.initial
-    fresh_sids = space.fresh_sids
+    leaps, mask = space.leaps, space.mask
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -522,15 +542,31 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
                 return parent, merges, accepting, "max_run_len", fresh
             nxt = []
             for config in frontier:
-                succs = step(config)
-                if config < N:  # sid 0, the accept state
-                    accepting.append(config)
+                if config < N:
+                    if config < 0:  # a slot: count what its link discovers
+                        fresh += 1
+                        nxt.append(config + 1 if ~config & _MAX_LINKS > 1
+                                   else ~config >> _LINK_BITS)
+                        continue
+                    succs = step(config)
+                    accepting.append(config)  # sid 0, the accept state
                     if stop_at_accept:
                         return parent, merges, accepting, None, fresh
+                else:
+                    succs = step(config)
                 for s in succs:
-                    if fresh_sids and s >> B in fresh_sids:
+                    if leaps and (leap := leaps[s >> B]) is not None:
                         fresh += 1
-                        nxt.append(s)
+                        if leap is True:
+                            leap = space.leap(s >> B)
+                        links, delta, walks = leap
+                        if links:
+                            end = s + delta
+                            for sp, walk in walks:
+                                end += walk[s >> sp & mask]
+                            nxt.append(~(end << _LINK_BITS | links))
+                        else:
+                            nxt.append(s)
                     elif s not in parent:
                         parent[s] = config
                         nxt.append(s)

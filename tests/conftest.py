@@ -146,7 +146,7 @@ def search_tree(cg):
                       if cg.limit_hit else Limits())[0]
     assert len(order) == cg.configs_explored
     assert [c for c in order if c in parent] == list(parent)
-    assert all(c >> space.B in space.fresh_sids
+    assert all(space.leaps[c >> space.B] is not None
                for c in order if c not in parent)
     return {c: parent[c] if c in parent else space.back(c) for c in order}
 

@@ -476,10 +476,11 @@ def test_fresh_points_follow_one_pebble_action():
     cg = build_config_graph(parse_program(_FRESH), g)
     space = cg.space
     assert cg.fresh > 0 and cg.limit_hit is None
-    assert {space.states[sid][0] for sid in space.fresh_sids} == {2, 5}
+    assert {space.states[sid][0] for sid, leap in enumerate(space.leaps)
+            if leap is not None} == {2, 5}
     parent, _ = plain_bfs(space)
     assert all(space.back(c) == parent[c] for c in parent
-               if c >> space.B in space.fresh_sids)
+               if space.leaps[c >> space.B] is not None)
 
 
 def test_dead_variables_merge_the_tower_states():
@@ -756,11 +757,25 @@ def test_program_space_stores_the_tree_of_a_plain_search():
     rng = _random.Random(28)
     cases += [(random_program(rng), permutation_graph(rng), None)
               for _ in range(300)]
+    # a straight run of 100 literal moves that alternate between two
+    # pebbles: longer than one leap, which composes a table per pebble
+    chain = parse_program("\n".join(
+        ["pebble p", "pebble q", "dir x : 1..d", "guess x", "move p along x",
+         "move q along x"]
+        + [f"move {'pq'[i % 2]} along {'1d'[i % 2]}" for i in range(100)]
+        + ["accept"]))
+    cases.append((chain, permutation_graph(_random.Random(24)), None))
     seen = Counter()
     for prog, g, spec in cases:
-        for limits in (Limits(), Limits(max_configs=5), Limits(max_run_len=2)):
+        budgets = [Limits(), Limits(max_configs=5), Limits(max_run_len=2)]
+        if prog is chain:  # cuts inside the first leap and the second
+            budgets += [Limits(max_configs=100), Limits(max_run_len=70)]
+        for limits in budgets:
             cg = build_config_graph(prog, g, limits)
             space = cg.space
+            if prog is chain and limits == Limits():
+                assert {(leap[0], len(leap[2])) for leap in space.leaps
+                        if type(leap) is tuple} == {(63, 2), (35, 2)}
             parent, limit_hit = plain_bfs(space, limits)
             assert (cg.configs_explored, cg.limit_hit) == \
                 (len(parent), limit_hit)
@@ -768,7 +783,7 @@ def test_program_space_stores_the_tree_of_a_plain_search():
             assert all(parent[c] == above for c, above in cg.parent.items())
             fresh = [c for c in parent if c not in cg.parent]
             assert len(fresh) == cg.fresh
-            assert all(c >> space.B in space.fresh_sids and c >= space.N
+            assert all(space.leaps[c >> space.B] is not None and c >= space.N
                        and space.back(c) == parent[c] for c in fresh)
             assert not {s for _, s in cg.merges} & set(fresh)
             if limit_hit is None:
@@ -827,6 +842,82 @@ def test_budgets_mean_the_same_on_both_routes():
                 assert res.configs_explored == part.configs_explored
             outcomes[res.verdict] += 1
     assert min(outcomes[v] for v in Verdict) >= 20
+
+
+def test_budgets_that_cut_inside_a_leapt_chain():
+    """The sym:n=4 and wreath tower programs' searches leap over chains of
+    fresh configurations.  Every run-length bound from 0 to 60, and
+    configuration budgets at and one below 25 seeded level boundaries
+    above the first accept configuration, give ``interpret`` and ``run``
+    on the compiled automaton, which has no chains, the same
+    ``RunResult``.  Some of those budgets stop the search at a level that
+    a chain crosses: a fresh link there whose parent is a fresh link
+    too, so the search holds it as a slot it has passed on."""
+    import itertools
+    import random as _random
+    rng = _random.Random(29)
+    inside = 0
+    for spec in ("sym:n=4", "wreath(grid:d=1,l=2, grid:d=1,l=3)"):
+        family = parse_family(spec)
+        prog, g = tower_program(family.tower), family.graph
+        space = prog.space(g)
+        parent, _ = plain_bfs(space)
+        depth = {}
+        for c, above in parent.items():
+            depth[c] = 0 if above is None else depth[above] + 1
+        levels = [[] for _ in range(max(depth.values()) + 1)]
+        for c, d in depth.items():
+            levels[d].append(c)
+        top = min(depth[c] for c in parent if c < space.N)
+        # ends[d]: the configurations in levels 0 to d, which the
+        # configuration budget reads before level d; each budget is paired
+        # with the level it stops the search before
+        ends = list(itertools.accumulate(map(len, levels)))
+        cuts = [(Limits(max_run_len=r), r + 1) for r in range(61)]
+        for d in rng.sample(range(top), 25):
+            cuts += [(Limits(max_configs=ends[d]), d + 1),
+                     (Limits(max_configs=ends[d] - 1), d)]
+        leaps = space.leaps
+
+        def link(c):
+            return leaps[c >> space.B] is not None and all(
+                leaps[s >> space.B] is not None for s in space.step(c))
+
+        for limits, cut in cuts:
+            res = interpret(prog, g, limits)
+            assert res == _compiled_run(prog, g, limits), (spec, limits)
+            assert res.verdict is Verdict.RESOURCE_LIMIT
+            assert res.configs_explored == ends[cut]
+            inside += any(link(c) and link(space.back(c))
+                          for c in levels[cut])
+    assert inside >= 100
+
+
+def test_interpret_steps_a_chain_once(monkeypatch):
+    """``interpret`` of the sym:n=4 tower program steps the end of each
+    chain of fresh configurations, not each link: at most 6 000 calls of
+    ``space.step`` for its 15 881 configurations."""
+    from jaglab import lang
+    family = parse_family("sym:n=4")
+    prog, g = tower_program(family.tower), family.graph
+    calls = []
+
+    class Counted(lang.ProgramSpace):
+        def __init__(self, prog, g):
+            super().__init__(prog, g)
+            step = self.step
+
+            def counted(c):
+                calls.append(c)
+                return step(c)
+
+            self.step = counted
+
+    monkeypatch.setattr(lang, "ProgramSpace", Counted)
+    res = interpret(prog, g)
+    monkeypatch.undo()
+    assert res == _compiled_run(prog, g, Limits())
+    assert res.configs_explored == 15_881 and len(calls) <= 6_000
 
 
 def _compiled_run(prog, g, limits):

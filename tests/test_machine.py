@@ -381,7 +381,8 @@ def test_expand_pauses_the_collector():
 
     assert gc.isenabled()
     # N = 0: no configuration is an accept configuration
-    space = SimpleNamespace(initial=0, step=succs, N=0, B=0, fresh_sids=())
+    space = SimpleNamespace(initial=0, step=succs, N=0, B=0, leaps=(),
+                            mask=0)
     parent, _, accepting, limit_hit, fresh = expand(space, Limits())
     assert (len(parent), accepting, limit_hit, fresh) == (4, [], None, 0)
     assert during == [False] * 4 and gc.isenabled()
@@ -392,7 +393,7 @@ def test_expand_records_every_edge_off_the_tree():
     # of each edge, and the edge back to 0, reach configurations already
     # discovered
     space = SimpleNamespace(initial=0, step=lambda n: [(n + 1) % 4] * 2, N=0,
-                            B=0, fresh_sids=())
+                            B=0, leaps=(), mask=0)
     parent, merges, accepting, limit_hit, fresh = expand(space, Limits())
     assert parent == {0: None, 1: 0, 2: 1, 3: 2} and limit_hit is None
     assert fresh == 0
