@@ -40,7 +40,9 @@ are the finite product of program point, variable valuation and pebble
 placement.  ``BoundProgram.steps`` lowers a state's steps once, as
 ``(next, pebble, move)`` triples with every variable dead at ``next``'s
 point reset, and two encodings read it.  ``ProgramSpace`` packs the
-configurations into ints and steps them by arithmetic;
+configurations into ints and steps them by arithmetic on the triples of
+the program's state graph (``BoundProgram.state_graph``, made once per
+bound program, and a program binds once per degree);
 ``PebbleProgram.space`` hands it to the searches of ``machine``, so
 ``interpret`` (``machine.run``), ``verify``, ``check_traversable``,
 ``check_orderable`` and ``decide_co_st_connectivity`` take a program as
@@ -59,13 +61,14 @@ targetnode.  A pebble named ``curr`` is the visit-order pebble.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph, closure
 from .machine import (Limits, NdJag, PackedSpace, RunResult, _MAX_LINKS,
-                      _layout, run)
+                      _layout, all_partitions, run)
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -112,11 +115,23 @@ class PebbleProgram:
     bools: tuple              # boolean variable names
     code: tuple               # (instruction, line) per program point
     source: str = ""
+    # degree -> its BoundProgram, so that every search of the program at
+    # one degree shares the bound program's caches
+    _bound: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def bind(self, degree: int) -> "BoundProgram":
         """The program at graph degree ``degree``: ``d`` resolved, the
         variable domains built and the errors that depend on the degree
-        raised on their lines."""
+        raised on their lines.  The first call at a degree that raises
+        nothing binds; later calls at that degree return the same
+        ``BoundProgram``, and a degree that raises raises on every call."""
+        bound = self._bound.get(degree)
+        if bound is None:
+            bound = self._bound[degree] = self._bind(degree)
+        return bound
+
+    def _bind(self, degree: int) -> "BoundProgram":
         if degree < 1:
             raise InputError("degree must be at least 1")
         pebble_names = _pebble_names(self.pebbles)
@@ -445,12 +460,14 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
-    # observed(pt) per point, and the variables dead at each point and the
-    # fresh points (both filled at the first canon or fresh_points), made
-    # when asked so that binding stays cheap
+    # observed(pt) per point, the variables dead at each point (filled at
+    # the first canon) and the state graph with the sole edge into each
+    # state that has one (filled at the first state_graph), made when asked
+    # so that binding stays cheap
     _observed: dict = field(default_factory=dict, init=False, compare=False)
     _dead: list = field(default_factory=list, init=False, compare=False)
-    _fresh: set = field(default_factory=set, init=False, compare=False)
+    _graph: dict = field(default_factory=dict, init=False, compare=False)
+    _sole: dict = field(default_factory=dict, init=False, compare=False)
 
     @property
     def num_pebbles(self) -> int:
@@ -611,31 +628,60 @@ class BoundProgram:
             vals = tuple(vals)
         return pt, vals
 
-    def fresh_points(self) -> set:
-        """The points ``q`` that only one pebble action enters: ``q - 1``
-        is a ``move`` along a literal label, ``q - 2`` a ``move`` or
-        ``jump``, and the fall-through of ``q - 2`` is the only ``_edges``
-        edge into ``q - 1``.  ``ProgramSpace`` says why a configuration at
-        such a point can have at most one predecessor."""
-        if not self._dead:
-            self._fill_dead()
-        return self._fresh
+    def state_graph(self) -> tuple:
+        """``(graph, sole)``: the states that steps reach from the start
+        state under every placement, with their steps, and the one edge
+        into each state that only one edge enters.
+
+        ``graph[state]`` maps the pattern of which pairs of
+        ``observed(pt)`` share a node, as bits (bit k: the k-th pair does),
+        to ``steps`` under a placement with that pattern.  Every pattern a
+        placement can have is there, each from one representative partition
+        (``steps`` reads nothing else of a placement), except that a state
+        whose steps are the same list under every pattern has the one entry
+        0: it is placement-independent.  An edge is ``(state, pebble,
+        move)`` of a triple that ``steps`` gives at some pattern, so the
+        edges over-approximate those a search follows.  ``sole[state]`` is
+        that edge for a state that no other edge enters and that is not the
+        start state, when its move walks along a label (``move > 0``).
+        """
+        if not self._graph:
+            self._close()
+        return self._graph, self._sole
+
+    def _close(self):
+        """Fill ``_graph`` and ``_sole`` by a search over states from the
+        start state, stepping each once per pattern; ``_graph`` is filled
+        last, in one update, so a search cut short leaves it empty."""
+        graph, steps, p = {}, self.steps, self.num_pebbles
+        start = (0, self.init_vals)
+        into = {start: None}  # state -> the one edge into it; None: more
+        todo = [start]
+        for state in todo:  # todo grows while it is read
+            by = {}
+            for bits, pi in _patterns(self.observed(state[0]), p):
+                by[bits] = triples = steps(*state, pi)
+                for nxt, pebble, move in triples:
+                    if nxt is None:  # accept
+                        continue
+                    edge = state, pebble, move
+                    if nxt not in into:
+                        into[nxt] = edge
+                        todo.append(nxt)
+                    elif into[nxt] != edge:
+                        into[nxt] = None
+            same = by[0]  # no observed pair shares a node
+            graph[state] = by if any(triples != same for triples
+                                     in by.values()) else {0: same}
+        self._sole.update((state, edge) for state, edge in into.items()
+                          if edge is not None and edge[2] > 0)
+        self._graph.update(graph)
 
     def _fill_dead(self) -> list:
         """``_dead[pt]``, the ``(variable, first value)`` pairs of the
         variables dead at ``pt``, from a backward dataflow over every
-        ``_edges`` to a fixpoint; and, from the same rows, ``_fresh``, the
-        points of ``fresh_points``."""
-        instrs = self.instrs
-        rows = [tuple(self._edges(pt)) for pt in range(len(instrs))]
-        into = [0] * len(rows)  # the edges into each point
-        for row in rows:
-            for edge in row:
-                into[edge[0]] += 1
-        self._fresh.update(
-            q for q in range(2, len(rows)) if into[q - 1] == 1
-            and instrs[q - 1][0] == "move" and instrs[q - 1][2][0] == "lit"
-            and instrs[q - 2][0] in ("move", "jump"))
+        ``_edges`` to a fixpoint."""
+        rows = [tuple(self._edges(pt)) for pt in range(len(self.instrs))]
         live = [0] * len(rows)  # bit i: variable i is live
         changed = True
         while changed:
@@ -651,6 +697,18 @@ class BoundProgram:
         self._dead[:] = [tuple((i, v) for i, v in enumerate(init)
                                if not mask >> i & 1) for mask in live]
         return self._dead
+
+
+@functools.cache
+def _patterns(pairs: tuple, p: int) -> tuple:
+    """``(bits, partition)`` for each pattern of which of ``pairs`` share a
+    node that a placement of p pebbles can show (bit k: the k-th pair
+    does), with the first of ``all_partitions(p)`` that shows it."""
+    first: dict = {}
+    for pi in all_partitions(p):
+        first.setdefault(sum([1 << k for k, (i, j) in enumerate(pairs)
+                              if pi[i] == pi[j]]), pi)
+    return tuple(first.items())
 
 
 def _eval_bound(expr, vals):
@@ -710,54 +768,57 @@ class ProgramSpace:
     action is arithmetic on the int: it adds the change of sid times N and
     the change of the acting pebble's field, read off the int itself.
     ``steps`` reads the placement only through which of the pairs
-    ``bp.observed(pt)`` share a node, so its triples are kept per sid and
-    that pattern, reused as the same list, for as long as the space lives;
-    the placement is decoded only to fill that cache.
+    ``bp.observed(pt)`` share a node, and ``bp.state_graph()`` holds its
+    triples per state and that pattern.  The plan reads them from there,
+    keeps them per sid for as long as the space lives, and computes the
+    pattern from the int.  A placement-independent state, whose triples are
+    the same under every pattern, reads no pair at all, so its plan is its
+    one act when it has one.
 
     A search stores only the configurations that a run can reach twice.
-    A sid is fresh when its point ``q`` is one of ``bp.fresh_points()``
-    and the column of ``g.rho`` that the move at ``q - 1`` walks along is
-    a permutation of the nodes.  ``leaps`` has an entry per sid interned
-    so far, None unless the sid is fresh (a program without fresh points
-    has an empty ``leaps``), and ``back(c)`` gives a configuration ``c``
-    at a fresh sid its one possible predecessor.  Why there is only one.
-    Configurations at ``q`` come only from configurations at ``q - 1``:
-    ``fold`` stops at pebble actions, and the only edge into ``q - 1`` is
-    the fall-through of the action at ``q - 2``, so no fold reaches ``q -
-    1`` but the one that starts there.  The values are the same on both
-    sides: a move along a literal label reads and assigns nothing, so
-    ``q - 1`` and ``q`` have the same dead variables, and ``canon``
-    changes nothing.  The move along a permutation column is injective on
-    nodes, and every other pebble stays.  So a configuration at a fresh
-    sid has at most one predecessor, ``(q - 1, vals)`` with the moved
-    pebble walked back along the inverse column, and its one step has one
-    successor.  A search discovers it at most once, when it expands that
-    predecessor: it is never the target of a merge, and it is never an
-    accept configuration, which sits at sid 0.  ``machine.expand`` counts
-    it without storing it, at its place in its level, and a walk up the
-    search tree steps back over it with ``back``.
+    A sid is fresh when the state graph has one edge into its state, a
+    move of pebble ``p`` along label ``l`` from state ``S``
+    (``bp.state_graph()[1]``), and the column of ``g.rho`` for ``l`` is a
+    permutation of the nodes.  ``leaps`` has an entry per sid interned so
+    far, None unless the sid is fresh (a program without fresh states has
+    an empty ``leaps``), and ``back(c)`` gives a configuration ``c`` at a
+    fresh sid its one possible predecessor.  Why there is only one.  The
+    state graph holds every edge that ``steps`` gives from a state a
+    search can meet, under every pattern a placement can have, so an edge
+    a search follows into a configuration at the fresh sid is an edge of
+    the state graph: it comes from a configuration at ``S`` by the move of
+    ``p`` along ``l``.  The move along a permutation column is injective on
+    nodes, and every other pebble stays, so the placement at ``S`` is the
+    one with ``p`` walked back along the inverse column.  A search
+    discovers a configuration at a fresh sid at most once, when it expands
+    that predecessor: it is never the target of a merge, and it is never
+    an accept configuration, which sits at sid 0.  The start state is never
+    fresh, since the start enters it as well.  ``machine.expand`` counts a
+    fresh configuration without storing it, at its place in its level, and
+    a walk up the search tree steps back over it with ``back``.
 
     Fresh configurations come in chains, and ``expand`` leaps over them.
     A link is a fresh sid whose plan is a single ``_WALK`` to a fresh sid:
-    its point is a move along a literal label, a pebble action, so
-    ``steps`` reads no pebble pair there and gives one triple, the same on
-    every placement, and so does the plan.  From a first sid, then, the sids
-    of a chain and the columns its links walk along are fixed, and since a
-    walk changes one pebble's field by a lookup on that field alone, the k
-    walks of a chain compose into one table per pebble they move.
-    ``leap(sid)`` gives ``(k, delta, walks)`` and keeps it in ``leaps``,
-    where a fresh sid holds True until then: the configuration ``c`` at
-    ``sid`` reaches the end of its chain in k steps, at ``c + delta +
-    sum(walk[c >> sp & mask] for sp, walk in walks)``, with no ``step`` of
-    the links between.
+    its state is placement-independent and has one step, so the plan is
+    the same on every placement.  The iterations of a ``for`` loop whose
+    body is a run of moves form such a chain, through the state at its
+    ``fornext`` point, wherever one edge enters that state, as in the
+    tower programs.  From a first sid, then, the sids of a chain and the
+    columns its links walk along are fixed, and since a walk changes one
+    pebble's field by a lookup on that field alone, the k walks of a chain
+    compose into one table per pebble they move.  ``leap(sid)`` gives
+    ``(k, delta, walks)`` and keeps it in ``leaps``, where a fresh sid
+    holds True until then: the configuration ``c`` at ``sid`` reaches the
+    end of its chain in k steps, at ``c + delta + sum(walk[c >> sp & mask]
+    for sp, walk in walks)``, with no ``step`` of the links between.
     """
 
     decode = PackedSpace.decode  # reads B, mask, shifts and states alone
 
     def __init__(self, prog: PebbleProgram, g: LabelledGraph):
         bp = prog.bind(g.degree)
-        rho, n, instrs = g.rho, g.num_nodes, bp.instrs
-        steps, observed = bp.steps, bp.observed
+        rho, n, observed = g.rho, g.num_nodes, bp.observed
+        graph, sole = bp.state_graph()
         b, mask, shifts, _, ones = _layout(n, bp.num_pebbles)
         self.mask, self.shifts = mask, shifts
         B = self.B = b * bp.num_pebbles
@@ -768,13 +829,13 @@ class ProgramSpace:
         plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
         # (pebble shift, label) -> field changes; -label: its inverse's
         walks: dict = {}
-        # the labels whose columns are permutations, and the fresh points
-        # whose move walks along one
+        # the labels whose columns are permutations, and the fresh states:
+        # one edge enters each, a walk along one of those columns
         perms = {label for label in range(1, g.degree + 1)
                  if len({row[label - 1] for row in rho}) == n}
-        fresh = {q for q in bp.fresh_points() if instrs[q - 1][2][1] in perms}
+        fresh = {state for state, edge in sole.items() if edge[2] in perms}
         # sid -> None, or at a fresh sid its leap (True until ``leap`` is
-        # asked for it); no table at all without fresh points
+        # asked for it); no table at all without fresh states
         leaps = self.leaps = [None] if fresh else ()
         backs: dict = {}  # fresh sid -> (change of sid times N, shift, changes)
         chains: dict = {}  # the (shift, id of walk) of a chain's links -> walks
@@ -786,18 +847,18 @@ class ProgramSpace:
                 states.append(state)
                 plans.append(None)
                 if fresh:
-                    leaps.append(True if state[0] in fresh else None)
+                    leaps.append(True if state in fresh else None)
             return sid
 
-        def acts(sid, c):
-            """``bp.steps`` at sid on the placement of ``c``, each triple as
-            ``(kind, delta, sp, x)``: ``c + delta`` has the next sid, ``sp``
-            is the acting pebble's shift, and ``x`` the jump target's shift
-            or the field's change per node walked from.  ``accept`` goes to
-            sid 0 and moves no pebble."""
+        def acts(sid, bits):
+            """The steps of sid's state under the pattern ``bits``, from
+            ``bp.state_graph()``, each triple as ``(kind, delta, sp, x)``:
+            ``c + delta`` has the next sid, ``sp`` is the acting pebble's
+            shift, and ``x`` the jump target's shift or the field's change
+            per node walked from.  ``accept`` goes to sid 0 and moves no
+            pebble."""
             out = []
-            for nxt, pebble, move in steps(*states[sid],
-                                           [c >> s & mask for s in shifts]):
+            for nxt, pebble, move in graph[states[sid]][bits]:
                 if nxt is None:
                     out.append((_SHIFT, -sid << B, 0, None))
                     continue
@@ -813,16 +874,17 @@ class ProgramSpace:
                 out.append((_WALK, delta, sp, walk))
             return out
 
-        def plan(sid, c):
+        def plan(sid):
             """The step plan of a sid, ``(_FOLD, 0, sp, x)``: ``sp`` holds
             the shift pairs of ``bp.observed(pt)``, and ``x`` the ``acts``
-            by which of them share a node.  A state with no such pair and
-            one step has that act as its plan."""
-            pairs = observed(states[sid][0])
+            by which of them share a node.  A placement-independent state
+            reads no pair, and with one step it has that act as its plan."""
+            state = states[sid]
+            pairs = observed(state[0]) if len(graph[state]) > 1 else ()
             out = (_FOLD, 0, tuple([(shifts[i], shifts[j])
                                     for i, j in pairs]), {})
             if not pairs:  # the same steps on every placement
-                by = out[3][0] = acts(sid, c)
+                by = out[3][0] = acts(sid, 0)
                 if len(by) == 1:
                     out = by[0]
             plans[sid] = out
@@ -830,7 +892,7 @@ class ProgramSpace:
 
         def step(c):
             sid = c >> B
-            kind, delta, sp, x = plans[sid] or plan(sid, c)
+            kind, delta, sp, x = plans[sid] or plan(sid)
             # a pebble's node is its field, c >> sp & mask, below bit B
             if kind == _WALK:
                 return (c + delta + x[c >> sp & mask],)
@@ -847,7 +909,7 @@ class ProgramSpace:
                 bit += bit
             by = x.get(together)
             if by is None:
-                by = x[together] = acts(sid, c)
+                by = x[together] = acts(sid, together)
             out = []
             for kind, delta, sp, sx in by:
                 if kind == _WALK:
@@ -866,9 +928,7 @@ class ProgramSpace:
             walk along the same columns."""
             k, at, links = 0, sid, []
             while k < _MAX_LINKS:
-                # plan reads the placement only to fill the acts of a state
-                # that observes no pair, which are the same on every one
-                kind, delta, sp, x = plans[at] or plan(at, at << B)
+                kind, delta, sp, x = plans[at] or plan(at)
                 to = at + (delta >> B)
                 if kind != _WALK or leaps[to] is None:
                     break
@@ -889,15 +949,14 @@ class ProgramSpace:
             return entry
 
         def back(c):
-            """The predecessor of ``c``, at a fresh sid: at ``(q - 1,
-            vals)``, the moved pebble's field walked back along the
-            inverse column, whose field changes are made at the first
-            ``back`` to need them."""
+            """The predecessor of ``c``, at a fresh sid: at the state of the
+            one edge into sid's state, the moved pebble's field walked back
+            along the inverse column, whose field changes are made at the
+            first ``back`` to need them."""
             sid = c >> B
             entry = backs.get(sid)
             if entry is None:
-                pt, vals = states[sid]
-                _, pebble, (_, label) = instrs[pt - 1]
+                pred, pebble, label = sole[states[sid]]
                 sp = shifts[pebble - 1]
                 unwalk = walks.get((sp, -label))
                 if unwalk is None:
@@ -906,7 +965,7 @@ class ProgramSpace:
                         inverse[row[label - 1]] = u
                     unwalk = walks[sp, -label] = tuple(
                         [u - v << sp for v, u in enumerate(inverse)])
-                entry = backs[sid] = (sids[pt - 1, vals] - sid << B, sp, unwalk)
+                entry = backs[sid] = (sids[pred] - sid << B, sp, unwalk)
             delta, sp, unwalk = entry
             return c + delta + unwalk[c >> sp & mask]
 

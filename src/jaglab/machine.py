@@ -93,15 +93,23 @@ def partition_of(nodes: tuple) -> tuple:
 
 
 def all_partitions(p: int):
-    """All canonical partition vectors of p pebbles (restricted growth)."""
-    def rec(prefix):
-        if len(prefix) == p:
-            yield tuple(prefix)
+    """All canonical partition vectors of p pebbles (restricted growth), in
+    lexicographic order.  Entry i is a block's least index j + 1 with j <
+    i, or i + 1 when pebble i + 1 opens a block.  Each vector follows the
+    last by raising its rightmost entry that is not its own index to the
+    next value it may take, and setting every entry after it to 1.  A loop,
+    not a recursive closure, so a call leaves no reference cycle behind."""
+    vec = [1] * p
+    while True:
+        yield tuple(vec)
+        i = p - 1
+        while i > 0 and vec[i] == i + 1:
+            i -= 1
+        if i <= 0:
             return
-        used = sorted(set(prefix))
-        for v in used + [len(prefix) + 1]:
-            yield from rec(prefix + [v])
-    yield from rec([1] if p else [])
+        vec[i] = next((j + 1 for j in range(vec[i], i) if vec[j] == j + 1),
+                      i + 1)
+        vec[i + 1:] = [1] * (p - i - 1)
 
 
 @functools.cache

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from jaglab.errors import (DiagnosticError, ProgramError,
+from jaglab.errors import (DiagnosticError, InputError, ProgramError,
                            ResourceLimitExceeded)
 from jaglab.families import parse_family
 from jaglab.graph import LabelledGraph
@@ -43,6 +45,41 @@ def test_move_label_exceeds_degree_is_static_error():
     with pytest.raises(ProgramError):
         prog.bind(2)
     prog.bind(5)  # fine in a degree-5 context
+
+
+def test_bind_is_kept_per_degree():
+    """Every search of one program at one degree shares one
+    ``BoundProgram`` and its caches; a degree whose binding raises raises
+    again on every call, and a program equals one parsed from its source
+    whatever each has bound."""
+    prog = parse_program("pebble curr\nmove curr along 3\naccept")
+    assert prog.bind(3) is prog.bind(3)
+    assert prog.bind(4) is not prog.bind(3)
+    assert prog.bind(3) == parse_program(prog.source).bind(3)
+    for _ in range(2):
+        with pytest.raises(ProgramError):
+            prog.bind(2)
+        with pytest.raises(InputError):
+            prog.bind(0)
+    assert prog == parse_program(prog.source)
+    assert hash(prog) == hash(parse_program(prog.source))
+
+
+def test_only_a_program_space_makes_the_state_graph():
+    """Binding and ``compile_program`` leave the state graph unmade, so
+    the compiled route costs what it did; the first ``ProgramSpace`` at a
+    degree makes it, and every later space at that degree reads the same
+    one."""
+    family = parse_family("sym:n=3")
+    prog, g = tower_program(family.tower), family.graph
+    bp = prog.bind(g.degree)
+    verify(compile_program(prog, g.degree), g)
+    assert not bp._graph and not bp._sole
+    prog.space(g)
+    graph, sole = bp.state_graph()
+    assert graph and sole
+    prog.space(g)
+    assert bp.state_graph()[0] is graph and prog.bind(g.degree) is bp
 
 
 def test_explicit_domain_must_be_degree_closed_when_moved():
@@ -458,29 +495,117 @@ accept
 """
 
 
-def test_fresh_points_follow_one_pebble_action():
-    """A point is fresh when a move along a literal label (``d``
-    included) precedes it and a pebble action's fall-through is the only
-    edge into that move: not after a move along a variable, a guess or a
-    loop test, nor where a branch joins the move.  A sid is fresh only
-    where the move walks along a permutation column, as label 1 of a cycle
-    does and a label that sends every node to node 0 does not; walking back
-    from a fresh configuration reaches its parent in the search."""
+def _syntactic_fresh_points(bp):
+    """The rule the state graph's freshness replaced, kept as a reference
+    that the state rule must cover: a point ``q`` where ``q - 1`` is a
+    ``move`` along a literal label, ``q - 2`` a ``move`` or ``jump``, and
+    the fall-through of ``q - 2`` is the only control-flow edge into ``q -
+    1``."""
+    instrs = bp.instrs
+    into = Counter(edge[0] for pt in range(len(instrs))
+                   for edge in bp._edges(pt))
+    return {q for q in range(2, len(instrs)) if into[q - 1] == 1
+            and instrs[q - 1][0] == "move" and instrs[q - 1][2][0] == "lit"
+            and instrs[q - 2][0] in ("move", "jump")}
+
+
+def _state_graph_by_brute_force(bp):
+    """``bp.state_graph()`` recomputed from its definition: every state
+    reachable by ``steps`` under every partition, with the steps under each
+    partition, and for each state other than the start the set of edges
+    ``(state, pebble, move)`` into it."""
+    partitions = list(all_partitions(bp.num_pebbles))
+    start = (0, bp.init_vals)
+    steps, into = {}, {start: {None}}  # None: the start enters it
+    todo = [start]
+    for state in todo:
+        steps[state] = {pi: bp.steps(*state, pi) for pi in partitions}
+        for triples in steps[state].values():
+            for nxt, pebble, move in triples:
+                if nxt is not None:
+                    if nxt not in into:
+                        into[nxt] = set()
+                        todo.append(nxt)
+                    into[nxt].add((state, pebble, move))
+    return steps, into
+
+
+def test_fresh_states_have_one_edge_into_them():
+    """A state is fresh when one edge of the state graph enters it, a move
+    along a label, and it is not the start state; a sid is fresh when its
+    state is and that label's column is a permutation.  On ``_FRESH``: the
+    states after a move along a variable (point 4) and after a move that a
+    guess precedes (point 7, the loop test) are fresh too, which the
+    syntactic rule missed; label 2 sends every node to node 0, so its
+    states are fresh but not its sids; walking back from a fresh
+    configuration reaches its parent in a search that stores everything.
+    The state graph matches its definition recomputed over every
+    partition, and its states are the compiled automaton's."""
     bp = parse_program(_FRESH).bind(2)
-    assert [bp.instrs[q - 1] for q in sorted(bp.fresh_points())] == [
-        ("move", 1, ("lit", 1)), ("move", 1, ("lit", 2)),
-        ("move", 1, ("lit", 1)), ("move", 1, ("lit", 2)),
-        ("move", 1, ("lit", 2))]
-    assert sorted(bp.fresh_points()) == [2, 3, 5, 10, 16]
+    graph, sole = bp.state_graph()
+    assert {state[0]: (edge[0][0], edge[1], edge[2])
+            for state, edge in sole.items()} == {
+        2: (1, 1, 1), 3: (2, 1, 2), 4: (3, 1, 1), 5: (4, 1, 1),
+        7: (5, 1, 1), 10: (9, 1, 2), 16: (15, 1, 2)}
+    assert sorted(state[0] for state in graph) == \
+        [0, 1, 2, 3, 4, 5, 7, 9, 10, 14, 15, 16]
     g = LabelledGraph(3, 2, tuple(((v + 1) % 3, 0) for v in range(3)), 0, 2)
     cg = build_config_graph(parse_program(_FRESH), g)
     space = cg.space
     assert cg.fresh > 0 and cg.limit_hit is None
     assert {space.states[sid][0] for sid, leap in enumerate(space.leaps)
-            if leap is not None} == {2, 5}
+            if leap is not None} == {2, 4, 5, 7}
     parent, _ = plain_bfs(space)
-    assert all(space.back(c) == parent[c] for c in parent
-               if space.leaps[c >> space.B] is not None)
+    fresh = [c for c in parent if c not in cg.parent]
+    assert len(fresh) == cg.fresh
+    assert all(space.back(c) == parent[c] for c in fresh)
+
+    import random as _random
+    rng = _random.Random(30)
+    covered = wider = 0
+    for _ in range(300):
+        prog, g = random_program(rng), permutation_graph(rng)
+        bp = prog.bind(g.degree)
+        graph, sole = bp.state_graph()
+        steps, into = _state_graph_by_brute_force(bp)
+        assert set(graph) == \
+            reachable_states(compile_program(prog, g.degree)) - {"qa"}
+        assert set(graph) == set(steps)
+        for state, by_pi in steps.items():
+            pairs = bp.observed(state[0])
+            for pi, triples in by_pi.items():
+                bits = sum(1 << k for k, (i, j) in enumerate(pairs)
+                           if pi[i] == pi[j])
+                by = graph[state]
+                assert triples == (by[bits] if len(by) > 1 else by[0])
+            assert (len(graph[state]) == 1) == \
+                (len({tuple(t) for t in by_pi.values()}) == 1)
+        assert sole == {state: next(iter(edges))
+                        for state, edges in into.items()
+                        if len(edges) == 1 and None not in edges
+                        and next(iter(edges))[2] > 0}
+        # every sid the syntactic rule calls fresh is fresh
+        space = build_config_graph(prog, g, Limits(max_configs=2000)).space
+        old = _syntactic_fresh_points(bp)
+        for sid, state in enumerate(space.states[1:], start=1):
+            if state[0] in old:
+                covered += 1
+                assert space.leaps[sid] is not None, (prog.source, state)
+            elif space.leaps and space.leaps[sid] is not None:
+                wider += 1
+    assert covered >= 100 and wider >= 300
+    # on the ladder rungs, every state at a syntactically fresh point has
+    # one edge into it (their graphs' label columns are all permutations)
+    for spec in ("grid:d=2,l=5", "grid:d=3,l=3", "sym:n=4", "sym:n=5",
+                 "abelian:mod=8,8", "wreath(grid:d=1,l=2, grid:d=1,l=3)"):
+        family = parse_family(spec)
+        prog = grid_traversal_program(family.graph.degree) \
+            if spec.startswith("grid") else tower_program(family.tower)
+        bp = prog.bind(family.graph.degree)
+        graph, sole = bp.state_graph()
+        old = _syntactic_fresh_points(bp)
+        assert all(state in sole for state in graph if state[0] in old)
+        assert len(sole) > sum(state[0] in old for state in graph)
 
 
 def test_dead_variables_merge_the_tower_states():
@@ -735,11 +860,11 @@ def test_program_space_stores_the_tree_of_a_plain_search():
     one its parent, and no fresh configuration is an accept configuration
     or the target of a merge.  On a complete graph each fresh configuration
     has exactly one edge into it, and ``cg.adj`` lists every configuration
-    the build expanded.  On the five small ladder rungs, where
-    only the sym and wreath tower programs have fresh points, on a move
-    that a branch joins, and on 300 random programs on graphs whose every
-    label column is a permutation, under budgets that cut through chains
-    of fresh configurations."""
+    the build expanded.  On the five small ladder rungs, each of which has
+    fresh configurations (the grid and abelian ones at the control points
+    after a loop body's moves), on a move that a branch joins, and on 300
+    random programs on graphs whose every label column is a permutation,
+    under budgets that cut through chains of fresh configurations."""
     import random as _random
     from collections import Counter
     cases = []
@@ -774,8 +899,11 @@ def test_program_space_stores_the_tree_of_a_plain_search():
             cg = build_config_graph(prog, g, limits)
             space = cg.space
             if prog is chain and limits == Limits():
+                # a state after 'move p along x' is fresh, one per value of
+                # x, but the walk of q leads all of them to one state: a
+                # leap of no links
                 assert {(leap[0], len(leap[2])) for leap in space.leaps
-                        if type(leap) is tuple} == {(63, 2), (35, 2)}
+                        if type(leap) is tuple} == {(0, 0), (63, 2), (35, 2)}
             parent, limit_hit = plain_bfs(space, limits)
             assert (cg.configs_explored, cg.limit_hit) == \
                 (len(parent), limit_hit)
@@ -802,7 +930,7 @@ def test_program_space_stores_the_tree_of_a_plain_search():
             assert all(cg.adj[conf[c]] == [conf[s] for s in space.step(c)]
                        for c in expanded)
             if spec is not None and limits == Limits():
-                assert (cg.fresh > 0) == spec.startswith(("sym", "wreath"))
+                assert cg.fresh > 0
             seen[limit_hit] += cg.fresh > 0
     assert min(seen[hit] for hit in (None, "max_configs", "max_run_len")) >= 30
 
@@ -894,12 +1022,15 @@ def test_budgets_that_cut_inside_a_leapt_chain():
 
 
 def test_interpret_steps_a_chain_once(monkeypatch):
-    """``interpret`` of the sym:n=4 tower program steps the end of each
-    chain of fresh configurations, not each link: at most 6 000 calls of
-    ``space.step`` for its 15 881 configurations."""
+    """``interpret`` of a tower program steps the end of each chain of
+    fresh configurations, not each link: at most 2 500 calls of
+    ``space.step`` for sym:n=4's 15 881 configurations, 9 000 for
+    abelian:mod=8,8's 36 073 and 63 000 for sym:n=5's 547 157.  On the
+    sym rungs the chains run through the moves of a loop body's word and
+    through the ``fornext`` control points between iterations; on
+    abelian:mod=8,8 each loop body is one move, so every fresh state sits
+    at a ``fornext``."""
     from jaglab import lang
-    family = parse_family("sym:n=4")
-    prog, g = tower_program(family.tower), family.graph
     calls = []
 
     class Counted(lang.ProgramSpace):
@@ -913,11 +1044,18 @@ def test_interpret_steps_a_chain_once(monkeypatch):
 
             self.step = counted
 
-    monkeypatch.setattr(lang, "ProgramSpace", Counted)
-    res = interpret(prog, g)
-    monkeypatch.undo()
-    assert res == _compiled_run(prog, g, Limits())
-    assert res.configs_explored == 15_881 and len(calls) <= 6_000
+    for spec, explored, most in [("sym:n=4", 15_881, 2_500),
+                                 ("abelian:mod=8,8", 36_073, 9_000),
+                                 ("sym:n=5", 547_157, 63_000)]:
+        family = parse_family(spec)
+        prog, g = tower_program(family.tower), family.graph
+        calls.clear()
+        monkeypatch.setattr(lang, "ProgramSpace", Counted)
+        res = interpret(prog, g)
+        monkeypatch.undo()
+        assert res == _compiled_run(prog, g, Limits()), spec
+        assert res.configs_explored == explored, spec
+        assert len(calls) <= most, (spec, len(calls))
 
 
 def _compiled_run(prog, g, limits):

@@ -62,6 +62,38 @@ def test_all_partitions_count():
         assert len(list(all_partitions(p))) == bell
 
 
+def _partitions_by_recursion(p):
+    """The canonical partition vectors of p pebbles by the recursion over
+    prefixes, in its order: the reference for ``all_partitions``'s loop."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == p:
+            out.append(tuple(prefix))
+            return
+        for v in sorted(set(prefix)) + [len(prefix) + 1]:
+            extend(prefix + [v])
+
+    extend([1] if p else [])
+    return out
+
+
+def test_all_partitions_keeps_its_order_and_leaves_no_cyclic_garbage():
+    # the lowering digest pins this order, and the state graph of a
+    # program calls it inside searches that pause the collector
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        got = [list(all_partitions(p)) for p in range(7)]
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert got == [_partitions_by_recursion(p) for p in range(7)]
+    assert got[0] == [()] and got[3] == [(1, 1, 1), (1, 1, 3), (1, 2, 1),
+                                         (1, 2, 2), (1, 2, 3)]
+
+
 def test_initial_config_grid22(grid_cayleys):
     cay = grid_cayleys[(2, 2)]
     g = cay.graph
@@ -402,7 +434,8 @@ def test_expand_records_every_edge_off_the_tree():
 
 
 def test_parse_and_bind_leave_no_cyclic_garbage():
-    # interpret and compile_program bind a program on every call
+    # interpret and compile_program bind each program they are given,
+    # once per degree
     source = tower_program(symmetric_tower(4)).source
     collecting = gc.isenabled()
     gc.disable()
