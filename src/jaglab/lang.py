@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph, closure
-from .machine import (Limits, NdJag, PackedSpace, RunResult, _MAX_LINKS,
-                      _layout, all_partitions, run)
+from .machine import (Limits, NdJag, PackedSpace, RunResult, _layout,
+                      all_partitions, run)
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -923,11 +923,14 @@ class ProgramSpace:
 
         def leap(sid):
             """``leaps[sid]`` at a fresh sid, made at the first call: the
-            chain of at most ``_MAX_LINKS`` links from ``sid`` as ``(k,
-            delta, walks)``, its composed tables shared by the chains that
-            walk along the same columns."""
+            chain of links from ``sid`` as ``(k, delta, walks)``, its
+            composed tables shared by the chains that walk along the same
+            columns.  The chain runs to its end, since it never meets a sid
+            twice: each state on a cycle of fresh sids has its one edge in
+            from the cycle, so the search reaches the cycle only if it holds
+            the start state, and the start state is never fresh."""
             k, at, links = 0, sid, []
-            while k < _MAX_LINKS:
+            while True:
                 kind, delta, sp, x = plans[at] or plan(at)
                 to = at + (delta >> B)
                 if kind != _WALK or leaps[to] is None:

@@ -44,18 +44,12 @@ import functools
 import gc
 import itertools
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DiagnosticError, InputError, ResourceLimitExceeded
 from .graph import LabelledGraph, reachable_set
-
-
-# a slot of ``expand`` keeps the links of its chain still to count in its
-# low _LINK_BITS bits, so a chain it leaps over has at most _MAX_LINKS
-_LINK_BITS = 6
-_MAX_LINKS = (1 << _LINK_BITS) - 1
 
 
 class Verdict(enum.Enum):
@@ -507,20 +501,24 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     the search counts it in ``fresh`` but does not store it.  Every other
     configuration is stored.  If the chain from its sid has k > 0 links
     (``space.leap``), the search puts in its place in the next level a
-    slot that stands for the chain: the negative int ``~(end <<
-    _LINK_BITS | k)``, with the chain's end and the links left to count.
-    At each level a slot stands where the link would, and does what
-    stepping the link would do: it counts the one configuration the link
-    discovers, fresh too, and passes it on to the next level, as the slot
-    with one link fewer or, after the last link, as the plain end, which is
-    stepped as any configuration is.  A link has no other successor and is
-    never an accept configuration, so each level keeps its length and its
-    order, and the counts that the budgets read before each level are
-    those of a search that steps every link.  Levels, the order within
-    them, merges, accept configurations and budgets are those of a search
-    that stores and steps everything.  An automaton's space has no fresh
-    sids (``leaps`` is empty), so its search meets no slot; it pays only
-    the slot test on each accept configuration.
+    slot that stands for the chain: the negative int ``~end``, with the
+    chain's end, which is unique since a fresh configuration is discovered
+    once.  The slot goes into the ``due`` bucket of the level at which its
+    end is stepped, k levels below the next.  Until then it stands where
+    the link would, and does what stepping the link would do: it counts
+    the one configuration the link discovers, fresh too, and passes on to
+    the next level unchanged.  A link has no other successor and is never
+    an accept configuration, so each level keeps its length and its order.
+    A level with slots steps only its plain entries, whose positions were
+    kept as they were appended, and its due slots, found with
+    ``list.index`` and sorted in among them; each run of slots between two
+    of those is copied on with one slice and counted with one addition, in
+    order, so ``fresh`` is exact whenever the search stops.  A level with
+    no slot steps every entry in turn.  The counts that the budgets read
+    before each level, the levels, the order within them, merges, accept
+    configurations and budgets are those of a search that stores and steps
+    everything.  An automaton's space has no fresh sids (``leaps`` is
+    empty), so its search meets no slot.
 
     Returns ``(parent, merges, accepting, limit_hit, fresh)``: ``parent``
     maps every stored configuration discovered to the one it was first
@@ -541,7 +539,12 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
         merges = []
         accepting = []
         fresh = 0
-        frontier = [initial]
+        # level -> the slots whose ends it steps; a slot stays in every
+        # level until its own, so a level holds slots iff due is not empty
+        due = defaultdict(list)
+        # stepped: the positions of the level's plain entries, kept by a
+        # level with slots for the next
+        frontier, stepped = [initial], None
         depth = 0
         while frontier:
             if len(parent) + fresh > limits.max_configs:
@@ -549,37 +552,80 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
             if limits.max_run_len is not None and depth > limits.max_run_len:
                 return parent, merges, accepting, "max_run_len", fresh
             nxt = []
-            for config in frontier:
-                if config < N:
-                    if config < 0:  # a slot: count what its link discovers
-                        fresh += 1
-                        nxt.append(config + 1 if ~config & _MAX_LINKS > 1
-                                   else ~config >> _LINK_BITS)
-                        continue
+            if not due:
+                for config in frontier:
                     succs = step(config)
-                    accepting.append(config)  # sid 0, the accept state
-                    if stop_at_accept:
-                        return parent, merges, accepting, None, fresh
-                else:
-                    succs = step(config)
-                for s in succs:
-                    if leaps and (leap := leaps[s >> B]) is not None:
-                        fresh += 1
-                        if leap is True:
-                            leap = space.leap(s >> B)
-                        links, delta, walks = leap
-                        if links:
-                            end = s + delta
-                            for sp, walk in walks:
-                                end += walk[s >> sp & mask]
-                            nxt.append(~(end << _LINK_BITS | links))
-                        else:
+                    if config < N:
+                        accepting.append(config)  # sid 0, the accept state
+                        if stop_at_accept:
+                            return parent, merges, accepting, None, fresh
+                    for s in succs:
+                        if leaps and (leap := leaps[s >> B]) is not None:
+                            fresh += 1
+                            if leap is True:
+                                leap = space.leap(s >> B)
+                            links, delta, walks = leap
+                            if links:
+                                end = s + delta
+                                for sp, walk in walks:
+                                    end += walk[s >> sp & mask]
+                                slot = ~end
+                                due[depth + 1 + links].append(slot)
+                                nxt.append(slot)
+                            else:
+                                nxt.append(s)
+                        elif s not in parent:
+                            parent[s] = config
                             nxt.append(s)
-                    elif s not in parent:
-                        parent[s] = config
-                        nxt.append(s)
-                    else:
-                        merges.append((config, s))
+                        else:
+                            merges.append((config, s))
+                stepped = None
+            else:
+                if stepped is None:  # the level after one without slots
+                    stepped = [i for i, c in enumerate(frontier) if c >= 0]
+                ends = due.pop(depth, None)
+                if ends:
+                    stepped += map(frontier.index, ends)
+                    stepped.sort()
+                at = []  # the positions of the next level's plain entries
+                done = 0  # the entries of the level passed or stepped
+                for i in stepped:
+                    nxt += frontier[done:i]  # slots: each counts its link
+                    fresh += i - done
+                    done = i + 1
+                    config = frontier[i]
+                    if config < 0:  # a due slot: step its end
+                        config = ~config
+                    succs = step(config)
+                    if config < N:
+                        accepting.append(config)
+                        if stop_at_accept:
+                            return parent, merges, accepting, None, fresh
+                    for s in succs:  # a space with slots has leaps
+                        if (leap := leaps[s >> B]) is not None:
+                            fresh += 1
+                            if leap is True:
+                                leap = space.leap(s >> B)
+                            links, delta, walks = leap
+                            if links:
+                                end = s + delta
+                                for sp, walk in walks:
+                                    end += walk[s >> sp & mask]
+                                slot = ~end
+                                due[depth + 1 + links].append(slot)
+                                nxt.append(slot)
+                            else:
+                                at.append(len(nxt))
+                                nxt.append(s)
+                        elif s not in parent:
+                            parent[s] = config
+                            at.append(len(nxt))
+                            nxt.append(s)
+                        else:
+                            merges.append((config, s))
+                nxt += frontier[done:]
+                fresh += len(frontier) - done
+                stepped = at
             frontier = nxt
             depth += 1
         return parent, merges, accepting, None, fresh

@@ -105,29 +105,38 @@ def permutation_graph(rng):
 
 def plain_bfs(space, limits=Limits()):
     """A breadth-first search of ``space`` over ``space.step`` that stores
-    every configuration it discovers, and shares nothing else with
-    ``machine.expand``: ``(parent, limit_hit)``.  ``parent`` maps each
-    configuration discovered, in order, to the one it was first reached
-    from (the initial one to None); before each level the search stops
+    and steps every configuration it discovers, and shares nothing else
+    with ``machine.expand``: ``(parent, merges, accepting, limit_hit)``.
+    ``parent`` maps each configuration discovered, in order, to the one it
+    was first reached from (the initial one to None); ``merges`` lists the
+    edges into a configuration already discovered, in the order they were
+    followed; ``accepting`` maps each accept configuration (below
+    ``space.N``) expanded, in order, to the number of configurations
+    discovered before it was expanded.  Before each level the search stops
     with ``"max_configs"`` when more than ``limits.max_configs`` are
     discovered and with ``"max_run_len"`` when the level lies deeper than
     ``limits.max_run_len``, and ``limit_hit`` is None if it runs to the
     end."""
     parent = {space.initial: None}
+    merges, accepting = [], {}
     level, depth = [space.initial], 0
     while level:
         if len(parent) > limits.max_configs:
-            return parent, "max_configs"
+            return parent, merges, accepting, "max_configs"
         if limits.max_run_len is not None and depth > limits.max_run_len:
-            return parent, "max_run_len"
+            return parent, merges, accepting, "max_run_len"
         below = []
         for c in level:
+            if c < space.N:
+                accepting[c] = len(parent)
             for s in space.step(c):
                 if s not in parent:
                     parent[s] = c
                     below.append(s)
+                else:
+                    merges.append((c, s))
         level, depth = below, depth + 1
-    return parent, None
+    return parent, merges, accepting, None
 
 
 def search_tree(cg):

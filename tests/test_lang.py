@@ -11,7 +11,8 @@ from jaglab.lang import (_ACTIONS, BoundProgram, compile_program, interpret,
 from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             build_config_graph, check_orderable,
                             check_traversable, decide_co_st_connectivity,
-                            enumerate_runs, partition_of, run, verify)
+                            enumerate_runs, expand, partition_of, run,
+                            verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
 
 from conftest import (MANY_PEBBLES, cycle, decoded, permutation_graph,
@@ -555,7 +556,7 @@ def test_fresh_states_have_one_edge_into_them():
     assert cg.fresh > 0 and cg.limit_hit is None
     assert {space.states[sid][0] for sid, leap in enumerate(space.leaps)
             if leap is not None} == {2, 4, 5, 7}
-    parent, _ = plain_bfs(space)
+    parent = plain_bfs(space)[0]
     fresh = [c for c in parent if c not in cg.parent]
     assert len(fresh) == cg.fresh
     assert all(space.back(c) == parent[c] for c in fresh)
@@ -857,14 +858,19 @@ def test_program_space_stores_the_tree_of_a_plain_search():
     fresh, and its tree is that of a breadth-first search that stores
     every configuration (``plain_bfs``): the same count and limit hit, the
     same parent for each stored configuration, ``space.back`` of each fresh
-    one its parent, and no fresh configuration is an accept configuration
-    or the target of a merge.  On a complete graph each fresh configuration
-    has exactly one edge into it, and ``cg.adj`` lists every configuration
-    the build expanded.  On the five small ladder rungs, each of which has
-    fresh configurations (the grid and abelian ones at the control points
-    after a loop body's moves), on a move that a branch joins, and on 300
-    random programs on graphs whose every label column is a permutation,
-    under budgets that cut through chains of fresh configurations."""
+    one its parent, the same merges and accept configurations in the same
+    order, and no fresh configuration is an accept configuration or the
+    target of a merge.  Stopped at the first accept configuration, the
+    search has discovered what ``plain_bfs`` had before it expanded that
+    configuration, fresh ones included.  On a complete graph each fresh
+    configuration has exactly one edge into it, and ``cg.adj`` lists every
+    configuration the build expanded.  On the five small ladder rungs,
+    each of which has fresh configurations (the grid and abelian ones at
+    the control points after a loop body's moves), on a move that a branch
+    joins, on two chains that end on one level in the other order than the
+    one they began in, and on 300 random programs on graphs whose every
+    label column is a permutation, under budgets that cut through chains
+    of fresh configurations."""
     import random as _random
     from collections import Counter
     cases = []
@@ -890,11 +896,26 @@ def test_program_space_stores_the_tree_of_a_plain_search():
         + [f"move {'pq'[i % 2]} along {'1d'[i % 2]}" for i in range(100)]
         + ["accept"]))
     cases.append((chain, permutation_graph(_random.Random(24)), None))
+    # three branches, each one configuration wide: the first jumps and
+    # then walks 5 moves, the second walks 6 and the third jumps 6 times.
+    # Level 6 holds the first one's chain end, the third's configuration
+    # and the second's chain end, which began a level earlier.
+    walks = ["    jump q to p"] + ["    move p along 1"] * 5
+    ends = parse_program("\n".join(
+        ["pebble p", "pebble q", "guess b : bool", "if b {"] + walks
+        + ["} else {", "    guess c : bool", "    if c {"]
+        + ["        move p along 2"] * 6 + ["    } else {"]
+        + [f"        jump q to {'st'[i % 2]}" for i in range(6)]
+        + ["    }", "}", "move q along 1", "accept"]))
+    cases.append((ends, cycle(5, 2), None))
     seen = Counter()
     for prog, g, spec in cases:
         budgets = [Limits(), Limits(max_configs=5), Limits(max_run_len=2)]
-        if prog is chain:  # cuts inside the first leap and the second
+        if prog is chain:  # cuts inside the one chain
             budgets += [Limits(max_configs=100), Limits(max_run_len=70)]
+        if prog is ends:  # stop before level 6 and after it
+            budgets += [Limits(max_configs=18), Limits(max_configs=21),
+                        Limits(max_run_len=5), Limits(max_run_len=6)]
         for limits in budgets:
             cg = build_config_graph(prog, g, limits)
             space = cg.space
@@ -903,10 +924,35 @@ def test_program_space_stores_the_tree_of_a_plain_search():
                 # x, but the walk of q leads all of them to one state: a
                 # leap of no links
                 assert {(leap[0], len(leap[2])) for leap in space.leaps
-                        if type(leap) is tuple} == {(0, 0), (63, 2), (35, 2)}
-            parent, limit_hit = plain_bfs(space, limits)
+                        if type(leap) is tuple} == {(0, 0), (99, 2)}
+            parent, merges, accepting, limit_hit = plain_bfs(space, limits)
             assert (cg.configs_explored, cg.limit_hit) == \
                 (len(parent), limit_hit)
+            assert cg.merges == merges
+            assert cg.accepting == list(accepting)
+            if prog is ends and limits == Limits():
+                # the links left at each configuration of levels 1, 2 and
+                # 6 (None: stored): a chain of 5 links from the last place
+                # of level 1 and one of 4 from the first place of level 2
+                # both end on level 6
+                depth = {}
+                for c, above in parent.items():
+                    depth[c] = 0 if above is None else depth[above] + 1
+                assert [[space.leap(c >> space.B)[0]
+                         if space.leaps[c >> space.B] is not None else None
+                         for c in parent if depth[c] == d]
+                        for d in (1, 2, 6)] == \
+                    [[None, None, 5], [4, None, 4], [0, None, 0]]
+            got = expand(space, limits, stop_at_accept=True)
+            if accepting:
+                first, discovered = next(iter(accepting.items()))
+                order = list(parent)[:discovered]
+                assert got[2:4] == ([first], None)
+                assert list(got[0]) == [c for c in order if c in cg.parent]
+                assert got[4] == discovered - len(got[0])
+            else:
+                assert got == (cg.parent, cg.merges, [], cg.limit_hit,
+                               cg.fresh)
             assert list(cg.parent) == [c for c in parent if c in cg.parent]
             assert all(parent[c] == above for c, above in cg.parent.items())
             fresh = [c for c in parent if c not in cg.parent]
@@ -989,7 +1035,7 @@ def test_budgets_that_cut_inside_a_leapt_chain():
         family = parse_family(spec)
         prog, g = tower_program(family.tower), family.graph
         space = prog.space(g)
-        parent, _ = plain_bfs(space)
+        parent = plain_bfs(space)[0]
         depth = {}
         for c, above in parent.items():
             depth[c] = 0 if above is None else depth[above] + 1
