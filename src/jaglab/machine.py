@@ -514,11 +514,12 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     ``list.index`` and sorted in among them; each run of slots between two
     of those is copied on with one slice and counted with one addition, in
     order, so ``fresh`` is exact whenever the search stops.  A level with
-    no slot steps every entry in turn.  The counts that the budgets read
-    before each level, the levels, the order within them, merges, accept
-    configurations and budgets are those of a search that stores and steps
-    everything.  An automaton's space has no fresh sids (``leaps`` is
-    empty), so its search meets no slot.
+    no slot steps every entry in turn, through the same loop, and the
+    positions are kept only while a slot is due.  The counts that the
+    budgets read before each level, the levels, the order within them,
+    merges, accept configurations and budgets are those of a search that
+    stores and steps everything.  An automaton's space has no fresh sids
+    (``leaps`` is empty), so its search meets no slot.
 
     Returns ``(parent, merges, accepting, limit_hit, fresh)``: ``parent``
     maps every stored configuration discovered to the one it was first
@@ -542,9 +543,28 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
         # level -> the slots whose ends it steps; a slot stays in every
         # level until its own, so a level holds slots iff due is not empty
         due = defaultdict(list)
-        # stepped: the positions of the level's plain entries, kept by a
-        # level with slots for the next
-        frontier, stepped = [initial], None
+
+        def passing(frontier, stepped, nxt):
+            """The entries to step of a level with slots, at the
+            positions ``stepped``, in order: its plain entries and, for a
+            due slot, its end.  The run of slots before each is copied on
+            to ``nxt`` with one slice and counted in ``fresh`` with one
+            addition."""
+            nonlocal fresh
+            done = 0
+            for i in stepped:
+                if i != done:
+                    nxt += frontier[done:i]
+                    fresh += i - done
+                done = i + 1
+                config = frontier[i]
+                yield config if config >= 0 else ~config
+            nxt += frontier[done:]
+            fresh += len(frontier) - done
+
+        # stepped: the positions of the level's plain entries, kept only
+        # while a slot is due, since a level with none walks every entry
+        frontier, stepped = [initial], []
         depth = 0
         while frontier:
             if len(parent) + fresh > limits.max_configs:
@@ -552,81 +572,47 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
             if limits.max_run_len is not None and depth > limits.max_run_len:
                 return parent, merges, accepting, "max_run_len", fresh
             nxt = []
-            if not due:
-                for config in frontier:
-                    succs = step(config)
-                    if config < N:
-                        accepting.append(config)  # sid 0, the accept state
-                        if stop_at_accept:
-                            return parent, merges, accepting, None, fresh
-                    for s in succs:
-                        if leaps and (leap := leaps[s >> B]) is not None:
-                            fresh += 1
-                            if leap is True:
-                                leap = space.leap(s >> B)
-                            links, delta, walks = leap
-                            if links:
-                                end = s + delta
-                                for sp, walk in walks:
-                                    end += walk[s >> sp & mask]
-                                slot = ~end
-                                due[depth + 1 + links].append(slot)
-                                nxt.append(slot)
-                            else:
-                                nxt.append(s)
-                        elif s not in parent:
-                            parent[s] = config
-                            nxt.append(s)
-                        else:
-                            merges.append((config, s))
-                stepped = None
-            else:
-                if stepped is None:  # the level after one without slots
-                    stepped = [i for i, c in enumerate(frontier) if c >= 0]
+            at = []  # the positions of the next level's plain entries
+            todo = frontier
+            if due:
                 ends = due.pop(depth, None)
                 if ends:
                     stepped += map(frontier.index, ends)
                     stepped.sort()
-                at = []  # the positions of the next level's plain entries
-                done = 0  # the entries of the level passed or stepped
-                for i in stepped:
-                    nxt += frontier[done:i]  # slots: each counts its link
-                    fresh += i - done
-                    done = i + 1
-                    config = frontier[i]
-                    if config < 0:  # a due slot: step its end
-                        config = ~config
-                    succs = step(config)
-                    if config < N:
-                        accepting.append(config)
-                        if stop_at_accept:
-                            return parent, merges, accepting, None, fresh
-                    for s in succs:  # a space with slots has leaps
-                        if (leap := leaps[s >> B]) is not None:
-                            fresh += 1
-                            if leap is True:
-                                leap = space.leap(s >> B)
-                            links, delta, walks = leap
-                            if links:
-                                end = s + delta
-                                for sp, walk in walks:
-                                    end += walk[s >> sp & mask]
-                                slot = ~end
-                                due[depth + 1 + links].append(slot)
-                                nxt.append(slot)
-                            else:
-                                at.append(len(nxt))
-                                nxt.append(s)
-                        elif s not in parent:
-                            parent[s] = config
-                            at.append(len(nxt))
-                            nxt.append(s)
+                todo = passing(frontier, stepped, nxt)
+            for config in todo:
+                succs = step(config)
+                if config < N:
+                    accepting.append(config)  # sid 0, the accept state
+                    if stop_at_accept:
+                        return parent, merges, accepting, None, fresh
+                for s in succs:
+                    if leaps and (leap := leaps[s >> B]) is not None:
+                        fresh += 1
+                        if leap is True:
+                            leap = space.leap(s >> B)
+                        links, delta, walks = leap
+                        if links:
+                            end = s + delta
+                            for sp, walk in walks:
+                                end += walk[s >> sp & mask]
+                            slot = ~end
+                            if not due:  # the first slot: all before are plain
+                                at += range(len(nxt))
+                            due[depth + 1 + links].append(slot)
+                            nxt.append(slot)
                         else:
-                            merges.append((config, s))
-                nxt += frontier[done:]
-                fresh += len(frontier) - done
-                stepped = at
-            frontier = nxt
+                            if due:
+                                at.append(len(nxt))
+                            nxt.append(s)
+                    elif s not in parent:
+                        parent[s] = config
+                        if due:
+                            at.append(len(nxt))
+                        nxt.append(s)
+                    else:
+                        merges.append((config, s))
+            frontier, stepped = nxt, at
             depth += 1
         return parent, merges, accepting, None, fresh
     finally:
