@@ -458,6 +458,59 @@ def _bfs_words(group: FiniteGroup, gens: Sequence) -> dict:
     return words
 
 
+def _walk(peb: str, word, start_bound, end_bound, pad: str) -> list[str]:
+    """Lines that walk ``peb`` along ``word`` (end - start + 1) times; the
+    bounds are literals or a digit variable's name."""
+    if isinstance(end_bound, int) and isinstance(start_bound, int) \
+            and end_bound < start_bound:
+        return []
+    out = [pad + f"for c = {start_bound} to {end_bound} {{"]
+    for label in word:
+        out.append(pad + f"    move {peb} along {label}")
+    out.append(pad + "}")
+    return out
+
+
+def _advance_branch(positions: tuple, k: int, pad: str) -> list[str]:
+    """The lines of one loop iteration that increments digit ``k``."""
+    m = len(positions)
+    out = [pad + "next := s", pad + "curtrace := s"]
+    for i in range(1, k):
+        pos = positions[i - 1]
+        out.append(pad + f"guess t{i}")
+        # digit is t_i - 1: walk it on both tracer pebbles
+        out += _walk("next", pos.word, 2, f"t{i}", pad)
+        out += _walk("curtrace", pos.word, 2, f"t{i}", pad)
+    pos = positions[k - 1]
+    out.append(pad + f"guess t{k}")
+    out += _walk("next", pos.word, 2, f"t{k}", pad)      # new digit units
+    out += _walk("curtrace", pos.word, 3, f"t{k}", pad)  # one unit fewer
+    # a zero increment leaves next == curtrace: not a successor step
+    out.append(pad + "if next == curtrace {")
+    out.append(pad + "    fail")
+    out.append(pad + "}")
+    for i in range(k + 1, m + 1):
+        pos = positions[i - 1]
+        out += _walk("curtrace", pos.word, 1, pos.size - 1, pad)
+    out.append(pad + "if curtrace != curr {")
+    out.append(pad + "    fail")
+    out.append(pad + "}")
+    out.append(pad + "jump curr to next")
+    return out
+
+
+def _branches(positions: tuple, k: int, pad: str) -> list[str]:
+    """A guessed choice of the increment position, ``k`` to the last."""
+    if k == len(positions):
+        return _advance_branch(positions, k, pad)
+    out = [pad + f"guess k{k} : bool", pad + f"if k{k} {{"]
+    out += _advance_branch(positions, k, pad + "    ")
+    out.append(pad + "} else {")
+    out += _branches(positions, k + 1, pad + "    ")
+    out.append(pad + "}")
+    return out
+
+
 def tower_program(tower: CanonicalTower) -> PebbleProgram:
     """Generate the guess-and-verify ordering program for a digit tower.
 
@@ -467,73 +520,27 @@ def tower_program(tower: CanonicalTower) -> PebbleProgram:
     walks the maxed tail), and fail unless the rebuilt word lands on curr.
     Digit-tuple uniqueness makes the verifying guess unique, so all
     accepting runs visit nodes in the same successor order.  The run ends by
-    verifying curr sits on the all-maxed node and accepting.
+    verifying curr sits on the all-maxed node and accepting.  The lines are
+    made by module-level functions, not nested recursive ones, so a call
+    leaves no reference cycle holding ``tower``.
     """
-    m = len(tower.positions)
-    if m == 0:
+    positions = tower.positions
+    if not positions:
         return parse_program("pebble curr\naccept")
-    maxe = max(max(p.size for p in tower.positions), 2)
+    maxe = max(max(p.size for p in positions), 2)
     lines = ["pebble s", "pebble curr", "pebble next", "pebble curtrace"]
-    for i, pos in enumerate(tower.positions, start=1):
+    for i, pos in enumerate(positions, start=1):
         lines.append(f"dir t{i} : {{1..{pos.size}}}")
     lines.append(f"dir c : {{1..{maxe}}}")
-
-    def walk(peb: str, word, start_bound, end_bound, pad: str) -> list[str]:
-        # walks the word (end - start + 1) times; bounds are literals or a
-        # digit variable name
-        if isinstance(end_bound, int) and isinstance(start_bound, int) \
-                and end_bound < start_bound:
-            return []
-        out = [pad + f"for c = {start_bound} to {end_bound} {{"]
-        for label in word:
-            out.append(pad + f"    move {peb} along {label}")
-        out.append(pad + "}")
-        return out
-
-    def advance_branch(k: int, pad: str) -> list[str]:
-        out = [pad + "next := s", pad + "curtrace := s"]
-        for i in range(1, k):
-            pos = tower.positions[i - 1]
-            out.append(pad + f"guess t{i}")
-            # digit is t_i - 1: walk it on both tracer pebbles
-            out += walk("next", pos.word, 2, f"t{i}", pad)
-            out += walk("curtrace", pos.word, 2, f"t{i}", pad)
-        pos = tower.positions[k - 1]
-        out.append(pad + f"guess t{k}")
-        out += walk("next", pos.word, 2, f"t{k}", pad)      # new digit units
-        out += walk("curtrace", pos.word, 3, f"t{k}", pad)  # one unit fewer
-        # a zero increment leaves next == curtrace: not a successor step
-        out.append(pad + "if next == curtrace {")
-        out.append(pad + "    fail")
-        out.append(pad + "}")
-        for i in range(k + 1, m + 1):
-            pos = tower.positions[i - 1]
-            out += walk("curtrace", pos.word, 1, pos.size - 1, pad)
-        out.append(pad + "if curtrace != curr {")
-        out.append(pad + "    fail")
-        out.append(pad + "}")
-        out.append(pad + "jump curr to next")
-        return out
-
-    def branches(k: int, pad: str) -> list[str]:
-        if k == m:
-            return advance_branch(k, pad)
-        out = [pad + f"guess k{k} : bool", pad + f"if k{k} {{"]
-        out += advance_branch(k, pad + "    ")
-        out.append(pad + "} else {")
-        out += branches(k + 1, pad + "    ")
-        out.append(pad + "}")
-        return out
-
     lines.append("guess more : bool")
     lines.append("while more {")
-    lines += branches(1, "    ")
+    lines += _branches(positions, 1, "    ")
     lines.append("    guess more : bool")
     lines.append("}")
     # finish: verify curr is the all-maxed node
     lines.append("curtrace := s")
-    for pos in tower.positions:
-        lines += walk("curtrace", pos.word, 1, pos.size - 1, "")
+    for pos in positions:
+        lines += _walk("curtrace", pos.word, 1, pos.size - 1, "")
     lines.append("if curtrace != curr {")
     lines.append("    fail")
     lines.append("}")

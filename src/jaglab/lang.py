@@ -780,22 +780,23 @@ class ProgramSpace:
     move of pebble ``p`` along label ``l`` from state ``S``
     (``bp.state_graph()[1]``), and the column of ``g.rho`` for ``l`` is a
     permutation of the nodes.  ``leaps`` has an entry per sid interned so
-    far, None unless the sid is fresh (a program without fresh states has
-    an empty ``leaps``), and ``back(c)`` gives a configuration ``c`` at a
-    fresh sid its one possible predecessor.  Why there is only one.  The
-    state graph holds every edge that ``steps`` gives from a state a
-    search can meet, under every pattern a placement can have, so an edge
-    a search follows into a configuration at the fresh sid is an edge of
-    the state graph: it comes from a configuration at ``S`` by the move of
-    ``p`` along ``l``.  The move along a permutation column is injective on
-    nodes, and every other pebble stays, so the placement at ``S`` is the
-    one with ``p`` walked back along the inverse column.  A search
-    discovers a configuration at a fresh sid at most once, when it expands
-    that predecessor: it is never the target of a merge, and it is never
-    an accept configuration, which sits at sid 0.  The start state is never
-    fresh, since the start enters it as well.  ``machine.expand`` counts a
-    fresh configuration without storing it, at its place in its level, and
-    a walk up the search tree steps back over it with ``back``.
+    far, None unless the sid is fresh or a head (below; a program without
+    fresh states has an empty ``leaps``), and ``back(c)`` gives a
+    configuration ``c`` at a fresh sid its one possible predecessor.  Why
+    there is only one.  The state graph holds every edge that ``steps``
+    gives from a state a search can meet, under every pattern a placement
+    can have, so an edge a search follows into a configuration at the
+    fresh sid is an edge of the state graph: it comes from a configuration
+    at ``S`` by the move of ``p`` along ``l``.  The move along a
+    permutation column is injective on nodes, and every other pebble
+    stays, so the placement at ``S`` is the one with ``p`` walked back
+    along the inverse column.  A search discovers a configuration at a
+    fresh sid at most once, when it expands that predecessor: it is never
+    the target of a merge, and it is never an accept configuration, which
+    sits at sid 0.  The start state is never fresh, since the start enters
+    it as well.  ``machine.expand`` counts a fresh configuration without
+    storing it, at its place in its level, and a walk up the search tree
+    steps back over it with ``back``.
 
     Fresh configurations come in chains, and ``expand`` leaps over them.
     A link is a fresh sid whose plan is a single ``_WALK`` to a fresh sid:
@@ -803,14 +804,20 @@ class ProgramSpace:
     the same on every placement.  The iterations of a ``for`` loop whose
     body is a run of moves form such a chain, through the state at its
     ``fornext`` point, wherever one edge enters that state, as in the
-    tower programs.  From a first sid, then, the sids of a chain and the
-    columns its links walk along are fixed, and since a walk changes one
-    pebble's field by a lookup on that field alone, the k walks of a chain
-    compose into one table per pebble they move.  ``leap(sid)`` gives
-    ``(k, delta, walks)`` and keeps it in ``leaps``, where a fresh sid
-    holds True until then: the configuration ``c`` at ``sid`` reaches the
-    end of its chain in k steps, at ``c + delta + sum(walk[c >> sp & mask]
-    for sp, walk in walks)``, with no ``step`` of the links between.
+    tower programs.  A head is a sid that is not fresh but has such a plan,
+    a single ``_WALK`` to a link: the search stores a configuration there,
+    since other edges may reach it, and leaps from it over its own walk
+    and the chain.  (A sid that walks into a fresh sid with no link is no
+    head: on the grid programs, where every fresh state is such, a slot on
+    every level costs more than the step it saves.)  From a first sid,
+    then, the sids of a chain and the columns its walks go along are
+    fixed, and since a walk changes one pebble's field by a lookup on that
+    field alone, the k walks compose into one table per pebble they move.
+    ``leap(sid)`` gives ``(k, delta, walks)``, with ``-k`` at a head, and
+    keeps it in ``leaps``, where the sid holds True until then: the
+    configuration ``c`` at ``sid`` reaches the end of its chain in k
+    steps, at ``c + delta + sum(walk[c >> sp & mask] for sp, walk in
+    walks)``, with no ``step`` of the sids between.
     """
 
     decode = PackedSpace.decode  # reads B, mask, shifts and states alone
@@ -834,11 +841,19 @@ class ProgramSpace:
         perms = {label for label in range(1, g.degree + 1)
                  if len({row[label - 1] for row in rho}) == n}
         fresh = {state for state, edge in sole.items() if edge[2] in perms}
-        # sid -> None, or at a fresh sid its leap (True until ``leap`` is
-        # asked for it); no table at all without fresh states
+        # sid -> None, or at a fresh sid or a head its leap (True until
+        # ``leap`` is asked for it); no table at all without fresh states
         leaps = self.leaps = [None] if fresh else ()
         backs: dict = {}  # fresh sid -> (change of sid times N, shift, changes)
         chains: dict = {}  # the (shift, id of walk) of a chain's links -> walks
+
+        def walks_into(state):
+            """The fresh state that ``state`` walks into, when it is
+            placement-independent and has that one step; else None."""
+            by = graph[state]
+            if len(by) == 1 and len(by[0]) == 1 and by[0][0][0] in fresh:
+                return by[0][0][0]
+            return None
 
         def intern(state):
             sid = sids.get(state)
@@ -846,8 +861,10 @@ class ProgramSpace:
                 sid = sids[state] = len(states)
                 states.append(state)
                 plans.append(None)
-                if fresh:
-                    leaps.append(True if state in fresh else None)
+                if fresh:  # a head walks into the first link of a chain
+                    leaps.append(True if state in fresh or (
+                        (to := walks_into(state)) is not None
+                        and walks_into(to) is not None) else None)
             return sid
 
         def acts(sid, bits):
@@ -922,18 +939,19 @@ class ProgramSpace:
             return out
 
         def leap(sid):
-            """``leaps[sid]`` at a fresh sid, made at the first call: the
-            chain of links from ``sid`` as ``(k, delta, walks)``, its
-            composed tables shared by the chains that walk along the same
-            columns.  The chain runs to its end, since it never meets a sid
-            twice: each state on a cycle of fresh sids has its one edge in
-            from the cycle, so the search reaches the cycle only if it holds
-            the start state, and the start state is never fresh."""
+            """``leaps[sid]`` at a fresh sid or a head, made at the first
+            call: the walks from ``sid`` into fresh sids, up to the end of
+            the chain, as ``(k, delta, walks)``, with ``-k`` at a head; the
+            composed tables are shared by the chains that walk along the
+            same columns.  The chain runs to its end, since it never meets a
+            sid twice: each state on a cycle of fresh sids has its one edge
+            in from the cycle, so the search reaches the cycle only if it
+            holds the start state, and the start state is never fresh."""
             k, at, links = 0, sid, []
             while True:
                 kind, delta, sp, x = plans[at] or plan(at)
                 to = at + (delta >> B)
-                if kind != _WALK or leaps[to] is None:
+                if kind != _WALK or states[to] not in fresh:
                     break
                 links.append((sp, x))
                 at, k = to, k + 1
@@ -948,7 +966,8 @@ class ProgramSpace:
                 walked = chains[key] = tuple([
                     (sp, tuple([v - u << sp for u, v in enumerate(path)]))
                     for sp, path in paths.items()])
-            entry = leaps[sid] = (k, at - sid << B, walked)
+            entry = leaps[sid] = (k if states[sid] in fresh else -k,
+                                  at - sid << B, walked)
             return entry
 
         def back(c):

@@ -33,8 +33,9 @@ at the first of them, and a ``ConfigGraph`` is what a whole ``expand``
 returned.  A configuration's successors are always those ``space.step``
 gives it.  A program's space names the configurations that have at most
 one possible predecessor (``leaps``); ``expand`` counts them without
-storing them, leaps over each chain of them with one lookup, and a walk
-up the search tree steps back over them with ``space.back``.
+storing them, leaps over each chain of them with one lookup, from its
+first configuration or from the stored head whose one step enters it,
+and a walk up the search tree steps back over them with ``space.back``.
 """
 
 from __future__ import annotations
@@ -495,19 +496,24 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     state is restored however the search ends, by a return or an
     exception.
 
-    A successor whose sid holds a leap in ``space.leaps`` (anything but
-    None) is fresh: it has no other possible predecessor
-    (``lang.ProgramSpace`` says why), so no other edge can reach it, and
-    the search counts it in ``fresh`` but does not store it.  Every other
-    configuration is stored.  If the chain from its sid has k > 0 links
-    (``space.leap``), the search puts in its place in the next level a
-    slot that stands for the chain: the negative int ``~end``, with the
-    chain's end, which is unique since a fresh configuration is discovered
-    once.  The slot goes into the ``due`` bucket of the level at which its
-    end is stepped, k levels below the next.  Until then it stands where
-    the link would, and does what stepping the link would do: it counts
-    the one configuration the link discovers, fresh too, and passes on to
-    the next level unchanged.  A link has no other successor and is never
+    A successor whose sid holds a leap ``(k, delta, walks)`` with k >= 0
+    in ``space.leaps`` (None: no leap; True: ``space.leap`` makes it) is
+    fresh: it has no other possible predecessor (``lang.ProgramSpace``
+    says why), so no other edge can reach it, and the search counts it in
+    ``fresh`` but does not store it.  Every other configuration is stored.
+    If the chain from its sid has k > 0 links, the search puts in its
+    place in the next level a slot that stands for the chain: the negative
+    int ``~end``, with the chain's end, which is unique since a fresh
+    configuration is discovered once.  A successor at a head, whose leap
+    has -k < 0 for its own walk and the k - 1 links after it, is stored
+    first, as any other, and an edge into it later is a merge; when it is
+    new, the slot of its k walks stands in its place, so the search steps
+    neither the head nor the fresh configuration its one step enters.  The
+    slot goes into the ``due`` bucket of the level at which its end is
+    stepped, k levels below the next.  Until then it stands where the link
+    or the head would, and does what stepping it would do: it counts the
+    one configuration the step discovers, fresh, and passes on to the next
+    level unchanged.  A link or a head has no other successor and is never
     an accept configuration, so each level keeps its length and its order.
     A level with slots steps only its plain entries, whose positions were
     kept as they were appended, and its due slots, found with
@@ -588,10 +594,17 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
                         return parent, merges, accepting, None, fresh
                 for s in succs:
                     if leaps and (leap := leaps[s >> B]) is not None:
-                        fresh += 1
                         if leap is True:
                             leap = space.leap(s >> B)
                         links, delta, walks = leap
+                        if links >= 0:
+                            fresh += 1
+                        elif s in parent:  # a head, discovered before
+                            merges.append((config, s))
+                            continue
+                        else:  # a head: stored, and leapt from unstepped
+                            parent[s] = config
+                            links = -links
                         if links:
                             end = s + delta
                             for sp, walk in walks:
@@ -828,8 +841,9 @@ def _carried_values(cg: ConfigGraph, work: list, tree_value: Callable,
     its value is yielded each time it is taken from the worklist.
 
     The edges out of a configuration are ``cg.space.step``'s.  The graph
-    is complete, so the build stepped every configuration the worklist
-    takes; the step's table outlives it, so a step again asks the
+    is complete, so the build made the plan of every configuration the
+    worklist takes, by stepping it or, at a head or a link, by its leap;
+    the step's table outlives the build, so a step again asks the
     automaton nothing and gives the edges the build followed.
     """
     N = cg.space.N

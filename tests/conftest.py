@@ -103,6 +103,16 @@ def permutation_graph(rng):
                          0, rng.randrange(n))
 
 
+def fresh_sid(space, sid):
+    """Whether ``sid`` is fresh, as ``machine.expand`` reads it: its entry
+    in ``space.leaps`` is a leap of k >= 0 links (a head's counts -k, and
+    None is neither), made with ``space.leap`` if it is not yet."""
+    leap = space.leaps[sid] if space.leaps else None
+    if leap is True:
+        leap = space.leap(sid)
+    return leap is not None and leap[0] >= 0
+
+
 def plain_bfs(space, limits=Limits()):
     """A breadth-first search of ``space`` over ``space.step`` that stores
     and steps every configuration it discovers, and shares nothing else
@@ -155,7 +165,7 @@ def search_tree(cg):
                       if cg.limit_hit else Limits())[0]
     assert len(order) == cg.configs_explored
     assert [c for c in order if c in parent] == list(parent)
-    assert all(space.leaps[c >> space.B] is not None
+    assert all(fresh_sid(space, c >> space.B)
                for c in order if c not in parent)
     return {c: parent[c] if c in parent else space.back(c) for c in order}
 

@@ -505,6 +505,27 @@ def test_symmetric_tower_program_s4_model_checked():
     assert trav and ordb and order == expected
 
 
+def test_tower_program_leaves_no_reference_cycle():
+    """Making sym:n=4's tower program, compiling it and verifying the
+    automaton leave nothing for the cyclic collector: with it paused, a
+    collection afterwards finds no unreachable object."""
+    import gc
+    from jaglab.families import parse_family
+    from jaglab.machine import verify
+    family = parse_family("sym:n=4")
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        jag = compile_program(tower_program(family.tower),
+                              family.graph.degree)
+        assert verify(jag, family.graph).orderable
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def test_wreath_tower_program_z2_wr_z3_model_checked():
     ws = _wreath(3)
     cay = cayley_graph(ws.group, ws.gens)

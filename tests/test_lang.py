@@ -15,8 +15,8 @@ from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             verify)
 from jaglab.algorithms import grid_traversal_program, tower_program
 
-from conftest import (MANY_PEBBLES, cycle, decoded, permutation_graph,
-                      plain_bfs, random_program)
+from conftest import (MANY_PEBBLES, cycle, decoded, fresh_sid,
+                      permutation_graph, plain_bfs, random_program)
 
 
 def reachable_states(jag):
@@ -554,8 +554,12 @@ def test_fresh_states_have_one_edge_into_them():
     cg = build_config_graph(parse_program(_FRESH), g)
     space = cg.space
     assert cg.fresh > 0 and cg.limit_hit is None
+    assert {space.states[sid][0] for sid in range(len(space.leaps))
+            if fresh_sid(space, sid)} == {2, 4, 5, 7}
+    # point 3 walks along label 1 into 4, whose one step walks into 5: a
+    # head, which the search stores and leaps from
     assert {space.states[sid][0] for sid, leap in enumerate(space.leaps)
-            if leap is not None} == {2, 4, 5, 7}
+            if leap is not None and not fresh_sid(space, sid)} == {3}
     parent = plain_bfs(space)[0]
     fresh = [c for c in parent if c not in cg.parent]
     assert len(fresh) == cg.fresh
@@ -591,8 +595,8 @@ def test_fresh_states_have_one_edge_into_them():
         for sid, state in enumerate(space.states[1:], start=1):
             if state[0] in old:
                 covered += 1
-                assert space.leaps[sid] is not None, (prog.source, state)
-            elif space.leaps and space.leaps[sid] is not None:
+                assert fresh_sid(space, sid), (prog.source, state)
+            elif fresh_sid(space, sid):
                 wider += 1
     assert covered >= 100 and wider >= 300
     # on the ladder rungs, every state at a syntactically fresh point has
@@ -868,7 +872,8 @@ def test_program_space_stores_the_tree_of_a_plain_search():
     each of which has fresh configurations (the grid and abelian ones at
     the control points after a loop body's moves), on a move that a branch
     joins, on two chains that end on one level in the other order than the
-    one they began in, and on 300 random programs on graphs whose every
+    one they began in, on a stored head that two branches join and that
+    walks into a chain, and on 300 random programs on graphs whose every
     label column is a permutation, under budgets that cut through chains
     of fresh configurations."""
     import random as _random
@@ -899,8 +904,11 @@ def test_program_space_stores_the_tree_of_a_plain_search():
     # three branches, each one configuration wide: the first jumps and
     # then walks 5 moves, the second walks 6 and the third jumps 6 times.
     # Level 6 holds the first one's chain end, the third's configuration
-    # and the second's chain end, which began a level earlier.
-    walks = ["    jump q to p"] + ["    move p along 1"] * 5
+    # and the second's chain end, which began a level earlier.  The test
+    # after the jump reads p and q, so the search steps the configuration
+    # there rather than leaping from it as a head.
+    walks = ["    jump q to p", "    if p == q {"] \
+        + ["        move p along 1"] * 5 + ["    }"]
     ends = parse_program("\n".join(
         ["pebble p", "pebble q", "guess b : bool", "if b {"] + walks
         + ["} else {", "    guess c : bool", "    if c {"]
@@ -908,6 +916,16 @@ def test_program_space_stores_the_tree_of_a_plain_search():
         + [f"        jump q to {'st'[i % 2]}" for i in range(6)]
         + ["    }", "}", "move q along 1", "accept"]))
     cases.append((ends, cycle(5, 2), None))
+    # both branches' moves of q are fresh, and the first 'move p along 1'
+    # after each leads them to one state, which is stored and whose one
+    # step walks into a chain of fresh configurations: a head, on level 2.
+    # On two nodes both labels take q to the same node, so the second
+    # edge into the head is a merge.
+    head = parse_program("\n".join(
+        ["pebble p", "pebble q", "guess b : bool", "if b {",
+         "    move q along 1", "} else {", "    move q along 2", "}"]
+        + ["move p along 1"] * 5 + ["accept"]))
+    cases.append((head, cycle(2, 1), None))
     seen = Counter()
     for prog, g, spec in cases:
         budgets = [Limits(), Limits(max_configs=5), Limits(max_run_len=2)]
@@ -916,20 +934,51 @@ def test_program_space_stores_the_tree_of_a_plain_search():
         if prog is ends:  # stop before level 6 and after it
             budgets += [Limits(max_configs=18), Limits(max_configs=21),
                         Limits(max_run_len=5), Limits(max_run_len=6)]
+        if prog is head:  # stop before and after the head's level 2, and
+            # inside its chain, which ends on level 6
+            budgets += [Limits(max_configs=3), Limits(max_configs=4),
+                        Limits(max_configs=6), Limits(max_run_len=1),
+                        Limits(max_run_len=2), Limits(max_run_len=4)]
         for limits in budgets:
             cg = build_config_graph(prog, g, limits)
             space = cg.space
             if prog is chain and limits == Limits():
                 # a state after 'move p along x' is fresh, one per value of
                 # x, but the walk of q leads all of them to one state: a
-                # leap of no links
-                assert {(leap[0], len(leap[2])) for leap in space.leaps
-                        if type(leap) is tuple} == {(0, 0), (99, 2)}
+                # leap of no links.  That state is a head: its walk and the
+                # chain of 99 links after it are one leap of 100 walks, so
+                # the chain's own leap is never asked for.  Made now, it
+                # ends where the head's does.
+                made = {sid: leap for sid, leap in enumerate(space.leaps)
+                        if type(leap) is tuple}
+                assert {(leap[0], len(leap[2]))
+                        for leap in made.values()} == {(0, 0), (-100, 2)}
+                heads = [c for c in cg.parent if c >> space.B in made
+                         and made[c >> space.B][0] < 0]
+                firsts = {s >> space.B for c in heads for s in space.step(c)}
+                assert heads and all(space.leaps[sid] is True
+                                     for sid in firsts)
+                for c in heads:
+                    (s,) = space.step(c)
+                    k, delta, walked = space.leap(s >> space.B)
+                    assert (k, len(walked)) == (99, 2)
+                    _, head_delta, head_walked = made[c >> space.B]
+                    assert c + head_delta + sum(
+                        walk[c >> sp & space.mask]
+                        for sp, walk in head_walked) == s + delta + sum(
+                        walk[s >> sp & space.mask] for sp, walk in walked)
             parent, merges, accepting, limit_hit = plain_bfs(space, limits)
             assert (cg.configs_explored, cg.limit_hit) == \
                 (len(parent), limit_hit)
             assert cg.merges == merges
             assert cg.accepting == list(accepting)
+            if prog is head and limits == Limits():
+                # both branches reach one configuration: stored, then
+                # merged into, and leapt from with its own walk and the
+                # chain's three links
+                (into,) = {s for _, s in cg.merges}
+                assert into in cg.parent and \
+                    space.leaps[into >> space.B][0] == -4
             if prog is ends and limits == Limits():
                 # the links left at each configuration of levels 1, 2 and
                 # 6 (None: stored): a chain of 5 links from the last place
@@ -957,7 +1006,7 @@ def test_program_space_stores_the_tree_of_a_plain_search():
             assert all(parent[c] == above for c, above in cg.parent.items())
             fresh = [c for c in parent if c not in cg.parent]
             assert len(fresh) == cg.fresh
-            assert all(space.leaps[c >> space.B] is not None and c >= space.N
+            assert all(fresh_sid(space, c >> space.B) and c >= space.N
                        and space.back(c) == parent[c] for c in fresh)
             assert not {s for _, s in cg.merges} & set(fresh)
             if limit_hit is None:
@@ -1051,11 +1100,9 @@ def test_budgets_that_cut_inside_a_leapt_chain():
         for d in rng.sample(range(top), 25):
             cuts += [(Limits(max_configs=ends[d]), d + 1),
                      (Limits(max_configs=ends[d] - 1), d)]
-        leaps = space.leaps
-
         def link(c):
-            return leaps[c >> space.B] is not None and all(
-                leaps[s >> space.B] is not None for s in space.step(c))
+            return fresh_sid(space, c >> space.B) and all(
+                fresh_sid(space, s >> space.B) for s in space.step(c))
 
         for limits, cut in cuts:
             res = interpret(prog, g, limits)
@@ -1067,17 +1114,10 @@ def test_budgets_that_cut_inside_a_leapt_chain():
     assert inside >= 100
 
 
-def test_interpret_steps_a_chain_once(monkeypatch):
-    """``interpret`` of a tower program steps the end of each chain of
-    fresh configurations, not each link: at most 2 500 calls of
-    ``space.step`` for sym:n=4's 15 881 configurations, 9 000 for
-    abelian:mod=8,8's 36 073 and 63 000 for sym:n=5's 547 157.  On the
-    sym rungs the chains run through the moves of a loop body's word and
-    through the ``fornext`` control points between iterations; on
-    abelian:mod=8,8 each loop body is one move, so every fresh state sits
-    at a ``fornext``."""
+def _count_steps(monkeypatch, calls):
+    """Make every ``lang.ProgramSpace`` append the configuration of each
+    ``step`` call to ``calls``, until ``monkeypatch.undo()``."""
     from jaglab import lang
-    calls = []
 
     class Counted(lang.ProgramSpace):
         def __init__(self, prog, g):
@@ -1090,18 +1130,55 @@ def test_interpret_steps_a_chain_once(monkeypatch):
 
             self.step = counted
 
-    for spec, explored, most in [("sym:n=4", 15_881, 2_500),
-                                 ("abelian:mod=8,8", 36_073, 9_000),
-                                 ("sym:n=5", 547_157, 63_000)]:
+    monkeypatch.setattr(lang, "ProgramSpace", Counted)
+
+
+def test_interpret_steps_a_chain_once(monkeypatch):
+    """``interpret`` of a tower program steps the end of each chain of
+    fresh configurations, not each link, nor the head the chain is leapt
+    from: at most 1 400 calls of ``space.step`` for sym:n=4's 15 881
+    configurations, 5 400 for abelian:mod=8,8's 36 073 and 33 000 for
+    sym:n=5's 547 157.  On the sym rungs the chains run through the moves
+    of a loop body's word and through the ``fornext`` control points
+    between iterations; on abelian:mod=8,8 each loop body is one move, so
+    every fresh state sits at a ``fornext``."""
+    calls = []
+    for spec, explored, most in [("sym:n=4", 15_881, 1_400),
+                                 ("abelian:mod=8,8", 36_073, 5_400),
+                                 ("sym:n=5", 547_157, 33_000)]:
         family = parse_family(spec)
         prog, g = tower_program(family.tower), family.graph
         calls.clear()
-        monkeypatch.setattr(lang, "ProgramSpace", Counted)
+        _count_steps(monkeypatch, calls)
         res = interpret(prog, g)
         monkeypatch.undo()
         assert res == _compiled_run(prog, g, Limits()), spec
         assert res.configs_explored == explored, spec
         assert len(calls) <= most, (spec, len(calls))
+
+
+def test_a_build_leaps_from_each_head(monkeypatch):
+    """A build of a tower program steps neither a head, the stored
+    configuration whose one step walks into a chain of fresh ones, nor
+    the chain's links, only the chain's end: ``space.step`` is called
+    1 345 times on sym:n=4 and 5 313 times on abelian:mod=8,8 (2 305 and
+    8 897 when every head was stepped).  grid:d=2,l=5 has no chains, so
+    its build steps each of its 11 876 configurations.  The stored and
+    discovered counts are pinned with them."""
+    calls = []
+    for spec, steps, stored, explored in [
+            ("sym:n=4", 1_345, 1_129, 16_033),
+            ("abelian:mod=8,8", 5_313, 4_417, 36_225),
+            ("grid:d=2,l=5", 11_876, 6_376, 11_876)]:
+        family = parse_family(spec)
+        prog = grid_traversal_program(family.graph.degree) \
+            if spec.startswith("grid") else tower_program(family.tower)
+        calls.clear()
+        _count_steps(monkeypatch, calls)
+        cg = build_config_graph(prog, family.graph)
+        monkeypatch.undo()
+        assert (len(calls), len(cg.parent), cg.configs_explored) == \
+            (steps, stored, explored), spec
 
 
 def _compiled_run(prog, g, limits):
