@@ -741,7 +741,7 @@ class ProgramSpace:
     It has what a search and the deciders read of ``machine.PackedSpace``:
     ``initial``, ``step``, ``N``, ``B``, ``mask``, ``shifts``, ``curr``
     (the curr pebble, 1-based, or None), ``decode`` and ``leaps``, and
-    ``back`` and ``leap`` besides (see below).  A state
+    ``back`` and ``plans`` besides (see below).  A state
     is a canonical ``(pt, vals)`` or the accept state ``"qa"``, and the
     successors of a configuration are the triples of ``BoundProgram.steps``,
     in its order, as ints.  The compiled automaton (``compile_program``) encodes the same
@@ -750,8 +750,9 @@ class ProgramSpace:
 
     A configuration is one int, ``sid << B | code``, laid out by
     ``machine._layout`` as ``PackedSpace``'s are.  The state id ``sid``
-    numbers the states ``(pt, vals)`` a configuration can sit at in the
-    order the space meets them; the accept state is 0.  States are
+    numbers the states ``(pt, vals)`` of ``bp.state_graph()`` from 1, in
+    its order, so the start state is 1; the accept state is 0, and
+    ``states`` lists them all.  States are
     canonical, as ``steps`` gives them and as the start state is:
     configurations that differ only in variables dead at their point share
     a sid, and a search counts them once.  The code ``sum(nodes[i] <<
@@ -764,39 +765,40 @@ class ProgramSpace:
     those over the triples, whatever values the layout gives the ints.
     (On a one-node graph every code is 0 and ``c`` is the sid.)
 
-    Each sid gets a step plan the first time it is stepped.  A pebble
+    The space is built once, when it is made: the state graph holds every
+    state a search can meet, with its triples under every pattern, so no
+    search adds to it.  ``plans[sid]`` is the sid's step plan.  A pebble
     action is arithmetic on the int: it adds the change of sid times N and
     the change of the acting pebble's field, read off the int itself.
     ``steps`` reads the placement only through which of the pairs
     ``bp.observed(pt)`` share a node, and ``bp.state_graph()`` holds its
-    triples per state and that pattern.  The plan reads them from there,
-    keeps them per sid for as long as the space lives, and computes the
-    pattern from the int.  A placement-independent state, whose triples are
-    the same under every pattern, reads no pair at all, so its plan is its
-    one act when it has one.
+    triples per state and that pattern.  The plan holds them per pattern,
+    and the step computes the pattern from the int.  A
+    placement-independent state, whose triples are the same under every
+    pattern, reads no pair at all, so its plan is its one act when it has
+    one.
 
     A search stores only the configurations that a run can reach twice.
     A sid is fresh when the state graph has one edge into its state, a
     move of pebble ``p`` along label ``l`` from state ``S``
     (``bp.state_graph()[1]``), and the column of ``g.rho`` for ``l`` is a
-    permutation of the nodes.  ``leaps`` has an entry per sid interned so
-    far, None unless the sid is fresh or a head (below; a program without
-    fresh states has an empty ``leaps``), and ``back(c)`` gives a
-    configuration ``c`` at a fresh sid its one possible predecessor.  Why
-    there is only one.  The state graph holds every edge that ``steps``
-    gives from a state a search can meet, under every pattern a placement
-    can have, so an edge a search follows into a configuration at the
-    fresh sid is an edge of the state graph: it comes from a configuration
-    at ``S`` by the move of ``p`` along ``l``.  The move along a
-    permutation column is injective on nodes, and every other pebble
-    stays, so the placement at ``S`` is the one with ``p`` walked back
-    along the inverse column.  A search discovers a configuration at a
-    fresh sid at most once, when it expands that predecessor: it is never
-    the target of a merge, and it is never an accept configuration, which
-    sits at sid 0.  The start state is never fresh, since the start enters
-    it as well.  ``machine.expand`` counts a fresh configuration without
-    storing it, at its place in its level, and a walk up the search tree
-    steps back over it with ``back``.
+    permutation of the nodes.  ``leaps`` has an entry per sid, None unless
+    the sid is fresh or a head (below; a program without fresh states has
+    an empty ``leaps``), and ``back(c)`` gives a configuration ``c`` at a
+    fresh sid its one possible predecessor.  Why there is only one.  The
+    state graph holds every edge that ``steps`` gives from a state a
+    search can meet, under every pattern a placement can have, so an edge
+    a search follows into a configuration at the fresh sid is an edge of
+    the state graph: it comes from a configuration at ``S`` by the move of
+    ``p`` along ``l``.  The move along a permutation column is injective
+    on nodes, and every other pebble stays, so the placement at ``S`` is
+    the one with ``p`` walked back along the inverse column.  A search
+    discovers a configuration at a fresh sid at most once, when it expands
+    that predecessor: it is never the target of a merge, and it is never
+    an accept configuration, which sits at sid 0.  The start state is
+    never fresh, since the start enters it as well.  ``machine.expand``
+    counts a fresh configuration without storing it, at its place in its
+    level, and a walk up the search tree steps back over it with ``back``.
 
     Fresh configurations come in chains, and ``expand`` leaps over them.
     A link is a fresh sid whose plan is a single ``_WALK`` to a fresh sid:
@@ -813,103 +815,89 @@ class ProgramSpace:
     then, the sids of a chain and the columns its walks go along are
     fixed, and since a walk changes one pebble's field by a lookup on that
     field alone, the k walks compose into one table per pebble they move.
-    ``leap(sid)`` gives ``(k, delta, walks)``, with ``-k`` at a head, and
-    keeps it in ``leaps``, where the sid holds True until then: the
-    configuration ``c`` at ``sid`` reaches the end of its chain in k
-    steps, at ``c + delta + sum(walk[c >> sp & mask] for sp, walk in
-    walks)``, with no ``step`` of the sids between.
+    A sid that a search can meet as a successor holds them in ``leaps`` as
+    ``(k, delta, walks)``, with ``-k`` at a head: the configuration ``c``
+    at ``sid`` reaches the end of its chain in k steps, at ``c + delta +
+    sum(walk[c >> sp & mask] for sp, walk in walks)``, with no ``step`` of
+    the sids between.  Those sids are the heads and the fresh sids whose
+    one edge in leaves a sid that the search steps: one that is neither a
+    link nor a head, or the start state, which the search steps as its
+    initial configuration even when it is a head.  Any other fresh sid is
+    a link that the search only leaps over, and it holds ``(0, 0, ())``,
+    which marks it fresh and composes nothing: its own leap would cost a
+    table of n entries per link.
     """
 
     decode = PackedSpace.decode  # reads B, mask, shifts and states alone
 
     def __init__(self, prog: PebbleProgram, g: LabelledGraph):
         bp = prog.bind(g.degree)
-        rho, n, observed = g.rho, g.num_nodes, bp.observed
+        rho, n = g.rho, g.num_nodes
         graph, sole = bp.state_graph()
         b, mask, shifts, _, ones = _layout(n, bp.num_pebbles)
         self.mask, self.shifts = mask, shifts
         B = self.B = b * bp.num_pebbles
         self.N = 1 << B
         self.curr = bp.curr_idx
-        states = self.states = [_QA]  # sid -> (pt, vals), or the accept state
-        sids = {_QA: 0}
-        plans: list = [(_END, 0, 0, None)]  # sid -> step plan, None until needed
+        states = self.states = [_QA, *graph]  # sid -> (pt, vals), or qa
+        sids = {state: sid for sid, state in enumerate(states)}
         # (pebble shift, label) -> field changes; -label: its inverse's
         walks: dict = {}
+        targets: dict = {}  # id of field changes -> each node's next node
         # the labels whose columns are permutations, and the fresh states:
         # one edge enters each, a walk along one of those columns
         perms = {label for label in range(1, g.degree + 1)
                  if len({row[label - 1] for row in rho}) == n}
         fresh = {state for state, edge in sole.items() if edge[2] in perms}
-        # sid -> None, or at a fresh sid or a head its leap (True until
-        # ``leap`` is asked for it); no table at all without fresh states
-        leaps = self.leaps = [None] if fresh else ()
-        backs: dict = {}  # fresh sid -> (change of sid times N, shift, changes)
         chains: dict = {}  # the (shift, id of walk) of a chain's links -> walks
 
-        def walks_into(state):
-            """The fresh state that ``state`` walks into, when it is
-            placement-independent and has that one step; else None."""
-            by = graph[state]
-            if len(by) == 1 and len(by[0]) == 1 and by[0][0][0] in fresh:
-                return by[0][0][0]
-            return None
+        def walk(sp, label):
+            """The field changes at shift ``sp`` of a walk along ``label``,
+            or back along the column of ``-label``, a permutation."""
+            out = walks.get((sp, label))
+            if out is None:
+                if label > 0:
+                    to = [row[label - 1] for row in rho]
+                else:  # the inverse permutation
+                    to = [0] * n
+                    for u, row in enumerate(rho):
+                        to[row[-label - 1]] = u
+                out = walks[sp, label] = tuple(
+                    [v - u << sp for u, v in enumerate(to)])
+                targets[id(out)] = to
+            return out
 
-        def intern(state):
-            sid = sids.get(state)
-            if sid is None:
-                sid = sids[state] = len(states)
-                states.append(state)
-                plans.append(None)
-                if fresh:  # a head walks into the first link of a chain
-                    leaps.append(True if state in fresh or (
-                        (to := walks_into(state)) is not None
-                        and walks_into(to) is not None) else None)
-            return sid
-
-        def acts(sid, bits):
-            """The steps of sid's state under the pattern ``bits``, from
-            ``bp.state_graph()``, each triple as ``(kind, delta, sp, x)``:
-            ``c + delta`` has the next sid, ``sp`` is the acting pebble's
-            shift, and ``x`` the jump target's shift or the field's change
-            per node walked from.  ``accept`` goes to sid 0 and moves no
-            pebble."""
+        def acts(sid, triples):
+            """The steps ``triples`` of sid's state, each as ``(kind,
+            delta, sp, x)``: ``c + delta`` has the next sid, ``sp`` is the
+            acting pebble's shift, and ``x`` the jump target's shift or the
+            field's change per node walked from.  ``accept`` goes to sid 0
+            and moves no pebble."""
             out = []
-            for nxt, pebble, move in graph[states[sid]][bits]:
+            for nxt, pebble, move in triples:
                 if nxt is None:
                     out.append((_SHIFT, -sid << B, 0, None))
                     continue
-                delta = intern(nxt) - sid << B
+                delta = sids[nxt] - sid << B
                 sp = shifts[pebble - 1]
-                if move < 0:
-                    out.append((_JUMP, delta, sp, shifts[-move - 1]))
-                    continue
-                walk = walks.get((sp, move))
-                if walk is None:
-                    walk = walks[sp, move] = tuple(
-                        [row[move - 1] - v << sp for v, row in enumerate(rho)])
-                out.append((_WALK, delta, sp, walk))
+                out.append((_JUMP, delta, sp, shifts[-move - 1]) if move < 0
+                           else (_WALK, delta, sp, walk(sp, move)))
             return out
 
-        def plan(sid):
-            """The step plan of a sid, ``(_FOLD, 0, sp, x)``: ``sp`` holds
-            the shift pairs of ``bp.observed(pt)``, and ``x`` the ``acts``
-            by which of them share a node.  A placement-independent state
-            reads no pair, and with one step it has that act as its plan."""
-            state = states[sid]
-            pairs = observed(state[0]) if len(graph[state]) > 1 else ()
-            out = (_FOLD, 0, tuple([(shifts[i], shifts[j])
-                                    for i, j in pairs]), {})
-            if not pairs:  # the same steps on every placement
-                by = out[3][0] = acts(sid, 0)
-                if len(by) == 1:
-                    out = by[0]
-            plans[sid] = out
-            return out
+        # sid -> its step plan, (_FOLD, 0, sp, x): sp holds the shift pairs
+        # of bp.observed(pt), and x the acts by which of them share a
+        # node; a placement-independent state reads no pair, and with one
+        # step it has that act as its plan
+        plans = self.plans = [(_END, 0, 0, None)]
+        for sid, (state, by) in enumerate(graph.items(), start=1):
+            x = {bits: acts(sid, triples) for bits, triples in by.items()}
+            pairs = bp.observed(state[0]) if len(x) > 1 else ()
+            plans.append(x[0][0] if not pairs and len(x[0]) == 1 else (
+                _FOLD, 0, tuple([(shifts[i], shifts[j]) for i, j in pairs]),
+                x))
 
         def step(c):
-            sid = c >> B
-            kind, delta, sp, x = plans[sid] or plan(sid)
+            kind, delta, sp, x = plans[c >> B]
             # a pebble's node is its field, c >> sp & mask, below bit B
             if kind == _WALK:
                 return (c + delta + x[c >> sp & mask],)
@@ -924,11 +912,8 @@ class ProgramSpace:
                 if c >> si & mask == c >> sj & mask:
                     together += bit
                 bit += bit
-            by = x.get(together)
-            if by is None:
-                by = x[together] = acts(sid, together)
             out = []
-            for kind, delta, sp, sx in by:
+            for kind, delta, sp, sx in x[together]:
                 if kind == _WALK:
                     out.append(c + delta + sx[c >> sp & mask])
                 elif kind == _JUMP:
@@ -938,63 +923,72 @@ class ProgramSpace:
                     out.append(c + delta)
             return out
 
+        into = []  # sid -> the fresh sid its plan, one walk, enters; else 0
+        for sid, (kind, delta, _, _) in enumerate(plans):
+            to = sid + (delta >> B)
+            into.append(to if kind == _WALK and states[to] in fresh else 0)
+
+        def leapt(sid):
+            """Whether ``sid`` is a link or a head, which a search leaps
+            over or from but does not step."""
+            to = into[sid]
+            return to > 0 and (states[sid] in fresh or into[to] > 0)
+
         def leap(sid):
-            """``leaps[sid]`` at a fresh sid or a head, made at the first
-            call: the walks from ``sid`` into fresh sids, up to the end of
-            the chain, as ``(k, delta, walks)``, with ``-k`` at a head; the
-            composed tables are shared by the chains that walk along the
-            same columns.  The chain runs to its end, since it never meets a
-            sid twice: each state on a cycle of fresh sids has its one edge
-            in from the cycle, so the search reaches the cycle only if it
-            holds the start state, and the start state is never fresh."""
+            """The walks from ``sid`` into fresh sids, up to the end of the
+            chain, as ``(k, delta, walks)``; the composed tables are shared
+            by the chains that walk along the same columns.  The chain runs
+            to its end, since it never meets a sid twice: each state on a
+            cycle of fresh sids has its one edge in from the cycle, so the
+            state graph reaches the cycle only if it holds the start state,
+            and the start state is never fresh."""
             k, at, links = 0, sid, []
-            while True:
-                kind, delta, sp, x = plans[at] or plan(at)
-                to = at + (delta >> B)
-                if kind != _WALK or states[to] not in fresh:
-                    break
-                links.append((sp, x))
-                at, k = to, k + 1
+            while into[at]:
+                links.append(plans[at][2:])
+                at, k = into[at], k + 1
             # each x lives in walks as long as the space, so its id is its name
             key = tuple([(sp, id(x)) for sp, x in links])
             walked = chains.get(key)
             if walked is None:
                 paths = {}  # shift -> the node each node walks to
                 for sp, x in links:
-                    paths[sp] = [v + (x[v] >> sp)
-                                 for v in paths.get(sp) or range(n)]
+                    paths[sp] = list(map(targets[id(x)].__getitem__,
+                                         paths.get(sp, range(n))))
                 walked = chains[key] = tuple([
                     (sp, tuple([v - u << sp for u, v in enumerate(path)]))
                     for sp, path in paths.items()])
-            entry = leaps[sid] = (k if states[sid] in fresh else -k,
-                                  at - sid << B, walked)
-            return entry
+            return k, at - sid << B, walked
+
+        # sid -> None, or at a fresh sid or a head its leap; no table at all
+        # without fresh states
+        leaps = self.leaps = [None] * len(states) if fresh else ()
+        # sid -> None, or at a fresh sid (change of sid times N, shift of
+        # the moved pebble, its field changes back along the column)
+        backs = [None] * len(states)
+        for sid, state in enumerate(states):
+            if state in fresh:
+                pred, pebble, label = sole[state]
+                sp = shifts[pebble - 1]
+                backs[sid] = (sids[pred] - sid << B, sp, walk(sp, -label))
+                # a link after a link or a head is only leapt over; the
+                # search steps the start state, sid 1, even as a head
+                skipped = sids[pred] != 1 and leapt(sids[pred])
+                leaps[sid] = (0, 0, ()) if skipped else leap(sid)
+            elif leapt(sid):  # a head
+                k, delta, walked = leap(sid)
+                leaps[sid] = (-k, delta, walked)
 
         def back(c):
             """The predecessor of ``c``, at a fresh sid: at the state of the
             one edge into sid's state, the moved pebble's field walked back
-            along the inverse column, whose field changes are made at the
-            first ``back`` to need them."""
-            sid = c >> B
-            entry = backs.get(sid)
-            if entry is None:
-                pred, pebble, label = sole[states[sid]]
-                sp = shifts[pebble - 1]
-                unwalk = walks.get((sp, -label))
-                if unwalk is None:
-                    inverse = [0] * n
-                    for u, row in enumerate(rho):
-                        inverse[row[label - 1]] = u
-                    unwalk = walks[sp, -label] = tuple(
-                        [u - v << sp for v, u in enumerate(inverse)])
-                entry = backs[sid] = (sids[pred] - sid << B, sp, unwalk)
-            delta, sp, unwalk = entry
+            along the inverse column."""
+            delta, sp, unwalk = backs[c >> B]
             return c + delta + unwalk[c >> sp & mask]
 
-        self.step, self.back, self.leap = step, back, leap
+        self.step, self.back = step, back
         # pebble t on the targetnode, all others on the startnode
         start = g.startnode
-        self.initial = intern((0, bp.init_vals)) << B | start * ones + (
+        self.initial = sids[0, bp.init_vals] << B | start * ones + (
             g.targetnode - start << shifts[bp.t_idx - 1])
 
 

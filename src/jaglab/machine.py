@@ -497,10 +497,10 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
     exception.
 
     A successor whose sid holds a leap ``(k, delta, walks)`` with k >= 0
-    in ``space.leaps`` (None: no leap; True: ``space.leap`` makes it) is
-    fresh: it has no other possible predecessor (``lang.ProgramSpace``
-    says why), so no other edge can reach it, and the search counts it in
-    ``fresh`` but does not store it.  Every other configuration is stored.
+    in ``space.leaps`` (None: no leap) is fresh: it has no other possible
+    predecessor (``lang.ProgramSpace`` says why), so no other edge can
+    reach it, and the search counts it in ``fresh`` but does not store
+    it.  Every other configuration is stored.
     If the chain from its sid has k > 0 links, the search puts in its
     place in the next level a slot that stands for the chain: the negative
     int ``~end``, with the chain's end, which is unique since a fresh
@@ -594,8 +594,6 @@ def expand(space, limits: Limits, stop_at_accept: bool = False
                         return parent, merges, accepting, None, fresh
                 for s in succs:
                     if leaps and (leap := leaps[s >> B]) is not None:
-                        if leap is True:
-                            leap = space.leap(s >> B)
                         links, delta, walks = leap
                         if links >= 0:
                             fresh += 1
@@ -840,11 +838,12 @@ def _carried_values(cg: ConfigGraph, work: list, tree_value: Callable,
     along the tree enters it).  An accept configuration passes nothing on;
     its value is yielded each time it is taken from the worklist.
 
-    The edges out of a configuration are ``cg.space.step``'s.  The graph
-    is complete, so the build made the plan of every configuration the
-    worklist takes, by stepping it or, at a head or a link, by its leap;
-    the step's table outlives the build, so a step again asks the
-    automaton nothing and gives the edges the build followed.
+    The edges out of a configuration are ``cg.space.step``'s.  A
+    program's space holds every plan from the start, and an automaton's
+    graph is complete, so its build made the plan of every configuration
+    the worklist takes by stepping it; the step's table outlives the
+    build, so a step again asks the automaton nothing and gives the edges
+    the build followed.
     """
     N = cg.space.N
     step = cg.space.step

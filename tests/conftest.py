@@ -106,10 +106,8 @@ def permutation_graph(rng):
 def fresh_sid(space, sid):
     """Whether ``sid`` is fresh, as ``machine.expand`` reads it: its entry
     in ``space.leaps`` is a leap of k >= 0 links (a head's counts -k, and
-    None is neither), made with ``space.leap`` if it is not yet."""
+    None is neither).  A link inside a chain holds a leap of no links."""
     leap = space.leaps[sid] if space.leaps else None
-    if leap is True:
-        leap = space.leap(sid)
     return leap is not None and leap[0] >= 0
 
 

@@ -946,27 +946,28 @@ def test_program_space_stores_the_tree_of_a_plain_search():
                 # a state after 'move p along x' is fresh, one per value of
                 # x, but the walk of q leads all of them to one state: a
                 # leap of no links.  That state is a head: its walk and the
-                # chain of 99 links after it are one leap of 100 walks, so
-                # the chain's own leap is never asked for.  Made now, it
-                # ends where the head's does.
+                # chain of 99 links after it are one leap of 100 walks.  The
+                # search only leaps over the links, so each holds a leap of
+                # no links; stepping from the first 99 times, through fresh
+                # sids with one successor each, ends where the head's leap
+                # does.
                 made = {sid: leap for sid, leap in enumerate(space.leaps)
-                        if type(leap) is tuple}
+                        if leap is not None}
                 assert {(leap[0], len(leap[2]))
                         for leap in made.values()} == {(0, 0), (-100, 2)}
                 heads = [c for c in cg.parent if c >> space.B in made
                          and made[c >> space.B][0] < 0]
-                firsts = {s >> space.B for c in heads for s in space.step(c)}
-                assert heads and all(space.leaps[sid] is True
-                                     for sid in firsts)
+                assert heads
                 for c in heads:
                     (s,) = space.step(c)
-                    k, delta, walked = space.leap(s >> space.B)
-                    assert (k, len(walked)) == (99, 2)
+                    for _ in range(99):
+                        assert space.leaps[s >> space.B] == (0, 0, ())
+                        (s,) = space.step(s)
+                        assert fresh_sid(space, s >> space.B)
                     _, head_delta, head_walked = made[c >> space.B]
                     assert c + head_delta + sum(
                         walk[c >> sp & space.mask]
-                        for sp, walk in head_walked) == s + delta + sum(
-                        walk[s >> sp & space.mask] for sp, walk in walked)
+                        for sp, walk in head_walked) == s
             parent, merges, accepting, limit_hit = plain_bfs(space, limits)
             assert (cg.configs_explored, cg.limit_hit) == \
                 (len(parent), limit_hit)
@@ -981,14 +982,22 @@ def test_program_space_stores_the_tree_of_a_plain_search():
                     space.leaps[into >> space.B][0] == -4
             if prog is ends and limits == Limits():
                 # the links left at each configuration of levels 1, 2 and
-                # 6 (None: stored): a chain of 5 links from the last place
-                # of level 1 and one of 4 from the first place of level 2
-                # both end on level 6
+                # 6 (None: stored), counted by stepping while the one
+                # successor is fresh: a chain of 5 links from the last
+                # place of level 1 and one of 4 from the first place of
+                # level 2 both end on level 6
+                def links_left(c):
+                    k = 0
+                    while len(succs := space.step(c)) == 1 and \
+                            fresh_sid(space, succs[0] >> space.B):
+                        c, k = succs[0], k + 1
+                    return k
+
                 depth = {}
                 for c, above in parent.items():
                     depth[c] = 0 if above is None else depth[above] + 1
-                assert [[space.leap(c >> space.B)[0]
-                         if space.leaps[c >> space.B] is not None else None
+                assert [[links_left(c) if space.leaps[c >> space.B]
+                         is not None else None
                          for c in parent if depth[c] == d]
                         for d in (1, 2, 6)] == \
                     [[None, None, 5], [4, None, 4], [0, None, 0]]
@@ -1179,6 +1188,108 @@ def test_a_build_leaps_from_each_head(monkeypatch):
         monkeypatch.undo()
         assert (len(calls), len(cg.parent), cg.configs_explored) == \
             (steps, stored, explored), spec
+
+
+def test_program_space_is_built_at_construction():
+    """A program's space is built once, from the program's state graph,
+    when it is made.  Its states are the accept state and then the state
+    graph's, in order, so the start state is sid 1.  Every sid has its
+    step plan, and a plan that reads observed pairs holds the acts of
+    every pattern a placement can show.  Every leap of k walks ends where
+    k calls of ``space.step`` do, through fresh sids, and a composed one
+    ends at a sid whose plan is no walk into a fresh sid.  A whole search
+    then adds no state and changes no plan or leap.  On the five small
+    ladder rungs and on 300 random programs on graphs whose every label
+    column is a permutation."""
+    import random as _random
+    from jaglab.lang import _FOLD, _WALK
+    cases = []
+    for spec in ("grid:d=2,l=5", "grid:d=3,l=3", "sym:n=4", "abelian:mod=8,8",
+                 "wreath(grid:d=1,l=2, grid:d=1,l=3)"):
+        family = parse_family(spec)
+        prog = grid_traversal_program(family.graph.degree) \
+            if spec.startswith("grid") else tower_program(family.tower)
+        cases.append((prog, family.graph))
+    rng = _random.Random(33)
+    cases += [(random_program(rng), permutation_graph(rng))
+              for _ in range(300)]
+    composed = 0
+    for prog, g in cases:
+        bp = prog.bind(g.degree)
+        space = prog.space(g)
+        assert space.states == ["qa", *bp.state_graph()[0]]
+        B, mask, shifts, plans = space.B, space.mask, space.shifts, space.plans
+        assert space.initial >> B == 1
+        assert len(plans) == len(space.states)
+        for sid, state in enumerate(space.states[1:], start=1):
+            if plans[sid][0] == _FOLD:
+                _, _, sp, x = plans[sid]
+                pairs = bp.observed(state[0]) if sp else ()
+                assert sp == tuple([(shifts[i], shifts[j]) for i, j in pairs])
+                assert set(x) >= {sum([1 << k for k, (i, j) in enumerate(pairs)
+                                       if pi[i] == pi[j]])
+                                  for pi in all_partitions(bp.num_pebbles)}
+
+        def walks_on(sid):
+            kind, delta, _, _ = plans[sid]
+            return kind == _WALK and fresh_sid(space, sid + (delta >> B))
+
+        for sid, leap in enumerate(space.leaps):
+            if leap is None:
+                continue
+            k, delta, walks = leap
+            for _ in range(3):
+                c = sid << B | sum([rng.randrange(g.num_nodes) << sp
+                                    for sp in shifts])
+                end = c
+                for _ in range(abs(k)):
+                    (end,) = space.step(end)
+                    assert fresh_sid(space, end >> B)
+                assert end == c + delta + sum([walk[c >> sp & mask]
+                                               for sp, walk in walks])
+            if k:
+                composed += 1
+                assert not walks_on(end >> B)
+        states, leaps = space.states[:], space.leaps[:]
+        keys = [set(plan[3]) if plan[0] == _FOLD else plan for plan in plans]
+        assert expand(space, Limits())[3] is None
+        assert space.states == states and space.leaps == leaps
+        assert keys == [set(plan[3]) if plan[0] == _FOLD else plan
+                        for plan in space.plans]
+    assert composed >= 100
+
+
+def test_a_start_state_that_is_a_head():
+    """A program that opens with four moves of one pebble along a
+    permutation column starts at a head: its start state walks into a
+    chain of three links.  The search steps the initial configuration all
+    the same, so the chain's first link is met as a successor, and it
+    leaps from there to the chain's end.  Against a search that stores and
+    steps everything, under no budget and under budgets that stop it on
+    the first levels, the build gives the same count, limit hit, merges
+    and accept configurations.  It steps the initial configuration, the
+    chain's end and the accept configuration, 3 calls of ``space.step`` in
+    all, and only the first when a budget stops it on levels 2 or 3; a
+    search that stepped the first link would make 6 and 2."""
+    prog = parse_program("pebble p\n" + "move p along 1\n" * 4 + "accept")
+    g = cycle(5, 2)
+    for limits, steps in [(Limits(), 3), (Limits(max_configs=2), 1),
+                          (Limits(max_run_len=1), 1),
+                          (Limits(max_run_len=2), 1)]:
+        space = prog.space(g)
+        (first,) = space.step(space.initial)
+        assert space.leaps[space.initial >> space.B][0] == -4
+        assert space.leaps[first >> space.B][0] == 3
+        calls = []
+        step = space.step
+        space.step = lambda c: calls.append(c) or step(c)
+        parent, merges, accepting, limit_hit, fresh = expand(space, limits)
+        space.step = step
+        want, want_merges, want_accepting, want_hit = plain_bfs(space, limits)
+        assert (len(parent) + fresh, limit_hit) == (len(want), want_hit)
+        assert (merges, accepting) == (want_merges, list(want_accepting))
+        assert list(parent) == [c for c in want if c in parent]
+        assert len(calls) == steps, limits
 
 
 def _compiled_run(prog, g, limits):
