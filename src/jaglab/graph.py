@@ -68,8 +68,9 @@ def closure(start, step) -> set:
     """Everything reachable from ``start`` by repeated ``step`` (BFS).
 
     ``step(x)`` yields the neighbours of ``x``.  Reachable nodes, weak
-    components, subgroups and the run-tree oracle's configurations are all
-    this one search; ``FiniteGroup`` unrolls it to number each product.
+    components, subgroups, a pebble program's state graph and the run-tree
+    oracle's configurations are all this one search; ``FiniteGroup``
+    unrolls it to number each product.
     """
     seen = {start}
     queue = [start]

@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 
 from .errors import ProgramError, InputError
 from .graph import LabelledGraph, closure
-from .machine import (Limits, NdJag, PackedSpace, RunResult, _layout,
-                      all_partitions, run)
+from .machine import (Limits, NdJag, PackedSpace, RunResult, _every_pair,
+                      _layout, all_partitions, run)
 
 _TOKEN = re.compile(r"(:=|==|!=|\.\.|[{}:,.=]|[A-Za-z_][A-Za-z0-9_]*|\d+)")
 _RESERVED = {"d", "pebble", "dir", "guess", "move", "jump", "visit", "if",
@@ -449,8 +449,11 @@ class BoundProgram:
     """Program lowered to flat instructions for a concrete graph degree.
 
     ``_edges`` is the one definition of what each control instruction does:
-    ``fold`` walks the edges a state takes, ``observed`` and the liveness
-    behind ``canon`` walk every edge.
+    ``fold`` walks the edges a state takes, and one backward dataflow over
+    every edge gives each point its observed pairs (``observed``) and its
+    dead variables (``canon``).  Those facts and the state graph are
+    cached properties, computed at their first use, so binding computes
+    nothing beyond the seven fields.
     """
 
     pebble_names: tuple
@@ -460,14 +463,6 @@ class BoundProgram:
     var_domains: tuple        # tuple of value tuples
     init_vals: tuple
     instrs: tuple
-    # observed(pt) per point, the variables dead at each point (filled at
-    # the first canon) and the state graph with the sole edge into each
-    # state that has one (filled at the first state_graph), made when asked
-    # so that binding stays cheap
-    _observed: dict = field(default_factory=dict, init=False, compare=False)
-    _dead: list = field(default_factory=list, init=False, compare=False)
-    _graph: dict = field(default_factory=dict, init=False, compare=False)
-    _sole: dict = field(default_factory=dict, init=False, compare=False)
 
     @property
     def num_pebbles(self) -> int:
@@ -583,16 +578,7 @@ class BoundProgram:
         its answer depends only on which of them share a node.  A pebble
         compared with itself always does, so that pair is left out.
         """
-        pairs = self._observed.get(pt)
-        if pairs is None:
-            instrs = self.instrs
-            reached = closure(pt, lambda q: () if instrs[q][0] in _ACTIONS
-                              else [edge[0] for edge in self._edges(q)])
-            pairs = self._observed[pt] = tuple(sorted({
-                (min(op[1], op[2]) - 1, max(op[1], op[2]) - 1)
-                for op in map(instrs.__getitem__, reached)
-                if op[0] == "ifeq" and op[1] != op[2]}))
-        return pairs
+        return self._observed[pt]
 
     def canon(self, pt: int, vals: tuple) -> tuple:
         """The state ``(pt, vals)`` with every variable dead at ``pt`` reset
@@ -620,7 +606,7 @@ class BoundProgram:
         and the first accept configuration are the plain search's; a
         configuration count counts the classes.
         """
-        dead = (self._dead or self._fill_dead())[pt]
+        dead = self._dead[pt]
         if dead:
             vals = list(vals)
             for i, first in dead:
@@ -644,59 +630,75 @@ class BoundProgram:
         edges over-approximate those a search follows.  ``sole[state]`` is
         that edge for a state that no other edge enters and that is not the
         start state, when its move walks along a label (``move > 0``).
-        """
-        if not self._graph:
-            self._close()
-        return self._graph, self._sole
 
-    def _close(self):
-        """Fill ``_graph`` and ``_sole`` by a search over states from the
-        start state, stepping each once per pattern; ``_graph`` is filled
-        last, in one update, so a search cut short leaves it empty."""
+        It is made at the first call, by one ``graph.closure`` over states
+        from the start state, and every later call returns the same pair.
+        A call that raises keeps nothing, and the next call starts anew.
+        """
+        return self._state_graph
+
+    @functools.cached_property
+    def _state_graph(self) -> tuple:
+        """``state_graph()``: one ``closure`` over states, whose step steps
+        a state once per pattern, records its triples and the edges into
+        its successors, and yields them."""
         graph, steps, p = {}, self.steps, self.num_pebbles
         start = (0, self.init_vals)
         into = {start: None}  # state -> the one edge into it; None: more
-        todo = [start]
-        for state in todo:  # todo grows while it is read
-            by = {}
-            for bits, pi in _patterns(self.observed(state[0]), p):
-                by[bits] = triples = steps(*state, pi)
-                for nxt, pebble, move in triples:
-                    if nxt is None:  # accept
-                        continue
-                    edge = state, pebble, move
-                    if nxt not in into:
-                        into[nxt] = edge
-                        todo.append(nxt)
-                    elif into[nxt] != edge:
-                        into[nxt] = None
+
+        def step(state):
+            by = {bits: steps(*state, pi) for bits, pi
+                  in _patterns(self._observed[state[0]], p)}
             same = by[0]  # no observed pair shares a node
             graph[state] = by if any(triples != same for triples
                                      in by.values()) else {0: same}
-        self._sole.update((state, edge) for state, edge in into.items()
-                          if edge is not None and edge[2] > 0)
-        self._graph.update(graph)
+            for triples in by.values():
+                for nxt, pebble, move in triples:
+                    if nxt is not None:  # not accept
+                        edge = state, pebble, move
+                        if into.setdefault(nxt, edge) != edge:
+                            into[nxt] = None
+                        yield nxt
 
-    def _fill_dead(self) -> list:
-        """``_dead[pt]``, the ``(variable, first value)`` pairs of the
-        variables dead at ``pt``, from a backward dataflow over every
-        ``_edges`` to a fixpoint."""
-        rows = [tuple(self._edges(pt)) for pt in range(len(self.instrs))]
-        live = [0] * len(rows)  # bit i: variable i is live
+        closure(start, step)
+        return graph, {state: edge for state, edge in into.items()
+                       if edge is not None and edge[2] > 0}
+
+    @functools.cached_property
+    def _flow(self) -> tuple:
+        """``(dead, observed)`` per point, from one backward dataflow over
+        every ``_edges`` to a fixpoint: ``dead[pt]`` the ``(variable, first
+        value)`` pairs of the variables dead at ``pt``, ``observed[pt]``
+        what ``observed(pt)`` returns.  A point observes its own ``ifeq``
+        pair and what its successors observe, and an action nothing."""
+        instrs, every = self.instrs, _every_pair(self.num_pebbles)
+        rows = [tuple(self._edges(pt)) for pt in range(len(instrs))]
+        bit = {pair: 1 << k for k, pair in enumerate(every)}
+        own = [bit.get((min(op[1:3]) - 1, max(op[1:3]) - 1), 0)
+               if op[0] == "ifeq" else 0 for op in instrs]
+        # bit i of live[pt]: variable i is live; bit k of compared[pt]: pair
+        # k of every is compared
+        live, compared = [0] * len(rows), [0] * len(rows)
         changed = True
         while changed:
             changed = False
             for pt in reversed(range(len(rows))):
-                mask = 0
+                mask, pairs = 0, own[pt]
                 for nxt, read, assigned, _ in rows[pt]:
                     mask |= read | live[nxt] & ~assigned
-                if mask != live[pt]:
-                    live[pt] = mask
+                    pairs |= compared[nxt]
+                if instrs[pt][0] in _ACTIONS:
+                    pairs = 0
+                if (mask, pairs) != (live[pt], compared[pt]):
+                    live[pt], compared[pt] = mask, pairs
                     changed = True
-        init = self.init_vals
-        self._dead[:] = [tuple((i, v) for i, v in enumerate(init)
-                               if not mask >> i & 1) for mask in live]
-        return self._dead
+        return ([tuple((i, v) for i, v in enumerate(self.init_vals)
+                       if not mask >> i & 1) for mask in live],
+                [tuple(pair for k, pair in enumerate(every) if pairs >> k & 1)
+                 for pairs in compared])
+
+    _dead = functools.cached_property(lambda self: self._flow[0])
+    _observed = functools.cached_property(lambda self: self._flow[1])
 
 
 @functools.cache

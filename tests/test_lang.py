@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from jaglab.errors import (DiagnosticError, InputError, ProgramError,
                            ResourceLimitExceeded)
 from jaglab.families import parse_family
-from jaglab.graph import LabelledGraph
+from jaglab.graph import LabelledGraph, closure
 from jaglab.lang import (_ACTIONS, BoundProgram, compile_program, interpret,
                          parse_program)
 from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
@@ -13,7 +14,11 @@ from jaglab.machine import (Limits, Verdict, accepts, all_partitions,
                             check_traversable, decide_co_st_connectivity,
                             enumerate_runs, expand, partition_of, run,
                             verify)
-from jaglab.algorithms import grid_traversal_program, tower_program
+from jaglab.algorithms import (count_to_max_order_program,
+                               grid_traversal_program, inverse_program,
+                               is_number_program, jump_to_target_program,
+                               mult_program, tower_program,
+                               two_tour_guesser_program)
 
 from conftest import (MANY_PEBBLES, cycle, decoded, fresh_sid,
                       permutation_graph, plain_bfs, random_program)
@@ -67,16 +72,22 @@ def test_bind_is_kept_per_degree():
 
 
 def test_only_a_program_space_makes_the_state_graph():
-    """Binding and ``compile_program`` leave the state graph unmade, so
-    the compiled route costs what it did; the first ``ProgramSpace`` at a
-    degree makes it, and every later space at that degree reads the same
-    one."""
+    """Binding and ``compile_program`` compute no per-point fact and leave
+    the state graph unmade, so binding costs what it did; a compiled
+    search leaves the state graph unmade too, the first ``ProgramSpace``
+    at a degree makes it, and every later space at that degree reads the
+    same one."""
     family = parse_family("sym:n=3")
     prog, g = tower_program(family.tower), family.graph
     bp = prog.bind(g.degree)
-    verify(compile_program(prog, g.degree), g)
-    assert not bp._graph and not bp._sole
+    jag = compile_program(prog, g.degree)
+    # the instance holds its seven input fields and nothing cached
+    fields = {f.name for f in dataclasses.fields(bp)}
+    assert len(fields) == 7 and vars(bp).keys() == fields
+    verify(jag, g)
+    assert "_state_graph" not in vars(bp)
     prog.space(g)
+    assert "_state_graph" in vars(bp)
     graph, sole = bp.state_graph()
     assert graph and sole
     prog.space(g)
@@ -667,9 +678,11 @@ def test_random_program_bisimulation():
 def test_dead_variable_reset_changes_no_answer(monkeypatch):
     """Both routes search canonical states: against the unreduced search,
     made by a ``canon`` that resets nothing, every verdict, visit order and
-    ``verify`` flag is the same and no count is larger; some are smaller.
-    The random programs read bools, loop bounds and counters past pebble
-    actions; tower programs and the every-form program join them."""
+    ``verify`` flag is the same and no count is larger; on each route some
+    are smaller.  The random programs read bools, loop bounds and counters
+    past pebble actions; tower programs and the every-form program join
+    them.  Each pass parses every program afresh: a bound program keeps
+    its state graph, which the unreduced pass must close anew."""
     import random as _random
     from jaglab.spotcheck import random_graph
     rng = _random.Random(23)
@@ -683,6 +696,7 @@ def test_dead_variable_reset_changes_no_answer(monkeypatch):
     def answers():
         out = []
         for g, prog in cases:
+            prog = parse_program(prog.source)
             res = interpret(prog, g)
             report = verify(compile_program(prog, g.degree), g)
             out.append((res, report))
@@ -691,7 +705,7 @@ def test_dead_variable_reset_changes_no_answer(monkeypatch):
     reduced = answers()
     monkeypatch.setattr(BoundProgram, "canon", lambda self, pt, vals: (pt, vals))
     plain = answers()
-    merged = 0
+    merged = shrunk = 0
     for (res, report), (res0, report0) in zip(reduced, plain):
         assert (res.verdict, res.visit_order) == (res0.verdict, res0.visit_order)
         assert (report.verdict, report.traversable, report.orderable,
@@ -700,7 +714,8 @@ def test_dead_variable_reset_changes_no_answer(monkeypatch):
         assert res.configs_explored <= res0.configs_explored
         assert report.configs_explored <= report0.configs_explored
         merged += report.configs_explored < report0.configs_explored
-    assert merged >= 1
+        shrunk += res.configs_explored < res0.configs_explored
+    assert merged >= 1 and shrunk >= 1
 
 
 def test_fold_reads_only_the_partition():
@@ -752,10 +767,25 @@ def test_fold_reads_only_the_compared_pairs():
             keyed += len(folds) > 1
 
 
+def _observed_by_closure(bp, pt):
+    """``bp.observed(pt)`` from its definition: the sorted distinct
+    0-based pairs of the ``ifeq`` points that ``graph.closure`` reaches
+    from ``pt`` along every ``_edges``, stopped at pebble actions."""
+    reached = closure(pt, lambda q: () if bp.instrs[q][0] in _ACTIONS
+                      else [edge[0] for edge in bp._edges(q)])
+    return tuple(sorted({(min(op[1:3]) - 1, max(op[1:3]) - 1)
+                         for op in map(bp.instrs.__getitem__, reached)
+                         if op[0] == "ifeq" and op[1] != op[2]}))
+
+
 def test_observed_pairs_are_0_based_and_distinct():
     """``p == p``, ``q == p`` and ``p == q`` ahead of one action observe one
     pair, 0-based with ``i < j``; an action point observes none.  The
-    compiled automaton observes the same, and both routes agree."""
+    compiled automaton observes the same, and both routes agree.  At every
+    point of the builtin programs and of random ones, whose ``while`` loops
+    over guesses are control-only cycles, the pairs of the one dataflow are
+    those of a closure from the point."""
+    import random as _random
     prog = parse_program(
         "pebble p\npebble q\nmove q along 1\nif p == p {\n"
         "    if q == p {\n        fail\n    }\n"
@@ -777,6 +807,26 @@ def test_observed_pairs_are_0_based_and_distinct():
         res = interpret(prog, g)
         assert res.verdict is verdict
         assert res == _compiled_run(prog, g, Limits())
+    fams = [parse_family(spec) for spec in (
+        "grid:d=2,l=3", "abelian:mod=4,4", "sym:n=4",
+        "wreath(grid:d=1,l=2, grid:d=1,l=3)")]
+    bound = [tower_program(f.tower).bind(f.graph.degree) for f in fams]
+    bound += [is_number_program(fams[-1].wreath).bind(fams[-1].graph.degree),
+              jump_to_target_program().bind(2),
+              two_tour_guesser_program().bind(2)]
+    for degree in (1, 2, 3):
+        bound += [make(degree).bind(degree) for make in (
+            grid_traversal_program, mult_program, inverse_program,
+            count_to_max_order_program)]
+    rng = _random.Random(34)
+    bound += [random_program(rng).bind(2) for _ in range(300)]
+    compared = 0
+    for bp in bound:
+        for pt in range(len(bp.instrs)):
+            want = _observed_by_closure(bp, pt)
+            assert bp.observed(pt) == want
+            compared += len(want) > 0
+    assert compared >= 300
 
 
 def _decider_answers(machine, g, limits):
